@@ -165,7 +165,6 @@ class RunConfig:
                 embedding_dim=self.embedding_dim,
                 final_activation=self.final_activation,
                 init_std=self.init_std,
-                num_classes=self.num_classes,
                 centerline_norm_limit=self.centerline_norm_limit,
                 centerline_collapse_cosine=self.centerline_collapse_cosine,
                 collapse_check_epoch=self.collapse_check_epoch,

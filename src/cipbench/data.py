@@ -99,6 +99,9 @@ class Dataset:
             bad = set(self.split.values()) - {"train", "test"}
             if bad:
                 raise ValueError(f"unknown split tags: {sorted(bad)}")
+            missing = set(self.object_ids.tolist()) - self.split.keys()
+            if missing:
+                raise ValueError(f"split map has no tag for object ids {sorted(missing)}")
 
     @property
     def num_views(self) -> int:
@@ -261,6 +264,12 @@ def load_dataset(csv_path) -> Dataset:
         except ValueError as e:
             raise ValueError(f"{csv_path}:{lineno}: malformed value ({e})") from None
 
+    inputs = np.array(inputs)
+    finite = np.isfinite(inputs).all(axis=1)
+    if not finite.all():
+        rows = [n for n, line in enumerate(lines[1:], start=2) if line.strip()]
+        raise ValueError(f"{csv_path}:{rows[int(np.argmin(finite))]}: non-finite coordinate")
+
     sidecar_file = _sidecar_path(csv_path)
     split_map = None
     spec = None
@@ -277,6 +286,6 @@ def load_dataset(csv_path) -> Dataset:
         if sidecar.get("spec") is not None:
             spec = SyntheticSpec(**sidecar["spec"])
     return Dataset(
-        np.array(inputs), np.array(labels), np.array(oids), np.array(vids),
+        inputs, np.array(labels), np.array(oids), np.array(vids),
         split=split_map, spec=spec,
     )

@@ -145,10 +145,6 @@ class LinearClassifier:
         if self.weights.ndim != 2 or self.bias.shape != (self.weights.shape[0],):
             raise ValueError("classifier needs (K, n) weights and (K,) bias")
 
-    @classmethod
-    def zeros(cls, num_classes: int, dim: int):
-        return cls(np.zeros((num_classes, dim)), np.zeros(num_classes))
-
 
 @dataclass
 class LossConfig:

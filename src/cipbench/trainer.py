@@ -11,6 +11,7 @@ attached to the raised error.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -32,7 +33,6 @@ __all__ = [
     "DivergenceError",
     "TrainConfig",
     "TrainResult",
-    "TrainState",
     "iterate_batches",
     "load_checkpoint",
     "lr_at",
@@ -43,7 +43,7 @@ __all__ = [
 
 CENTERLINE_INIT_STD = 0.01
 
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
 
 HISTORY_FIELDS = ("epoch", "lr", "cluster", "ortho", "softmax", "center", "total", "map")
 
@@ -116,8 +116,12 @@ def lr_at(epoch: int, cfg: TrainConfig) -> float:
 
 
 def sgd_step(param: np.ndarray, velocity: np.ndarray, grad: np.ndarray,
-             lr: float, momentum: float = 0.0, weight_decay: float = 0.0) -> None:
-    """In-place momentum update: v <- mom*v - lr*(g + wd*p); p <- p + v."""
+             lr: float | np.ndarray, momentum: float = 0.0,
+             weight_decay: float | np.ndarray = 0.0) -> None:
+    """In-place momentum update: v <- mom*v - lr*(g + wd*p); p <- p + v.
+
+    ``lr`` and ``weight_decay`` are scalars or per-element arrays.
+    """
     if not np.isfinite(grad).all():
         raise ValueError("non-finite gradient")
     velocity *= momentum
@@ -126,56 +130,41 @@ def sgd_step(param: np.ndarray, velocity: np.ndarray, grad: np.ndarray,
 
 
 @dataclass
-class OptimizerState:
-    """Momentum velocity buffers, mirrored into checkpoints."""
-
-    weight_vel: list[np.ndarray]
-    bias_vel: list[np.ndarray]
-    bank_vel: np.ndarray
-    clf_weight_vel: np.ndarray | None = None
-    clf_bias_vel: np.ndarray | None = None
-
-    def copy(self) -> "OptimizerState":
-        return OptimizerState(
-            [v.copy() for v in self.weight_vel],
-            [v.copy() for v in self.bias_vel],
-            self.bank_vel.copy(),
-            None if self.clf_weight_vel is None else self.clf_weight_vel.copy(),
-            None if self.clf_bias_vel is None else self.clf_bias_vel.copy(),
-        )
-
-
-@dataclass
-class TrainState:
-    params: enc.MlpParams
-    bank: CenterlineBank
-    classifier: LinearClassifier | None
-    velocities: OptimizerState
-    epoch: int = 0
-    history: list[dict] = field(default_factory=list)
-
-    def snapshot(self) -> "TrainResult":
-        clf = None
-        if self.classifier is not None:
-            clf = LinearClassifier(self.classifier.weights.copy(), self.classifier.bias.copy())
-        return TrainResult(
-            params=self.params.copy(),
-            bank=CenterlineBank(self.bank.centers.copy()),
-            classifier=clf,
-            optimizer=self.velocities.copy(),
-            history=[dict(h) for h in self.history],
-            epochs_run=self.epoch,
-        )
-
-
-@dataclass
 class TrainResult:
+    """Trained state.  ``params``, ``classifier`` and ``bank`` are views of one
+    flat buffer (see ``_bind_views``); ``velocity`` is its momentum buffer."""
+
     params: enc.MlpParams
     bank: CenterlineBank
     classifier: LinearClassifier | None
-    optimizer: OptimizerState
+    velocity: np.ndarray
     history: list[dict]
     epochs_run: int
+
+
+def _flat(*tensors: np.ndarray) -> np.ndarray:
+    return np.concatenate([t.ravel() for t in tensors])
+
+
+def _bind_views(theta: np.ndarray, spec: enc.MlpSpec, num_classes: int, softmax: bool):
+    """Split ``theta`` into reshaped views, in flat-buffer order: encoder
+    weights, encoder biases, classifier weights and bias (softmax only),
+    centerlines.  Returns ``(params, bank, classifier)``."""
+    dims = spec.layer_dims
+    shapes = [(dims[l + 1], dims[l]) for l in range(spec.num_layers)]
+    shapes += [(dims[l + 1],) for l in range(spec.num_layers)]
+    if softmax:
+        shapes += [(num_classes, spec.embedding_dim), (num_classes,)]
+    shapes.append((num_classes, spec.embedding_dim))
+    views, start = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(theta[start : start + size].reshape(shape))
+        start += size
+    layers = spec.num_layers
+    params = enc.MlpParams(spec, views[:layers], views[layers : 2 * layers])
+    classifier = LinearClassifier(*views[2 * layers : -1]) if softmax else None
+    return params, CenterlineBank(views[-1]), classifier
 
 
 def iterate_batches(n: int, batch_size: int, rng) -> list[np.ndarray]:
@@ -184,7 +173,8 @@ def iterate_batches(n: int, batch_size: int, rng) -> list[np.ndarray]:
     return [perm[i : i + batch_size] for i in range(0, n, batch_size)]
 
 
-def _detect_divergence(state: TrainState, cfg: TrainConfig, init_norm: float) -> tuple[str, str] | None:
+def _detect_divergence(params: enc.MlpParams, centers: np.ndarray, epoch: int,
+                       cfg: TrainConfig, init_norm: float) -> tuple[str, str] | None:
     """Epoch-end health check on the centerline bank.
 
     Signals (each threshold is a config field):
@@ -198,11 +188,7 @@ def _detect_divergence(state: TrainState, cfg: TrainConfig, init_norm: float) ->
       grew beyond its initialization scale: nothing maintains the
       centerlines, they are effectively abandoned.
     """
-    centers = state.bank.centers
-    epoch = state.epoch
-    if not np.isfinite(centers).all() or any(
-        not np.isfinite(w).all() for w in state.params.weights
-    ):
+    if not np.isfinite(centers).all() or any(not np.isfinite(w).all() for w in params.weights):
         return "non_finite", "non-finite parameter values"
     norms = np.linalg.norm(centers, axis=1)
     if norms.max() > cfg.centerline_norm_limit:
@@ -265,66 +251,55 @@ def train(dataset: Dataset, cfg: TrainConfig) -> TrainResult:
         (dataset.input_dim, *cfg.hidden_dims, cfg.embedding_dim),
         final=cfg.final_activation,
     )
-    params = enc.init_params(spec, rng, cfg.init_std)
-    bank = CenterlineBank.init_gaussian(num_classes, cfg.embedding_dim, CENTERLINE_INIT_STD, rng)
-    classifier = (
-        LinearClassifier.zeros(num_classes, cfg.embedding_dim) if cfg.loss.use_softmax else None
-    )
-    state = TrainState(
-        params=params,
-        bank=bank,
-        classifier=classifier,
-        velocities=OptimizerState(
-            weight_vel=[np.zeros_like(w) for w in params.weights],
-            bias_vel=[np.zeros_like(b) for b in params.biases],
-            bank_vel=np.zeros_like(bank.centers),
-            clf_weight_vel=np.zeros_like(classifier.weights) if classifier else None,
-            clf_bias_vel=np.zeros_like(classifier.bias) if classifier else None,
-        ),
-    )
-    init_norm = float(np.linalg.norm(bank.centers, axis=1).mean())
-    last_good = state.snapshot()
+    softmax = cfg.loss.use_softmax
+    init = enc.init_params(spec, rng, cfg.init_std)
+    bank0 = CenterlineBank.init_gaussian(num_classes, cfg.embedding_dim, CENTERLINE_INIT_STD, rng)
+    head = (np.zeros((num_classes, cfg.embedding_dim)), np.zeros(num_classes)) if softmax else ()
+    # every trainable value lives in theta; params/classifier/bank are views of it
+    theta = _flat(*init.weights, *init.biases, *head, bank0.centers)
+    velocity = np.zeros_like(theta)
+    params, bank, classifier = _bind_views(theta, spec, num_classes, softmax)
+    on_centers = np.arange(theta.size) >= theta.size - bank0.centers.size
+    decay = np.where(on_centers, 0.0, cfg.weight_decay)
+    init_norm = float(np.linalg.norm(bank0.centers, axis=1).mean())
+    history: list[dict] = []
+
+    def snapshot(epochs_run: int) -> TrainResult:
+        views = _bind_views(theta.copy(), spec, num_classes, softmax)
+        return TrainResult(*views, velocity.copy(), [dict(h) for h in history], epochs_run)
+
+    last_good = snapshot(0)
 
     for epoch in range(cfg.epochs):
-        state.epoch = epoch
         lr = lr_at(epoch, cfg)
         center_lr = cfg.centerline_lr if cfg.centerline_lr is not None else lr
+        rates = np.where(on_centers, center_lr, lr)
         term_sums = {"cluster": 0.0, "ortho": 0.0, "softmax": 0.0, "center": 0.0}
         total_sum = 0.0
         batches = iterate_batches(n, cfg.batch_size, rng)
 
         for batch_idx in batches:
-            feats, cache = enc.forward_batch(state.params, inputs[batch_idx])
+            feats, cache = enc.forward_batch(params, inputs[batch_idx])
             if not np.isfinite(feats).all():
                 raise DivergenceError(
                     f"non-finite embeddings at epoch {epoch}",
-                    "non_finite", epoch, last_good, state.history,
+                    "non_finite", epoch, last_good, history,
                 )
             batch = LabeledBatch(feats, labels[batch_idx])
-            report = loss_report(batch, state.bank, cfg.loss, state.classifier)
+            report = loss_report(batch, bank, cfg.loss, classifier)
             if not np.isfinite(report.total):
                 raise DivergenceError(
                     f"non-finite loss at epoch {epoch}",
-                    "non_finite", epoch, last_good, state.history,
+                    "non_finite", epoch, last_good, history,
                 )
-            grads, _ = enc.backward_batch(state.params, cache, report.feature_grads)
-            vel = state.velocities
+            grads, _ = enc.backward_batch(params, cache, report.feature_grads)
+            grad = _flat(*grads.weights, *grads.biases, *(report.classifier_grads or ()),
+                         report.center_grads)
             try:
-                for w, v, g in zip(state.params.weights, vel.weight_vel, grads.weights):
-                    sgd_step(w, v, g, lr, cfg.momentum, cfg.weight_decay)
-                for b, v, g in zip(state.params.biases, vel.bias_vel, grads.biases):
-                    sgd_step(b, v, g, lr, cfg.momentum, cfg.weight_decay)
-                if report.classifier_grads is not None:
-                    gw, gb = report.classifier_grads
-                    sgd_step(state.classifier.weights, vel.clf_weight_vel, gw,
-                             lr, cfg.momentum, cfg.weight_decay)
-                    sgd_step(state.classifier.bias, vel.clf_bias_vel, gb,
-                             lr, cfg.momentum, cfg.weight_decay)
-                sgd_step(state.bank.centers, vel.bank_vel, report.center_grads,
-                         center_lr, cfg.momentum, 0.0)
+                sgd_step(theta, velocity, grad, rates, cfg.momentum, decay)
             except ValueError as e:
                 raise DivergenceError(
-                    f"aborting epoch {epoch}: {e}", "non_finite", epoch, last_good, state.history
+                    f"aborting epoch {epoch}: {e}", "non_finite", epoch, last_good, history
                 ) from None
             for name in term_sums:
                 term_sums[name] += report.per_term[name]
@@ -334,18 +309,17 @@ def train(dataset: Dataset, cfg: TrainConfig) -> TrainResult:
         for name in term_sums:
             row[name] = term_sums[name] / len(batches)
         if cfg.eval_every and (epoch + 1) % cfg.eval_every == 0:
-            row["map"] = _evaluate_map(state.params, dataset)
-        state.history.append(row)
+            row["map"] = _evaluate_map(params, dataset)
+        history.append(row)
 
-        verdict = _detect_divergence(state, cfg, init_norm)
+        verdict = _detect_divergence(params, bank.centers, epoch, cfg, init_norm)
         if verdict is not None:
             signal, detail = verdict
             raise DivergenceError(
                 f"divergence detected at epoch {epoch}: {detail}",
-                signal, epoch, last_good, state.history,
+                signal, epoch, last_good, history,
             )
-        state.epoch = epoch + 1
-        last_good = state.snapshot()
+        last_good = snapshot(epoch + 1)
 
     return last_good
 
@@ -360,12 +334,11 @@ class Checkpoint:
     params: enc.MlpParams
     bank: CenterlineBank
     classifier: LinearClassifier | None
-    optimizer: OptimizerState | None
+    velocity: np.ndarray | None
     meta: dict
 
 
 def save_checkpoint(result: TrainResult, path, meta: dict | None = None) -> None:
-    opt = result.optimizer
     doc = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "encoder": enc.params_to_dict(result.params),
@@ -378,49 +351,46 @@ def save_checkpoint(result: TrainResult, path, meta: dict | None = None) -> None
             if result.classifier is not None
             else None
         ),
-        "optimizer": (
-            {
-                "weight_vel": [v.tolist() for v in opt.weight_vel],
-                "bias_vel": [v.tolist() for v in opt.bias_vel],
-                "bank_vel": opt.bank_vel.tolist(),
-                "clf_weight_vel": None if opt.clf_weight_vel is None else opt.clf_weight_vel.tolist(),
-                "clf_bias_vel": None if opt.clf_bias_vel is None else opt.clf_bias_vel.tolist(),
-            }
-            if opt is not None
-            else None
-        ),
+        "velocity": result.velocity.tolist(),
         "meta": {"epochs_run": result.epochs_run, **(meta or {})},
     }
     Path(path).write_text(json.dumps(doc))
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Parse a checkpoint file; a malformed one raises a one-line ValueError."""
     doc = json.loads(Path(path).read_text())
     if doc.get("format_version") != CHECKPOINT_FORMAT_VERSION:
         raise ValueError(f"unsupported checkpoint format version: {doc.get('format_version')}")
+    for key in ("encoder", "centerlines"):
+        if key not in doc:
+            raise ValueError(f"{path}: checkpoint has no {key!r} entry")
+    params = enc.params_from_dict(doc["encoder"])
+    bank = CenterlineBank(np.asarray(doc["centerlines"], dtype=np.float64))
+    tensors = [*params.weights, *params.biases, bank.centers]
     clf = None
     if doc.get("classifier") is not None:
         clf = LinearClassifier(
             np.asarray(doc["classifier"]["weights"], dtype=np.float64),
             np.asarray(doc["classifier"]["bias"], dtype=np.float64),
         )
-    opt = None
-    if doc.get("optimizer") is not None:
-        raw = doc["optimizer"]
-        opt = OptimizerState(
-            weight_vel=[np.asarray(v, dtype=np.float64) for v in raw["weight_vel"]],
-            bias_vel=[np.asarray(v, dtype=np.float64) for v in raw["bias_vel"]],
-            bank_vel=np.asarray(raw["bank_vel"], dtype=np.float64),
-            clf_weight_vel=(None if raw["clf_weight_vel"] is None
-                            else np.asarray(raw["clf_weight_vel"], dtype=np.float64)),
-            clf_bias_vel=(None if raw["clf_bias_vel"] is None
-                          else np.asarray(raw["clf_bias_vel"], dtype=np.float64)),
-        )
+        if clf.weights.shape != bank.centers.shape:
+            raise ValueError(
+                f"{path}: classifier shape {clf.weights.shape} does not match "
+                f"centerlines shape {bank.centers.shape}"
+            )
+        tensors += [clf.weights, clf.bias]
+    velocity = None
+    if doc.get("velocity") is not None:
+        velocity = np.asarray(doc["velocity"], dtype=np.float64)
+        count = sum(t.size for t in tensors)
+        if velocity.shape != (count,):
+            raise ValueError(f"{path}: velocity has {velocity.size} values for {count} parameters")
     return Checkpoint(
-        params=enc.params_from_dict(doc["encoder"]),
-        bank=CenterlineBank(np.asarray(doc["centerlines"], dtype=np.float64)),
+        params=params,
+        bank=bank,
         classifier=clf,
-        optimizer=opt,
+        velocity=velocity,
         meta=doc.get("meta", {}),
     )
 

@@ -117,6 +117,29 @@ def test_train_missing_dataset_exits_1(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("num_classes", [6, 12])
+def test_train_class_count_comes_from_the_data(tmp_path, num_classes):
+    # the num_classes config key only shapes generated data; training with the
+    # default value (10) must still fit the dataset's own class count
+    csv_path = run_generate(tmp_path, f"num_classes={num_classes}")
+    out = tmp_path / "run"
+    sets = [x for p in FAST if not p.startswith("num_classes=") for x in ("--set", p)]
+    assert main(["train", "--dataset", str(csv_path), "--out", str(out), *sets]) == 0
+    doc = json.loads((out / "checkpoint.json").read_text())
+    assert len(doc["centerlines"]) == num_classes
+
+
+def test_train_non_finite_csv_is_a_data_error(tmp_path, capsys):
+    csv_path = run_generate(tmp_path)
+    lines = csv_path.read_text().splitlines()
+    lines[2] = lines[2].rsplit(",", 1)[0] + ",nan"
+    csv_path.write_text("\n".join(lines) + "\n")
+    code = main(["train", "--dataset", str(csv_path), "--out", str(tmp_path / "run"), *fast_args()])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {csv_path}:3: non-finite coordinate\n"
+
+
 def test_train_cluster_only_divergence_exits_2(tmp_path, capsys):
     # cluster-only on the standard benchmark trips the divergence detector
     out_d = tmp_path / "bench"
@@ -175,7 +198,7 @@ def test_eval_perfect_embedding_fixture(tmp_path):
     ckpt = tmp_path / "identity.json"
     params = MlpParams(MlpSpec.from_dims((3, 3)), [np.eye(3)], [np.zeros(3)])
     ckpt.write_text(json.dumps({
-        "format_version": 1,
+        "format_version": 2,
         "encoder": params_to_dict(params),
         "centerlines": np.eye(3).tolist(),
         "classifier": None,
@@ -187,6 +210,17 @@ def test_eval_perfect_embedding_fixture(tmp_path):
     assert code == 0
     doc = json.loads((out / "metrics.json").read_text())
     assert doc["micro"]["map"] == 1.0
+
+
+def test_eval_checkpoint_without_centerlines_exits_2(tmp_path, trained, capsys):
+    csv_path, ckpt = trained
+    doc = json.loads(ckpt.read_text())
+    del doc["centerlines"]
+    ckpt.write_text(json.dumps(doc))
+    code = main(["eval", "--checkpoint", str(ckpt), "--dataset", str(csv_path),
+                 "--out", str(tmp_path / "e"), *fast_args()])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {ckpt}: checkpoint has no 'centerlines' entry\n"
 
 
 def test_eval_missing_checkpoint_exits_1(tmp_path, trained):

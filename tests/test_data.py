@@ -265,3 +265,24 @@ def test_labels_must_be_contiguous():
             object_ids=np.array([1, 2]),
             view_index=np.array([1, 1]),
         )
+
+
+def test_split_map_must_cover_every_object():
+    ds = split(generate(small_spec()), 0.5, seed=5)
+    partial = {oid: tag for oid, tag in ds.split.items() if oid != 3}
+    with pytest.raises(ValueError, match=r"no tag for object ids \[3\]"):
+        Dataset(ds.inputs, ds.labels, ds.object_ids, ds.view_index, split=partial)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_value_reports_line_number(tmp_path, value):
+    ds = generate(small_spec())
+    path = tmp_path / "dataset.csv"
+    save_dataset(ds, path)
+    text = path.read_text().splitlines()
+    parts = text[4].split(",")
+    parts[5] = value
+    text[4] = ",".join(parts)
+    path.write_text("\n".join(text) + "\n")
+    with pytest.raises(ValueError, match=r":5: non-finite"):
+        load_dataset(path)

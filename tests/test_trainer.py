@@ -95,6 +95,29 @@ def test_sgd_weight_decay_pulls_toward_zero():
     assert p[0] == pytest.approx(10.0 - 0.1 * 0.5 * 10.0, rel=1e-12)
 
 
+def test_sgd_flat_buffer_matches_per_tensor_steps():
+    # one step over a flat buffer with per-element rate and decay equals
+    # separate steps per tensor, bit for bit: the centerline slice runs at its
+    # own rate with zero decay, everything else at lr with weight decay
+    rng = np.random.default_rng(7)
+    shapes = [(8, 5), (4, 8), (8,), (4,), (3, 4), (3,), (3, 4)]
+    params = [rng.normal(size=s) for s in shapes]
+    vels = [rng.normal(size=s) for s in shapes]
+    grads = [rng.normal(size=s) for s in shapes]
+    lr, center_lr, momentum, wd = 0.01, 0.037, 0.5, 2e-4
+    flat_p = np.concatenate([p.ravel() for p in params])
+    flat_v = np.concatenate([v.ravel() for v in vels])
+    flat_g = np.concatenate([g.ravel() for g in grads])
+    on_centers = np.arange(flat_p.size) >= flat_p.size - params[-1].size
+    sgd_step(flat_p, flat_v, flat_g, np.where(on_centers, center_lr, lr), momentum,
+             np.where(on_centers, 0.0, wd))
+    for p, v, g in zip(params[:-1], vels[:-1], grads[:-1]):
+        sgd_step(p, v, g, lr, momentum, wd)
+    sgd_step(params[-1], vels[-1], grads[-1], center_lr, momentum, 0.0)
+    assert flat_p.tobytes() == np.concatenate([p.ravel() for p in params]).tobytes()
+    assert flat_v.tobytes() == np.concatenate([v.ravel() for v in vels]).tobytes()
+
+
 def test_sgd_rejects_non_finite_gradient():
     p = np.zeros(2)
     v = np.zeros(2)
@@ -279,10 +302,7 @@ def test_checkpoint_round_trip(tmp_path):
     np.testing.assert_array_equal(res.bank.centers, loaded.bank.centers)
     np.testing.assert_array_equal(res.classifier.weights, loaded.classifier.weights)
     # optimizer state travels with the checkpoint
-    for va, vb in zip(res.optimizer.weight_vel, loaded.optimizer.weight_vel):
-        np.testing.assert_array_equal(va, vb)
-    np.testing.assert_array_equal(res.optimizer.bank_vel, loaded.optimizer.bank_vel)
-    np.testing.assert_array_equal(res.optimizer.clf_bias_vel, loaded.optimizer.clf_bias_vel)
+    np.testing.assert_array_equal(res.velocity, loaded.velocity)
     assert loaded.meta["seed"] == 0
     assert loaded.meta["epochs_run"] == 4
 
@@ -298,6 +318,43 @@ def test_checkpoint_version_check(tmp_path):
     doc["format_version"] = 42
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="format version"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_views_share_one_buffer():
+    res = train(bench_dataset(), quick_config(loss=LossConfig.from_name("cip+softmax")))
+    tensors = (*res.params.weights, *res.params.biases, res.classifier.weights,
+               res.classifier.bias, res.bank.centers)
+    base = res.bank.centers.base
+    assert base is not None and all(t.base is base for t in tensors)
+    assert base.size == res.velocity.size == sum(t.size for t in tensors)
+
+
+def _corrupt(doc, case):
+    if case in ("encoder", "centerlines"):
+        del doc[case]
+    elif case == "velocity":
+        doc["velocity"] = doc["velocity"][:-1]
+    else:
+        doc["classifier"]["weights"] = [row[:-1] for row in doc["classifier"]["weights"]]
+
+
+@pytest.mark.parametrize("case, message", [
+    ("encoder", "no 'encoder' entry"),
+    ("centerlines", "no 'centerlines' entry"),
+    ("velocity", "velocity has"),
+    ("classifier", "classifier shape"),
+])
+def test_checkpoint_schema_check(tmp_path, case, message):
+    import json
+
+    res = train(bench_dataset(), quick_config(loss=LossConfig.from_name("cip+softmax")))
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(res, path)
+    doc = json.loads(path.read_text())
+    _corrupt(doc, case)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=message):
         load_checkpoint(path)
 
 
