@@ -9,14 +9,10 @@ from cipbench.losses import (
     CenterlineBank,
     LabeledBatch,
     LossConfig,
-    cip_forward,
-    cluster_forward,
-    cluster_forward_unclipped,
-    cluster_grad_feature,
-    cluster_grad_feature_origin,
+    loss_report,
     normalized_weight_gradient,
-    ortho_forward,
-    ortho_grad_centerline,
+    pull_term,
+    push_term,
 )
 
 np.set_printoptions(precision=4, suppress=True)
@@ -29,32 +25,30 @@ batch = LabeledBatch(
     np.array([1, 1, 2]),
 )
 
-print("pull term (clipped):   ", cluster_forward(batch, bank, d=2.0))
-print("pull term (literal):   ", cluster_forward_unclipped(batch, bank, d=2.0))
-print("push term:             ", ortho_forward(batch, bank))
-print("combined, lambda=1:    ", cip_forward(batch, bank, LossConfig(lam=1.0, d=2.0)))
+own = np.einsum("ij,ij->i", batch.features, bank.centers[batch.labels - 1])
+print("pull term (clipped):   ", pull_term(batch, bank, d=2.0)[0])
+print("pull term (literal):   ", float(np.sum(1.0 / (own + 2.0))))
+print("push term:             ", push_term(batch, bank)[0])
+print("combined, lambda=1:    ", loss_report(batch, bank, LossConfig(lam=1.0, d=2.0)).total)
 
 # The pull gradient is clipped so a feature on the wrong side of its
 # centerline gets a bounded nudge. The unclipped original explodes as the
 # inner product approaches -d.
-c = np.array([1.0, 0.0])
+axes = CenterlineBank(np.array([[1.0, 0.0], [0.0, 1.0]]))
+c = axes.centers[0]
 print("\n  f.c      surrogate         unclipped original")
 for x in (3.0, 0.0, -1.0, -1.9, -1.999):
     f = np.array([x, 0.0])
-    s = cluster_grad_feature(f, c, d=2.0)
-    try:
-        o = cluster_grad_feature_origin(f, c, d=2.0)
-        otxt = str(o)
-    except ValueError as e:
-        otxt = f"<{e}>"
-    print(f"  {x:6.3f}  {s}  {otxt}")
+    s = pull_term(LabeledBatch(f[None], np.array([1])), axes, d=2.0)[1][0]
+    o = -c / (f @ c + 2.0) ** 2
+    print(f"  {x:6.3f}  {s}  {o}")
 
 # The averaged centerline push: one violator moves the centerline by half
 # its vector, many violators by (roughly) their mean.
 violators = LabeledBatch(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([2, 2]))
 tilted = CenterlineBank(np.array([[1.0, 1.0], [0.0, -1.0]]))
 print("\naveraged push on a centerline with 2 violators:",
-      ortho_grad_centerline(violators, tilted, 1))
+      push_term(violators, tilted)[2][0])
 
 # Why the losses avoid weight normalization: the normalized-weight gradient
 # scales as 1/|w|, so a small weight vector produces a huge update.

@@ -2,17 +2,17 @@
 retrieval evaluation harness, all exercised on synthetic multi-view data."""
 
 from .data import Dataset, SyntheticSpec, generate, load_dataset, save_dataset, split
-from .encoder import MlpParams, MlpSpec, backward, backward_batch, forward, forward_batch, init_params
+from .encoder import MlpParams, MlpSpec, backward_batch, forward_batch, init_params
 from .losses import (
     CenterlineBank,
     LabeledBatch,
     LinearClassifier,
     LossConfig,
     LossReport,
-    cip_forward,
-    cluster_forward,
     loss_report,
-    ortho_forward,
+    pull_term,
+    push_batch_term,
+    push_term,
 )
 from .retrieval import evaluate_run, geometry_report, pool_descriptors, rank
 from .trainer import (
@@ -24,6 +24,6 @@ from .trainer import (
     save_checkpoint,
     train,
 )
-from .vectors import ShapeDescriptor, cosine_distance, dot, mean_pool
+from .vectors import ShapeDescriptor, mean_pool
 
 __version__ = "0.1.0"

@@ -274,7 +274,12 @@ def load_dataset(csv_path) -> Dataset:
     split_map = None
     spec = None
     if sidecar_file.exists():
-        sidecar = json.loads(sidecar_file.read_text())
+        try:
+            sidecar = json.loads(sidecar_file.read_text())
+        except json.JSONDecodeError as e:
+            raise ValueError(f"{sidecar_file}: {e}") from None
+        if not isinstance(sidecar, dict):
+            raise ValueError(f"{sidecar_file}: sidecar is not a JSON object")
         if sidecar.get("format_version") != DATASET_FORMAT_VERSION:
             raise ValueError(f"{sidecar_file}: unsupported format version")
         if sidecar.get("input_dim") != dim:

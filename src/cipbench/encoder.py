@@ -20,9 +20,7 @@ __all__ = [
     "MlpGrads",
     "MlpParams",
     "MlpSpec",
-    "backward",
     "backward_batch",
-    "forward",
     "forward_batch",
     "init_params",
     "load_params",
@@ -158,15 +156,6 @@ def forward_batch(params: MlpParams, inputs: np.ndarray) -> tuple[np.ndarray, Ml
     return post[-1], MlpCache(x, pre, post)
 
 
-def forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, MlpCache]:
-    """Single-sample forward; returns the embedding and the backward cache."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError(f"input must be 1-D, got shape {x.shape}")
-    out, cache = forward_batch(params, x[None, :])
-    return out[0], cache
-
-
 def _check_cache(params: MlpParams, cache: MlpCache):
     if len(cache.pre_activations) != params.spec.num_layers:
         raise ValueError("cache does not match parameters (layer count differs)")
@@ -180,7 +169,7 @@ def _check_cache(params: MlpParams, cache: MlpCache):
 def backward_batch(
     params: MlpParams, cache: MlpCache, grad_out: np.ndarray
 ) -> tuple[MlpGrads, np.ndarray]:
-    """Exact gradients of <grad_out, forward(inputs)> w.r.t. params and inputs.
+    """Exact gradients of <grad_out, forward_batch(inputs)> w.r.t. params and inputs.
 
     ``grad_out`` is (M, n), one upstream gradient row per cached sample.
     """
@@ -196,15 +185,6 @@ def backward_batch(
         grads.biases[l] = dz.sum(axis=0)
         g = dz @ params.weights[l]
     return grads, g
-
-
-def backward(params: MlpParams, cache: MlpCache, grad_out: np.ndarray) -> tuple[MlpGrads, np.ndarray]:
-    """Single-sample backward matching ``forward``."""
-    g = np.asarray(grad_out, dtype=np.float64)
-    if g.ndim != 1:
-        raise ValueError(f"grad_out must be 1-D, got shape {g.shape}")
-    grads, gin = backward_batch(params, cache, g[None, :])
-    return grads, gin[0]
 
 
 # ---------------------------------------------------------------------------
@@ -224,9 +204,16 @@ def params_to_dict(params: MlpParams) -> dict:
 
 
 def params_from_dict(d: dict) -> MlpParams:
+    """Rebuild parameters from ``params_to_dict`` output; a malformed entry
+    raises a one-line ValueError."""
+    if not isinstance(d, dict):
+        raise ValueError("encoder entry is not a JSON object")
     version = d.get("format_version")
     if version != PARAMS_FORMAT_VERSION:
         raise ValueError(f"unsupported encoder format version: {version}")
+    for key in ("layer_dims", "hidden_activations", "final_activation", "weights", "biases"):
+        if key not in d:
+            raise ValueError(f"encoder has no {key!r} entry")
     spec = MlpSpec(
         tuple(d["layer_dims"]),
         tuple(d["hidden_activations"]),

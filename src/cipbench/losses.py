@@ -3,9 +3,10 @@
 The combined objective couples a pull term (each feature is rewarded for a
 large inner product with its own class centerline) with a push term
 (features are penalised for positive inner products with other classes'
-centerlines, or with other-class features in the batch variant).  All
-gradients are closed forms, not autodiff.  Two of them are deliberately not
-the true derivatives:
+centerlines, or with other-class features in the batch variant).  Each term
+is one vectorized function returning its value and gradients, and
+``loss_report`` is their weighted sum.  All gradients are closed forms, not
+autodiff.  Two of them are deliberately not the true derivatives:
 
 * the pull gradients clip the inner product at zero, which bounds the update
   magnitude near the 1/x pole of the unclipped form;
@@ -14,10 +15,11 @@ the true derivatives:
 
 Conventions: class labels are 1-based, class k owns centerline row k-1, and
 batch losses are sums over the batch, so gradient scale grows with batch
-size by design.  The forward pull value is evaluated with the same clipping
-as its gradient, keeping reported loss curves consistent with the updates
-actually applied; the literal unclipped value stays available as a
-diagnostic (``cluster_forward_unclipped``).
+size by design.  The pull value is evaluated with the same clipping as its
+gradient, keeping reported loss curves consistent with the updates actually
+applied.  The literal unclipped forms and per-sample reference gradients
+live in ``tests/oracles.py``, where the tests check these functions against
+them.
 """
 
 from __future__ import annotations
@@ -35,26 +37,15 @@ __all__ = [
     "LossConfig",
     "LossReport",
     "center_loss",
-    "cip_forward",
-    "cluster_forward",
-    "cluster_forward_unclipped",
-    "cluster_grad_centerline",
-    "cluster_grad_feature",
-    "cluster_grad_feature_origin",
     "loss_report",
     "normalized_weight_gradient",
-    "ortho_batch_forward",
-    "ortho_batch_grad_feature",
-    "ortho_forward",
-    "ortho_grad_centerline",
-    "ortho_grad_feature",
+    "pull_term",
+    "push_batch_term",
+    "push_term",
     "softmax_ce",
-    "triplet_loss",
 ]
 
 ORTHO_VARIANTS = ("centerline", "batch")
-
-SINGULARITY_GUARD = 1e-9  # |f.c + d| below this is treated as the pole itself
 
 
 # ---------------------------------------------------------------------------
@@ -122,14 +113,6 @@ class CenterlineBank:
     @property
     def dim(self) -> int:
         return self.centers.shape[1]
-
-    def center_for(self, label: int) -> np.ndarray:
-        self._check_label(label)
-        return self.centers[label - 1]
-
-    def _check_label(self, label: int):
-        if not 1 <= int(label) <= self.num_classes:
-            raise ValueError(f"label {label} out of range [1, {self.num_classes}]")
 
 
 @dataclass
@@ -259,170 +242,65 @@ def _check_batch_bank(batch: LabeledBatch, bank: CenterlineBank):
         )
 
 
-def _own_center_products(batch: LabeledBatch, bank: CenterlineBank) -> np.ndarray:
-    own = bank.centers[batch.labels - 1]
-    return np.einsum("ij,ij->i", batch.features, own)
-
-
 # ---------------------------------------------------------------------------
-# forward values
+# CIP terms: value plus gradients in one vectorized pass
 # ---------------------------------------------------------------------------
 
 
-def cluster_forward(batch: LabeledBatch, bank: CenterlineBank, d: float) -> float:
-    """Pull term: sum_i 1 / ((f_i . c_{y_i})_+ + d), clipped like its gradient."""
-    if d <= 0:
-        raise ValueError(f"d must be > 0, got {d}")
-    _check_batch_bank(batch, bank)
-    x = np.maximum(_own_center_products(batch, bank), 0.0)
-    return float(np.sum(1.0 / (x + d)))
+def pull_term(batch: LabeledBatch, bank: CenterlineBank, d: float):
+    """Pull term sum_i 1 / ((f_i . c_{y_i})_+ + d) with its clipped gradients.
 
-
-def cluster_forward_unclipped(batch: LabeledBatch, bank: CenterlineBank, d: float) -> float:
-    """Literal pull term sum_i 1 / (f_i . c_{y_i} + d); diagnostic only.
-
-    Unlike the clipped forward this can go negative and blows up near
-    f.c = -d, which is exactly the instability the clipped form avoids.
+    Returns ``(value, feature_grads, center_grads)``.  Row i of the feature
+    gradients is -c_{y_i} / ((f_i . c_{y_i})_+ + d)^2, bounded by |c|/d^2;
+    centerline k receives the sum of -f_j / ((f_j . c_k)_+ + d)^2 over its
+    members j.  The value is clipped the same way as the gradients.
     """
     if d <= 0:
         raise ValueError(f"d must be > 0, got {d}")
     _check_batch_bank(batch, bank)
-    x = _own_center_products(batch, bank)
-    with np.errstate(divide="ignore"):
-        return float(np.sum(1.0 / (x + d)))
+    labels0 = batch.labels - 1
+    own = bank.centers[labels0]
+    denom = np.maximum(np.einsum("ij,ij->i", batch.features, own), 0.0) + d
+    scale = 1.0 / denom**2
+    center_grads = np.zeros_like(bank.centers)
+    np.add.at(center_grads, labels0, -batch.features * scale[:, None])
+    return float(np.sum(1.0 / denom)), -(own * scale[:, None]), center_grads
 
 
-def ortho_forward(batch: LabeledBatch, bank: CenterlineBank) -> float:
-    """Push term: sum_i sum_{k != y_i} max(f_i . c_k, 0)."""
+def push_term(batch: LabeledBatch, bank: CenterlineBank, weight: float = 1.0):
+    """Push term sum_i sum_{k != y_i} max(f_i . c_k, 0) and its gradients.
+
+    Returns ``(value, feature_grads, center_grads)``: the unweighted value
+    and the gradients of ``weight * value``.  A feature's gradient is the
+    sum of the other-class centerlines it overlaps (the hinge subgradient is
+    0).  A centerline's gradient is the surrogate (sum of its violators) /
+    (1 + violator count), which bounds its norm by the largest violator's;
+    ``weight`` is applied before that division.
+    """
     _check_batch_bank(batch, bank)
     prods = batch.features @ bank.centers.T
-    own = np.zeros_like(prods, dtype=bool)
-    own[np.arange(batch.size), batch.labels - 1] = True
-    return float(np.sum(np.maximum(prods, 0.0)[~own]))
+    active = prods > 0.0
+    active[np.arange(batch.size), batch.labels - 1] = False
+    counts = active.sum(axis=0)
+    return (
+        float(prods[active].sum()),
+        weight * (active @ bank.centers),
+        weight * (active.T @ batch.features) / (1.0 + counts)[:, None],
+    )
 
 
-def ortho_batch_forward(batch: LabeledBatch) -> float:
+def push_batch_term(batch: LabeledBatch, weight: float = 1.0):
     """Centerline-free push term over ordered cross-class feature pairs.
 
-    Each unordered pair contributes twice because the sum runs over ordered
-    (i, j); the doubled gradient below follows from that.
+    Returns ``(value, feature_grads)``: the unweighted sum of max(f_i . f_j, 0)
+    over ordered pairs with different labels, and the gradient of
+    ``weight * value``.  Each unordered pair appears twice, so a feature's
+    gradient is 2 * the sum of the other-class features it overlaps.
     """
-    if batch.size < 2:
-        raise ValueError("batch push term needs at least 2 samples")
-    grams = batch.features @ batch.features.T
-    cross = batch.labels[:, None] != batch.labels[None, :]
-    return float(np.sum(np.maximum(grams, 0.0)[cross]))
-
-
-def cip_forward(batch: LabeledBatch, bank: CenterlineBank, cfg: LossConfig) -> float:
-    """Combined pull + lam * push value under the configured push variant."""
-    pull = cluster_forward(batch, bank, cfg.d)
-    if cfg.ortho_variant == "batch":
-        push = ortho_batch_forward(batch)
-    else:
-        push = ortho_forward(batch, bank)
-    return pull + cfg.lam * push
-
-
-# ---------------------------------------------------------------------------
-# gradients w.r.t. features
-# ---------------------------------------------------------------------------
-
-
-def cluster_grad_feature(f, c, d: float) -> np.ndarray:
-    """Clipped pull gradient -c / ((f.c)_+ + d)^2; bounded by |c|/d^2."""
-    f = as_vector(f, "f")
-    c = as_vector(c, "c")
-    if f.shape != c.shape:
-        raise ValueError(f"dimension mismatch: {f.shape[0]} vs {c.shape[0]}")
-    x = max(float(np.dot(f, c)), 0.0)
-    return -c / (x + d) ** 2
-
-
-def cluster_grad_feature_origin(f, c, d: float) -> np.ndarray:
-    """Unclipped pull gradient -c / (f.c + d)^2; diagnostic only.
-
-    Diverges as f.c approaches -d; inside a small guard band around the pole
-    a ValueError is raised instead of returning a huge vector.  The trainer
-    never uses this form.
-    """
-    f = as_vector(f, "f")
-    c = as_vector(c, "c")
-    if f.shape != c.shape:
-        raise ValueError(f"dimension mismatch: {f.shape[0]} vs {c.shape[0]}")
-    denom = float(np.dot(f, c)) + d
-    if abs(denom) < SINGULARITY_GUARD:
-        raise ValueError(f"pull gradient singular: f.c + d = {denom:.3e}")
-    return -c / denom**2
-
-
-def ortho_grad_feature(f, bank: CenterlineBank, own_label: int) -> np.ndarray:
-    """Push gradient on a feature: sum of other-class centerlines it overlaps.
-
-    Only centerlines with a strictly positive inner product contribute
-    (the subgradient choice at the hinge is 0).
-    """
-    f = as_vector(f, "f")
-    bank._check_label(own_label)
-    if f.shape[0] != bank.dim:
-        raise ValueError(f"dimension mismatch: {f.shape[0]} vs {bank.dim}")
-    prods = bank.centers @ f
-    active = prods > 0.0
-    active[own_label - 1] = False
-    return bank.centers[active].sum(axis=0) if active.any() else np.zeros_like(f)
-
-
-def ortho_batch_grad_feature(batch: LabeledBatch, i: int) -> np.ndarray:
-    """Gradient of the batch push term w.r.t. feature i.
-
-    2 * sum over other-class features with positive inner product; the
-    factor 2 comes from f_i appearing on both sides of the ordered-pair sum.
-    """
-    if not 0 <= i < batch.size:
-        raise ValueError(f"batch index {i} out of range [0, {batch.size})")
-    f = batch.features[i]
-    prods = batch.features @ f
-    active = (prods > 0.0) & (batch.labels != batch.labels[i])
-    if not active.any():
-        return np.zeros_like(f)
-    return 2.0 * batch.features[active].sum(axis=0)
-
-
-# ---------------------------------------------------------------------------
-# gradients w.r.t. centerlines
-# ---------------------------------------------------------------------------
-
-
-def cluster_grad_centerline(
-    batch: LabeledBatch, bank: CenterlineBank, class_index: int, d: float
-) -> np.ndarray:
-    """Clipped pull gradient on centerline of ``class_index`` (1-based)."""
-    _check_batch_bank(batch, bank)
-    bank._check_label(class_index)
-    c = bank.centers[class_index - 1]
-    grad = np.zeros_like(c)
-    for j in np.flatnonzero(batch.labels == class_index):
-        x = max(float(np.dot(batch.features[j], c)), 0.0)
-        grad -= batch.features[j] / (x + d) ** 2
-    return grad
-
-
-def ortho_grad_centerline(batch: LabeledBatch, bank: CenterlineBank, class_index: int) -> np.ndarray:
-    """Averaged push gradient on a centerline: mean-like over violators.
-
-    (sum of other-class features with positive product) / (1 + violator
-    count); the +1 keeps single-violator updates at half strength and bounds
-    the norm by the largest violator norm.
-    """
-    _check_batch_bank(batch, bank)
-    bank._check_label(class_index)
-    c = bank.centers[class_index - 1]
-    prods = batch.features @ c
-    viol = (batch.labels != class_index) & (prods > 0.0)
-    count = int(viol.sum())
-    if count == 0:
-        return np.zeros_like(c)
-    return batch.features[viol].sum(axis=0) / (1.0 + count)
+    feats = batch.features
+    grams = feats @ feats.T
+    active = (grams > 0.0) & (batch.labels[:, None] != batch.labels[None, :])
+    return float(grams[active].sum()), weight * 2.0 * (active @ feats)
 
 
 # ---------------------------------------------------------------------------
@@ -480,28 +358,6 @@ def center_loss(batch: LabeledBatch, bank: CenterlineBank):
     return loss, (feature_grads, center_grads)
 
 
-def triplet_loss(anchor, positive, negative, margin: float = 1.0):
-    """Squared-Euclidean triplet hinge with subgradients.
-
-    max(0, |a-p|^2 - |a-n|^2 + margin); gradients are zero when the hinge
-    is inactive.
-    """
-    if margin <= 0:
-        raise ValueError(f"margin must be > 0, got {margin}")
-    a = as_vector(anchor, "anchor")
-    p = as_vector(positive, "positive")
-    n = as_vector(negative, "negative")
-    if not (a.shape == p.shape == n.shape):
-        raise ValueError("anchor/positive/negative dimensions differ")
-    ap = a - p
-    an = a - n
-    value = float(ap @ ap - an @ an) + margin
-    if value <= 0.0:
-        z = np.zeros_like(a)
-        return 0.0, (z, z.copy(), z.copy())
-    return value, (2.0 * (n - p), -2.0 * ap, 2.0 * an)
-
-
 def normalized_weight_gradient(w, f) -> np.ndarray:
     """Gradient of (w.f)/|w| w.r.t. w: f/|w| - (w.f) w / |w|^3.
 
@@ -534,45 +390,29 @@ def loss_report(
 ) -> LossReport:
     """Evaluate every enabled term and assemble gradients of the weighted total.
 
-    This is the vectorized path the trainer consumes; the per-sample
-    gradient functions above are its reference semantics and the unit tests
-    hold the two routes together.
+    The weighted sum of ``pull_term``, ``push_term`` (or ``push_batch_term``),
+    ``softmax_ce`` and ``center_loss``; this is what the trainer consumes.
     """
-    _check_batch_bank(batch, bank)
     if cfg.use_softmax and classifier is None:
         raise ValueError("softmax term enabled but no classifier supplied")
 
-    feats = batch.features
-    labels0 = batch.labels - 1
     per_term = {name: 0.0 for name in TERM_NAMES}
-    fgrads = np.zeros_like(feats)
+    fgrads = np.zeros_like(batch.features)
     cgrads = np.zeros_like(bank.centers)
     clf_grads = None
 
     if cfg.use_cluster:
-        own = bank.centers[labels0]
-        x = np.maximum(np.einsum("ij,ij->i", feats, own), 0.0)
-        denom = x + cfg.d
-        per_term["cluster"] = float(np.sum(1.0 / denom))
-        scale = 1.0 / denom**2
-        fgrads -= own * scale[:, None]
-        np.add.at(cgrads, labels0, -feats * scale[:, None])
+        per_term["cluster"], tf, tc = pull_term(batch, bank, cfg.d)
+        fgrads += tf
+        cgrads += tc
 
     if cfg.use_ortho:
         if cfg.ortho_variant == "batch":
-            grams = feats @ feats.T
-            cross = batch.labels[:, None] != batch.labels[None, :]
-            active = (grams > 0.0) & cross
-            per_term["ortho"] = float(grams[active].sum())
-            fgrads += cfg.lam * 2.0 * (active @ feats)
+            per_term["ortho"], tf = push_batch_term(batch, cfg.lam)
         else:
-            prods = feats @ bank.centers.T
-            active = prods > 0.0
-            active[np.arange(batch.size), labels0] = False
-            per_term["ortho"] = float(prods[active].sum())
-            fgrads += cfg.lam * (active @ bank.centers)
-            counts = active.sum(axis=0)
-            cgrads += cfg.lam * (active.T @ feats) / (1.0 + counts)[:, None]
+            per_term["ortho"], tf, tc = push_term(batch, bank, cfg.lam)
+            cgrads += tc
+        fgrads += tf
 
     if cfg.use_softmax:
         value, (sf, sw, sb) = softmax_ce(batch, classifier)

@@ -84,7 +84,6 @@ class TrainConfig:
     embedding_dim: int = 16
     final_activation: str = "identity"
     init_std: float = 0.01
-    num_classes: int | None = None  # None -> inferred from the dataset
     # divergence detector (see _detect_divergence for the signal semantics)
     centerline_norm_limit: float = 25.0
     centerline_collapse_cosine: float = 0.95
@@ -242,9 +241,7 @@ def train(dataset: Dataset, cfg: TrainConfig) -> TrainResult:
     labels = dataset.labels[train_mask]
     n = inputs.shape[0]
 
-    num_classes = cfg.num_classes or int(dataset.labels.max())
-    if labels.max() > num_classes:
-        raise ValueError("num_classes is smaller than the largest label present")
+    num_classes = dataset.num_classes
 
     rng = np.random.default_rng(cfg.seed)
     spec = enc.MlpSpec.from_dims(
@@ -358,13 +355,22 @@ def save_checkpoint(result: TrainResult, path, meta: dict | None = None) -> None
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Parse a checkpoint file; a malformed one raises a one-line ValueError."""
-    doc = json.loads(Path(path).read_text())
+    """Parse a checkpoint file; a malformed one raises a one-line ValueError
+    that starts with the file's path."""
+    try:
+        return _checkpoint_from_dict(json.loads(Path(path).read_text()))
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
+
+
+def _checkpoint_from_dict(doc) -> Checkpoint:
+    if not isinstance(doc, dict):
+        raise ValueError("checkpoint is not a JSON object")
     if doc.get("format_version") != CHECKPOINT_FORMAT_VERSION:
         raise ValueError(f"unsupported checkpoint format version: {doc.get('format_version')}")
     for key in ("encoder", "centerlines"):
         if key not in doc:
-            raise ValueError(f"{path}: checkpoint has no {key!r} entry")
+            raise ValueError(f"checkpoint has no {key!r} entry")
     params = enc.params_from_dict(doc["encoder"])
     bank = CenterlineBank(np.asarray(doc["centerlines"], dtype=np.float64))
     tensors = [*params.weights, *params.biases, bank.centers]
@@ -376,7 +382,7 @@ def load_checkpoint(path) -> Checkpoint:
         )
         if clf.weights.shape != bank.centers.shape:
             raise ValueError(
-                f"{path}: classifier shape {clf.weights.shape} does not match "
+                f"classifier shape {clf.weights.shape} does not match "
                 f"centerlines shape {bank.centers.shape}"
             )
         tensors += [clf.weights, clf.bias]
@@ -385,7 +391,7 @@ def load_checkpoint(path) -> Checkpoint:
         velocity = np.asarray(doc["velocity"], dtype=np.float64)
         count = sum(t.size for t in tensors)
         if velocity.shape != (count,):
-            raise ValueError(f"{path}: velocity has {velocity.size} values for {count} parameters")
+            raise ValueError(f"velocity has {velocity.size} values for {count} parameters")
     return Checkpoint(
         params=params,
         bank=bank,

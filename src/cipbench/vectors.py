@@ -14,8 +14,6 @@ import numpy as np
 __all__ = [
     "ShapeDescriptor",
     "as_vector",
-    "cosine_distance",
-    "dot",
     "mean_pool",
 ]
 
@@ -28,36 +26,6 @@ def as_vector(x, name: str = "vector") -> np.ndarray:
     if not np.isfinite(v).all():
         raise ValueError(f"{name} has non-finite components")
     return v
-
-
-def _pair(f, g) -> tuple[np.ndarray, np.ndarray]:
-    f = as_vector(f, "f")
-    g = as_vector(g, "g")
-    if f.shape != g.shape:
-        raise ValueError(f"dimension mismatch: {f.shape[0]} vs {g.shape[0]}")
-    return f, g
-
-
-def dot(f, g) -> float:
-    """Inner product of two equal-dimension vectors."""
-    f, g = _pair(f, g)
-    return float(np.dot(f, g))
-
-
-def cosine_distance(f, g) -> float:
-    """1 - cos(angle between f and g), in [0, 2].
-
-    Raises ValueError if either vector has zero norm (the distance is
-    undefined there).
-    """
-    f, g = _pair(f, g)
-    nf = float(np.linalg.norm(f))
-    ng = float(np.linalg.norm(g))
-    if nf == 0.0 or ng == 0.0:
-        raise ValueError("cosine distance undefined for zero-norm vectors")
-    d = 1.0 - float(np.dot(f, g)) / (nf * ng)
-    # clamp float noise back into the mathematical range
-    return min(max(d, 0.0), 2.0)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,8 @@
 """Independent reference implementations used as test oracles.
 
-Everything here is written as plain sequential Python (explicit loops,
-left-to-right accumulation) on purpose: these functions must not share any
-code path with the library they check.
+Everything here is written as plain sequential Python and numpy (explicit
+loops over samples and classes, left-to-right accumulation) on purpose:
+these functions must not share any code path with the library they check.
 """
 
 from __future__ import annotations
@@ -52,6 +52,85 @@ def rel_err(approx, exact):
     exact = np.asarray(exact, dtype=np.float64)
     denom = max(float(np.linalg.norm(exact)), 1e-300)
     return float(np.linalg.norm(approx - exact)) / denom
+
+
+# ---------------------------------------------------------------------------
+# per-sample CIP loss references (labels 1-based, class k owns centers[k-1])
+# ---------------------------------------------------------------------------
+
+SINGULARITY_GUARD = 1e-9  # |f.c + d| below this is treated as the pole itself
+
+
+def cluster_forward_unclipped(features, labels, centers, d):
+    """Literal pull term sum_i 1 / (f_i . c_{y_i} + d), without the clip.
+
+    It can go negative and blows up near f.c = -d, which is the instability
+    the clipped production form avoids.
+    """
+    acc = 0.0
+    for f, y in zip(features, labels):
+        acc += 1.0 / (seq_dot(f, centers[y - 1]) + d)
+    return acc
+
+
+def cluster_grad_feature(f, c, d):
+    """Clipped pull gradient on one feature: -c / ((f.c)_+ + d)^2."""
+    c = np.asarray(c, dtype=np.float64)
+    return -c / (max(seq_dot(f, c), 0.0) + d) ** 2
+
+
+def cluster_grad_feature_origin(f, c, d):
+    """Unclipped pull gradient -c / (f.c + d)^2; raises inside the guard band
+    around the pole instead of returning a huge vector."""
+    c = np.asarray(c, dtype=np.float64)
+    denom = seq_dot(f, c) + d
+    if abs(denom) < SINGULARITY_GUARD:
+        raise ValueError(f"pull gradient singular: f.c + d = {denom:.3e}")
+    return -c / denom**2
+
+
+def ortho_grad_feature(f, centers, own_label):
+    """Push gradient on one feature: the sum of the other-class centerlines
+    with a strictly positive inner product."""
+    grad = np.zeros(len(f))
+    for k, c in enumerate(np.asarray(centers, dtype=np.float64), start=1):
+        if k != own_label and seq_dot(f, c) > 0.0:
+            grad += c
+    return grad
+
+
+def ortho_batch_grad_feature(features, labels, i):
+    """Batch push gradient on feature i: 2 * the sum of the other-class
+    features with a positive inner product (ordered pairs count twice)."""
+    features = np.asarray(features, dtype=np.float64)
+    grad = np.zeros(features.shape[1])
+    for f, y in zip(features, labels):
+        if y != labels[i] and seq_dot(features[i], f) > 0.0:
+            grad += f
+    return 2.0 * grad
+
+
+def cluster_grad_centerline(features, labels, centers, class_index, d):
+    """Clipped pull gradient on the centerline of ``class_index``."""
+    c = np.asarray(centers, dtype=np.float64)[class_index - 1]
+    grad = np.zeros_like(c)
+    for f, y in zip(np.asarray(features, dtype=np.float64), labels):
+        if y == class_index:
+            grad -= f / (max(seq_dot(f, c), 0.0) + d) ** 2
+    return grad
+
+
+def ortho_grad_centerline(features, labels, centers, class_index):
+    """Averaged push gradient on a centerline: the sum of its other-class
+    violators divided by (1 + violator count)."""
+    c = np.asarray(centers, dtype=np.float64)[class_index - 1]
+    grad = np.zeros_like(c)
+    count = 0
+    for f, y in zip(np.asarray(features, dtype=np.float64), labels):
+        if y != class_index and seq_dot(f, c) > 0.0:
+            grad += f
+            count += 1
+    return grad / (1.0 + count)
 
 
 # ---------------------------------------------------------------------------

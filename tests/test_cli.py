@@ -223,6 +223,24 @@ def test_eval_checkpoint_without_centerlines_exits_2(tmp_path, trained, capsys):
     assert capsys.readouterr().err == f"error: {ckpt}: checkpoint has no 'centerlines' entry\n"
 
 
+@pytest.mark.parametrize("case, message", [
+    ("no_layer_dims", "encoder has no 'layer_dims' entry"),
+    ("not_an_object", "checkpoint is not a JSON object"),
+])
+def test_eval_malformed_checkpoint_exits_2(tmp_path, trained, capsys, case, message):
+    csv_path, ckpt = trained
+    doc = json.loads(ckpt.read_text())
+    if case == "no_layer_dims":
+        del doc["encoder"]["layer_dims"]
+    else:
+        doc = [1]
+    ckpt.write_text(json.dumps(doc))
+    code = main(["eval", "--checkpoint", str(ckpt), "--dataset", str(csv_path),
+                 "--out", str(tmp_path / "e"), *fast_args()])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {ckpt}: {message}\n"
+
+
 def test_eval_missing_checkpoint_exits_1(tmp_path, trained):
     csv_path, _ = trained
     code = main(["eval", "--checkpoint", str(tmp_path / "nope.json"),

@@ -257,6 +257,20 @@ def test_sidecar_dim_mismatch_rejected(tmp_path):
         load_dataset(path)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("{bad", "Expecting property name"),
+    ("[1]", "sidecar is not a JSON object"),
+])
+def test_malformed_sidecar_names_the_file(tmp_path, text, message):
+    path = tmp_path / "dataset.csv"
+    save_dataset(generate(small_spec()), path)
+    sidecar = path.with_suffix(".json")
+    sidecar.write_text(text)
+    with pytest.raises(ValueError) as err:
+        load_dataset(path)
+    assert str(err.value).startswith(f"{sidecar}: {message}")
+
+
 def test_labels_must_be_contiguous():
     with pytest.raises(ValueError, match="contiguous"):
         Dataset(

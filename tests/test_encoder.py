@@ -4,9 +4,7 @@ import pytest
 from cipbench.encoder import (
     MlpParams,
     MlpSpec,
-    backward,
     backward_batch,
-    forward,
     forward_batch,
     init_params,
     load_params,
@@ -54,15 +52,15 @@ def test_spec_activation_layout():
 def test_identity_layer_passes_input_through():
     params = identity_net(3)
     x = np.array([0.5, -2.0, 3.0])
-    out, _ = forward(params, x)
-    np.testing.assert_array_equal(out, x)
+    out, _ = forward_batch(params, x[None])
+    np.testing.assert_array_equal(out, [x])
 
 
 def test_relu_clamps_negative():
     spec = MlpSpec.from_dims((2, 2), final="relu")
     params = MlpParams(spec, [np.eye(2)], [np.zeros(2)])
-    out, _ = forward(params, np.array([-1.0, 2.0]))
-    np.testing.assert_array_equal(out, [0.0, 2.0])
+    out, _ = forward_batch(params, np.array([[-1.0, 2.0]]))
+    np.testing.assert_array_equal(out, [[0.0, 2.0]])
 
 
 def test_two_layer_hand_computed():
@@ -74,22 +72,22 @@ def test_two_layer_hand_computed():
         [np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[1.0, 0.0], [1.0, 1.0]])],
         [np.array([1.0, -1.0]), np.zeros(2)],
     )
-    out, cache = forward(params, np.array([1.0, 1.0]))
-    np.testing.assert_allclose(out, [4.0, 10.0], atol=1e-15)
+    out, cache = forward_batch(params, np.array([[1.0, 1.0]]))
+    np.testing.assert_allclose(out, [[4.0, 10.0]], atol=1e-15)
     np.testing.assert_allclose(cache.pre_activations[0][0], [4.0, 6.0], atol=1e-15)
 
 
 def test_forward_rejects_wrong_dim():
     params = identity_net(3)
     with pytest.raises(ValueError, match="inputs must be"):
-        forward(params, np.ones(4))
+        forward_batch(params, np.ones((1, 4)))
 
 
 def test_forward_deterministic():
     params = init_params(MlpSpec.from_dims((4, 8, 3)), rng=0)
-    x = np.linspace(-1, 1, 4)
-    a, _ = forward(params, x)
-    b, _ = forward(params, x)
+    x = np.linspace(-1, 1, 4)[None]
+    a, _ = forward_batch(params, x)
+    b, _ = forward_batch(params, x)
     np.testing.assert_array_equal(a, b)
 
 
@@ -99,8 +97,8 @@ def test_forward_batch_matches_single():
     xs = rng.standard_normal((6, 5))
     batch_out, _ = forward_batch(params, xs)
     for i in range(6):
-        single, _ = forward(params, xs[i])
-        assert rel_err(batch_out[i], single) < 1e-9
+        single, _ = forward_batch(params, xs[i:i + 1])
+        assert rel_err(batch_out[i], single[0]) < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -110,19 +108,19 @@ def test_forward_batch_matches_single():
 
 def test_backward_zero_grad_out():
     params = init_params(MlpSpec.from_dims((3, 4, 2)), rng=3, std=0.5)
-    _, cache = forward(params, np.ones(3))
-    grads, gin = backward(params, cache, np.zeros(2))
+    _, cache = forward_batch(params, np.ones((1, 3)))
+    grads, gin = backward_batch(params, cache, np.zeros((1, 2)))
     assert all(np.all(w == 0) for w in grads.weights)
     assert all(np.all(b == 0) for b in grads.biases)
-    np.testing.assert_array_equal(gin, np.zeros(3))
+    np.testing.assert_array_equal(gin, np.zeros((1, 3)))
 
 
 def test_backward_linear_layer_outer_product():
     params = identity_net(2)
     x = np.array([2.0, -1.0])
     g = np.array([0.5, 3.0])
-    _, cache = forward(params, x)
-    grads, _ = backward(params, cache, g)
+    _, cache = forward_batch(params, x[None])
+    grads, _ = backward_batch(params, cache, g[None])
     np.testing.assert_allclose(grads.weights[0], np.outer(g, x), atol=1e-15)
     np.testing.assert_allclose(grads.biases[0], g, atol=1e-15)
 
@@ -133,15 +131,15 @@ def test_backward_three_layer_finite_differences():
     params = init_params(spec, rng=rng, std=0.7)
     x = rng.standard_normal(4)
     g = rng.standard_normal(3)
-    _, cache = forward(params, x)
-    grads, gin = backward(params, cache, g)
+    _, cache = forward_batch(params, x[None])
+    grads, gin = backward_batch(params, cache, g[None])
 
     def scalar_at(params2, x2):
-        out, _ = forward(params2, x2)
-        return float(np.dot(g, out))
+        out, _ = forward_batch(params2, x2[None])
+        return float(np.dot(g, out[0]))
 
     fd_in = central_diff(lambda xv: scalar_at(params, xv), x)
-    assert rel_err(gin, fd_in) < 1e-6
+    assert rel_err(gin[0], fd_in) < 1e-6
     for l in range(3):
         def value_w(wl, layer=l):
             ws = [w.copy() for w in params.weights]
@@ -166,11 +164,11 @@ def test_backward_batch_sums_per_sample():
     grads, gin = backward_batch(params, cache, gs)
     acc_w = [np.zeros_like(w) for w in params.weights]
     for i in range(4):
-        _, ci = forward(params, xs[i])
-        gi, gini = backward(params, ci, gs[i])
+        _, ci = forward_batch(params, xs[i:i + 1])
+        gi, gini = backward_batch(params, ci, gs[i:i + 1])
         for a, g in zip(acc_w, gi.weights):
             a += g
-        assert rel_err(gin[i], gini) < 1e-9
+        assert rel_err(gin[i], gini[0]) < 1e-9
     for a, g in zip(acc_w, grads.weights):
         assert rel_err(g, a) < 1e-9
 
@@ -178,14 +176,14 @@ def test_backward_batch_sums_per_sample():
 def test_backward_cache_mismatch_rejected():
     params_a = init_params(MlpSpec.from_dims((3, 4, 2)), rng=7)
     params_b = init_params(MlpSpec.from_dims((3, 5, 2)), rng=8)
-    _, cache = forward(params_a, np.ones(3))
+    _, cache = forward_batch(params_a, np.ones((1, 3)))
     with pytest.raises(ValueError, match="cache"):
         backward_batch(params_b, cache, np.zeros((1, 2)))
 
 
 def test_backward_grad_shape_mismatch_rejected():
     params = identity_net(2)
-    _, cache = forward(params, np.ones(2))
+    _, cache = forward_batch(params, np.ones((1, 2)))
     with pytest.raises(ValueError, match="grad_out"):
         backward_batch(params, cache, np.zeros((2, 2)))
 

@@ -13,13 +13,10 @@ from cipbench.losses import (
     CenterlineBank,
     LabeledBatch,
     LossConfig,
-    cluster_forward,
-    cluster_grad_feature,
     loss_report,
-    ortho_batch_forward,
-    ortho_batch_grad_feature,
-    ortho_forward,
-    ortho_grad_feature,
+    pull_term,
+    push_batch_term,
+    push_term,
 )
 
 from oracles import central_diff, rel_err
@@ -62,10 +59,10 @@ def test_cluster_gradient_matches_fd_in_positive_region():
         bank = CenterlineBank(np.vstack([c, -c]))
 
         def value(fv):
-            return cluster_forward(LabeledBatch(fv[None, :], np.array([1])), bank, d)
+            return pull_term(LabeledBatch(fv[None, :], np.array([1])), bank, d)[0]
 
         fd = central_diff(value, f)
-        assert rel_err(cluster_grad_feature(f, c, d), fd) < 1e-5
+        assert rel_err(pull_term(batch, bank, d)[1][0], fd) < 1e-5
 
 
 def test_ortho_gradient_matches_fd_away_from_kinks():
@@ -76,11 +73,12 @@ def test_ortho_gradient_matches_fd_away_from_kinks():
         def value(fv, i=0):
             feats = batch.features.copy()
             feats[i] = fv
-            return ortho_forward(LabeledBatch(feats, batch.labels), bank)
+            return push_term(LabeledBatch(feats, batch.labels), bank)[0]
 
+        grads = push_term(batch, bank)[1]
         for i in range(batch.size):
             fd = central_diff(lambda fv: value(fv, i), batch.features[i])
-            g = ortho_grad_feature(batch.features[i], bank, int(batch.labels[i]))
+            g = grads[i]
             if np.linalg.norm(fd) == 0:
                 np.testing.assert_allclose(g, 0, atol=1e-12)
             else:
@@ -95,11 +93,12 @@ def test_ortho_batch_gradient_matches_fd_away_from_kinks():
         def value(fv, i=0):
             feats = batch.features.copy()
             feats[i] = fv
-            return ortho_batch_forward(LabeledBatch(feats, batch.labels))
+            return push_batch_term(LabeledBatch(feats, batch.labels))[0]
 
+        grads = push_batch_term(batch)[1]
         for i in range(batch.size):
             fd = central_diff(lambda fv: value(fv, i), batch.features[i])
-            g = ortho_batch_grad_feature(batch, i)
+            g = grads[i]
             if np.linalg.norm(fd) == 0:
                 np.testing.assert_allclose(g, 0, atol=1e-12)
             else:
@@ -115,10 +114,7 @@ def test_combined_report_feature_grads_match_fd():
         report = loss_report(batch, bank, cfg)
 
         def total_at(feats):
-            b = LabeledBatch(feats, batch.labels)
-            return (
-                cluster_forward(b, bank, cfg.d) + cfg.lam * ortho_forward(b, bank)
-            )
+            return loss_report(LabeledBatch(feats, batch.labels), bank, cfg).total
 
         fd = central_diff(total_at, batch.features)
         assert rel_err(report.feature_grads, fd) < 1e-5
@@ -152,8 +148,7 @@ def test_encoder_end_to_end_gradient_check():
             ws[layer] = w0
             p2 = MlpParams(spec, ws, params.biases)
             f2, _ = forward_batch(p2, xs)
-            b2 = LabeledBatch(f2, labels)
-            return cluster_forward(b2, bank, cfg.d) + cfg.lam * ortho_forward(b2, bank)
+            return loss_report(LabeledBatch(f2, labels), bank, cfg).total
 
         for layer in range(2):
             fd = central_diff(lambda w: total_from_weights(w, layer), params.weights[layer], h=1e-6)

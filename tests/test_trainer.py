@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cipbench.data import SyntheticSpec, generate, split
+from cipbench.data import Dataset, SyntheticSpec, generate, split
 from cipbench.losses import CenterlineBank, LabeledBatch, LossConfig, loss_report
 from cipbench.trainer import (
     DivergenceError,
@@ -195,18 +195,6 @@ def test_train_uses_train_split_only():
     assert res.epochs_run == 4
 
 
-def test_train_respects_num_classes_override():
-    ds = bench_dataset()
-    res = train(ds, quick_config(num_classes=6))
-    assert res.bank.num_classes == 6
-
-
-def test_train_rejects_too_small_num_classes():
-    ds = bench_dataset()
-    with pytest.raises(ValueError, match="num_classes"):
-        train(ds, quick_config(num_classes=2))
-
-
 def test_centerline_without_gradient_is_unchanged():
     # a class absent from the batch and obtuse to every feature receives no
     # gradient, so (at zero momentum) one update leaves it untouched
@@ -223,11 +211,18 @@ def test_centerline_without_gradient_is_unchanged():
 
 
 def test_single_class_cluster_softmax_monotone_decrease():
-    # dataset holds one class; the bank still has two (labels stay in range)
-    ds = generate(SyntheticSpec(num_classes=1, objects_per_class=30, views_per_object=4,
-                                input_dim=8, class_separation=2.0, object_noise_std=0.3,
-                                view_noise_std=0.15, seed=3))
-    cfg = TrainConfig(batch_size=30, epochs=6, seed=0, num_classes=2,
+    # training rows hold one class; a single held-out class-2 object gives
+    # the bank its second centerline (labels stay in range)
+    one = generate(SyntheticSpec(num_classes=1, objects_per_class=30, views_per_object=4,
+                                 input_dim=8, class_separation=2.0, object_noise_std=0.3,
+                                 view_noise_std=0.15, seed=3))
+    extra = int(one.object_ids.max()) + 1
+    ds = Dataset(
+        np.vstack([one.inputs, np.zeros((1, 8))]), np.append(one.labels, 2),
+        np.append(one.object_ids, extra), np.append(one.view_index, 1),
+        split={**{int(o): "train" for o in one.object_ids}, extra: "test"},
+    )
+    cfg = TrainConfig(batch_size=30, epochs=6, seed=0,
                       loss=LossConfig.from_name("cluster+softmax"),
                       hidden_dims=(16,), embedding_dim=4, init_std=0.3,
                       centerline_collapse_cosine=2.0)
@@ -356,6 +351,14 @@ def test_checkpoint_schema_check(tmp_path, case, message):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match=message):
         load_checkpoint(path)
+
+
+def test_checkpoint_bad_json_names_the_file(tmp_path):
+    path = tmp_path / "ckpt.json"
+    path.write_text("{bad")
+    with pytest.raises(ValueError) as err:
+        load_checkpoint(path)
+    assert str(err.value).startswith(f"{path}: Expecting property name")
 
 
 def test_history_csv_layout(tmp_path):

@@ -1,105 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
-from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
-from cipbench.vectors import ShapeDescriptor, cosine_distance, dot, mean_pool
+from cipbench.vectors import ShapeDescriptor, mean_pool
 
-from oracles import seq_dot, seq_mean
-
-finite_floats = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
-
-
-def vec(n=4):
-    return arrays(np.float64, (n,), elements=finite_floats)
-
-
-# ---------------------------------------------------------------------------
-# dot
-# ---------------------------------------------------------------------------
-
-
-def test_dot_direct_example():
-    assert dot([1.0, 2.0], [3.0, 4.0]) == pytest.approx(11.0, abs=1e-12)
-
-
-def test_dot_zero_vector():
-    f = np.array([2.5, -1.0, 3.0])
-    assert dot(f, np.zeros(3)) == 0.0
-
-
-def test_dot_self_is_squared_norm():
-    f = np.array([1.5, -2.0, 0.5])
-    assert dot(f, f) == pytest.approx(np.linalg.norm(f) ** 2, rel=1e-12)
-    assert dot(f, f) >= 0.0
-
-
-def test_dot_dimension_mismatch_rejected():
-    with pytest.raises(ValueError, match="mismatch"):
-        dot([1.0, 2.0], [1.0, 2.0, 3.0])
-
-
-def test_dot_rejects_non_finite():
-    with pytest.raises(ValueError, match="non-finite"):
-        dot([np.nan, 1.0], [1.0, 1.0])
-
-
-@given(vec(), vec(), vec(), finite_floats, finite_floats)
-@settings(max_examples=100, deadline=None)
-def test_dot_bilinear_and_symmetric(f, g, h, a, b):
-    left = dot(a * f + b * g, h)
-    right = a * dot(f, h) + b * dot(g, h)
-    scale = max(abs(left), abs(right), 1.0)
-    assert abs(left - right) <= 1e-9 * scale
-    assert dot(f, g) == pytest.approx(dot(g, f), rel=1e-12, abs=1e-12)
-
-
-@given(vec(6), vec(6))
-@settings(max_examples=50, deadline=None)
-def test_dot_matches_sequential_reference(f, g):
-    scale = max(abs(seq_dot(f, g)), 1.0)
-    assert abs(dot(f, g) - seq_dot(f, g)) <= 1e-9 * scale
-
-
-# ---------------------------------------------------------------------------
-# cosine distance
-# ---------------------------------------------------------------------------
-
-
-def test_cosine_identical_vectors():
-    f = np.array([0.3, -0.7, 2.0])
-    assert cosine_distance(f, f) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_cosine_orthogonal():
-    assert cosine_distance([1.0, 0.0], [0.0, 1.0]) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_cosine_45_degrees():
-    expected = 1.0 - 1.0 / np.sqrt(2.0)
-    assert cosine_distance([1.0, 0.0], [1.0, 1.0]) == pytest.approx(expected, rel=1e-12)
-
-
-def test_cosine_zero_norm_rejected():
-    with pytest.raises(ValueError, match="zero-norm"):
-        cosine_distance([0.0, 0.0], [1.0, 0.0])
-
-
-def test_cosine_range():
-    rng = np.random.default_rng(7)
-    for _ in range(200):
-        f, g = rng.standard_normal(5), rng.standard_normal(5)
-        assert 0.0 <= cosine_distance(f, g) <= 2.0
-
-
-@given(vec(), vec(), st.floats(min_value=1e-3, max_value=1e3), st.floats(min_value=1e-3, max_value=1e3))
-@settings(max_examples=100, deadline=None)
-def test_cosine_scale_invariance(f, g, alpha, beta):
-    assume(np.linalg.norm(f) > 1e-6 and np.linalg.norm(g) > 1e-6)
-    base = cosine_distance(f, g)
-    scaled = cosine_distance(alpha * f, beta * g)
-    assert abs(scaled - base) <= 1e-9 * max(base, 1.0)
+from oracles import seq_mean
 
 
 # ---------------------------------------------------------------------------
