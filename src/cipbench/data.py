@@ -10,8 +10,9 @@ split, so files stay diffable and plottable with external tools.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -22,7 +23,10 @@ DATASET_FORMAT_VERSION = 1
 
 @dataclass(frozen=True)
 class SyntheticSpec:
-    """Prototype schemes:
+    """Generator settings; the defaults are the standard benchmark (10 classes
+    of 24 objects with 8 views each, in 24 input dimensions).
+
+    Prototype schemes:
 
     * ``orthonormal`` (default): scaled vertices of a random orthonormal
       basis, padded with random unit directions when K > D;
@@ -31,13 +35,13 @@ class SyntheticSpec:
       structure; needs ceil(K / 2) <= D.
     """
 
-    num_classes: int
-    objects_per_class: int
-    views_per_object: int
-    input_dim: int
-    class_separation: float = 6.0
-    object_noise_std: float = 1.0
-    view_noise_std: float = 0.5
+    num_classes: int = 10
+    objects_per_class: int = 24
+    views_per_object: int = 8
+    input_dim: int = 24
+    class_separation: float = 2.0
+    object_noise_std: float = 0.7
+    view_noise_std: float = 0.35
     prototype_scheme: str = "orthonormal"
     seed: int = 0
 
@@ -51,19 +55,6 @@ class SyntheticSpec:
             raise ValueError(f"unknown prototype scheme {self.prototype_scheme!r}")
         if self.prototype_scheme == "antipodal" and (self.num_classes + 1) // 2 > self.input_dim:
             raise ValueError("antipodal scheme needs ceil(K/2) <= input_dim")
-
-    def to_dict(self) -> dict:
-        return {
-            "num_classes": self.num_classes,
-            "objects_per_class": self.objects_per_class,
-            "views_per_object": self.views_per_object,
-            "input_dim": self.input_dim,
-            "class_separation": self.class_separation,
-            "object_noise_std": self.object_noise_std,
-            "view_noise_std": self.view_noise_std,
-            "prototype_scheme": self.prototype_scheme,
-            "seed": self.seed,
-        }
 
 
 @dataclass
@@ -95,13 +86,17 @@ class Dataset:
         for oid in np.unique(self.object_ids):
             if len(np.unique(self.labels[self.object_ids == oid])) != 1:
                 raise ValueError(f"object {oid} has inconsistent labels")
-        if self.split is not None:
-            bad = set(self.split.values()) - {"train", "test"}
-            if bad:
-                raise ValueError(f"unknown split tags: {sorted(bad)}")
-            missing = set(self.object_ids.tolist()) - self.split.keys()
-            if missing:
-                raise ValueError(f"split map has no tag for object ids {sorted(missing)}")
+        self._check_split()
+
+    def _check_split(self):
+        if self.split is None:
+            return
+        bad = {str(tag) for tag in self.split.values()} - {"train", "test"}
+        if bad:
+            raise ValueError(f"unknown split tags: {sorted(bad)}")
+        missing = set(self.object_ids.tolist()) - self.split.keys()
+        if missing:
+            raise ValueError(f"split map has no tag for object ids {sorted(missing)}")
 
     @property
     def num_views(self) -> int:
@@ -225,7 +220,7 @@ def save_dataset(dataset: Dataset, csv_path) -> None:
     sidecar = {
         "format_version": DATASET_FORMAT_VERSION,
         "input_dim": d,
-        "spec": dataset.spec.to_dict() if dataset.spec else None,
+        "spec": asdict(dataset.spec) if dataset.spec else None,
         "split": {str(k): v for k, v in dataset.split.items()} if dataset.split else None,
     }
     _sidecar_path(csv_path).write_text(json.dumps(sidecar, indent=2))
@@ -270,27 +265,42 @@ def load_dataset(csv_path) -> Dataset:
         rows = [n for n, line in enumerate(lines[1:], start=2) if line.strip()]
         raise ValueError(f"{csv_path}:{rows[int(np.argmin(finite))]}: non-finite coordinate")
 
+    dataset = Dataset(inputs, np.array(labels), np.array(oids), np.array(vids))
     sidecar_file = _sidecar_path(csv_path)
-    split_map = None
-    spec = None
     if sidecar_file.exists():
         try:
-            sidecar = json.loads(sidecar_file.read_text())
-        except json.JSONDecodeError as e:
+            dataset.split, dataset.spec = _read_sidecar(sidecar_file, dim)
+            dataset._check_split()
+        except ValueError as e:
             raise ValueError(f"{sidecar_file}: {e}") from None
-        if not isinstance(sidecar, dict):
-            raise ValueError(f"{sidecar_file}: sidecar is not a JSON object")
-        if sidecar.get("format_version") != DATASET_FORMAT_VERSION:
-            raise ValueError(f"{sidecar_file}: unsupported format version")
-        if sidecar.get("input_dim") != dim:
-            raise ValueError(
-                f"{sidecar_file}: sidecar input_dim {sidecar.get('input_dim')} != CSV dim {dim}"
-            )
-        if sidecar.get("split") is not None:
-            split_map = {int(k): v for k, v in sidecar["split"].items()}
-        if sidecar.get("spec") is not None:
-            spec = SyntheticSpec(**sidecar["spec"])
-    return Dataset(
-        inputs, np.array(labels), np.array(oids), np.array(vids),
-        split=split_map, spec=spec,
-    )
+    return dataset
+
+
+# JSON value types accepted for each SyntheticSpec field annotation
+_JSON_TYPES = {int: int, float: (int, float), str: str}
+
+
+def _read_sidecar(path: Path, dim: int):
+    """``(split map or None, spec or None)`` from a sidecar file."""
+    sidecar = json.loads(path.read_text())
+    if not isinstance(sidecar, dict):
+        raise ValueError("sidecar is not a JSON object")
+    if sidecar.get("format_version") != DATASET_FORMAT_VERSION:
+        raise ValueError("unsupported format version")
+    if sidecar.get("input_dim") != dim:
+        raise ValueError(f"sidecar input_dim {sidecar.get('input_dim')} != CSV dim {dim}")
+    split_map = spec = None
+    if sidecar.get("split") is not None:
+        if not isinstance(sidecar["split"], dict):
+            raise ValueError("split is not a JSON object")
+        split_map = {int(k): v for k, v in sidecar["split"].items()}
+    if sidecar.get("spec") is not None:
+        doc = sidecar["spec"]
+        hints = get_type_hints(SyntheticSpec)
+        if not isinstance(doc, dict) or doc.keys() != hints.keys():
+            raise ValueError(f"spec must be an object with exactly the keys {list(hints)}")
+        for name, kind in hints.items():
+            if not isinstance(doc[name], _JSON_TYPES[kind]):
+                raise ValueError(f"spec entry {name!r} must be {kind.__name__}, got {doc[name]!r}")
+        spec = SyntheticSpec(**doc)
+    return split_map, spec

@@ -15,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .vectors import as_floats
+
 __all__ = [
     "MlpCache",
     "MlpGrads",
@@ -214,13 +216,17 @@ def params_from_dict(d: dict) -> MlpParams:
     for key in ("layer_dims", "hidden_activations", "final_activation", "weights", "biases"):
         if key not in d:
             raise ValueError(f"encoder has no {key!r} entry")
+        if key != "final_activation" and not isinstance(d[key], list):
+            raise ValueError(f"encoder {key!r} entry is not a list")
+    if not all(isinstance(n, int) for n in d["layer_dims"]):
+        raise ValueError("encoder 'layer_dims' entry is not a list of integers")
     spec = MlpSpec(
         tuple(d["layer_dims"]),
         tuple(d["hidden_activations"]),
         d["final_activation"],
     )
-    weights = [np.asarray(w, dtype=np.float64) for w in d["weights"]]
-    biases = [np.asarray(b, dtype=np.float64) for b in d["biases"]]
+    weights = [as_floats(w, "encoder weights") for w in d["weights"]]
+    biases = [as_floats(b, "encoder biases") for b in d["biases"]]
     return MlpParams(spec, weights, biases)
 
 

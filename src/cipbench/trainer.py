@@ -27,6 +27,7 @@ from .losses import (
     loss_report,
 )
 from .retrieval import evaluate_run, pool_descriptors, rank
+from .vectors import as_floats
 
 __all__ = [
     "Checkpoint",
@@ -67,9 +68,10 @@ class TrainConfig:
     ``lr_drop_factor`` at ``lr_drop_epoch``.  Centerlines follow the same
     schedule unless ``centerline_lr`` pins a constant rate; they never
     receive weight decay (decay would shrink them against the pull term).
+    The defaults are the standard benchmark's, which the CLI derives from.
     """
 
-    batch_size: int = 100
+    batch_size: int = 50
     epochs: int = 30
     lr0: float = 0.01
     lr_drop_epoch: int = 20
@@ -83,7 +85,7 @@ class TrainConfig:
     hidden_dims: tuple[int, ...] = (32,)
     embedding_dim: int = 16
     final_activation: str = "identity"
-    init_std: float = 0.01
+    init_std: float = 0.3
     # divergence detector (see _detect_divergence for the signal semantics)
     centerline_norm_limit: float = 25.0
     centerline_collapse_cosine: float = 0.95
@@ -372,13 +374,16 @@ def _checkpoint_from_dict(doc) -> Checkpoint:
         if key not in doc:
             raise ValueError(f"checkpoint has no {key!r} entry")
     params = enc.params_from_dict(doc["encoder"])
-    bank = CenterlineBank(np.asarray(doc["centerlines"], dtype=np.float64))
+    bank = CenterlineBank(as_floats(doc["centerlines"], "centerlines"))
     tensors = [*params.weights, *params.biases, bank.centers]
     clf = None
-    if doc.get("classifier") is not None:
+    head = doc.get("classifier")
+    if head is not None:
+        if not isinstance(head, dict) or not {"weights", "bias"} <= head.keys():
+            raise ValueError("classifier is not an object with 'weights' and 'bias' entries")
         clf = LinearClassifier(
-            np.asarray(doc["classifier"]["weights"], dtype=np.float64),
-            np.asarray(doc["classifier"]["bias"], dtype=np.float64),
+            as_floats(head["weights"], "classifier weights"),
+            as_floats(head["bias"], "classifier bias"),
         )
         if clf.weights.shape != bank.centers.shape:
             raise ValueError(
@@ -388,7 +393,7 @@ def _checkpoint_from_dict(doc) -> Checkpoint:
         tensors += [clf.weights, clf.bias]
     velocity = None
     if doc.get("velocity") is not None:
-        velocity = np.asarray(doc["velocity"], dtype=np.float64)
+        velocity = as_floats(doc["velocity"], "velocity")
         count = sum(t.size for t in tensors)
         if velocity.shape != (count,):
             raise ValueError(f"velocity has {velocity.size} values for {count} parameters")

@@ -13,6 +13,7 @@ import numpy as np
 
 __all__ = [
     "ShapeDescriptor",
+    "as_floats",
     "as_vector",
     "mean_pool",
 ]
@@ -26,6 +27,15 @@ def as_vector(x, name: str = "vector") -> np.ndarray:
     if not np.isfinite(v).all():
         raise ValueError(f"{name} has non-finite components")
     return v
+
+
+def as_floats(x, name: str) -> np.ndarray:
+    """Coerce ``x``, such as a decoded JSON entry, to a float64 array of any
+    shape, or raise a one-line ValueError naming it."""
+    try:
+        return np.asarray(x, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} is not an array of numbers") from None
 
 
 @dataclass(frozen=True)

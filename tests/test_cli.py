@@ -1,11 +1,15 @@
+import dataclasses
 import json
+import shutil
 
 import numpy as np
 import pytest
 
 from cipbench.cli import main
 from cipbench.config import DEFAULTS, RunConfig
-from cipbench.data import load_dataset
+from cipbench.data import SyntheticSpec, load_dataset
+from cipbench.losses import LossConfig
+from cipbench.trainer import TrainConfig
 
 # a tiny but trainable configuration so CLI tests stay fast
 FAST = [
@@ -68,6 +72,20 @@ def test_config_file_plus_override(tmp_path):
     assert cfg.num_classes == 5
     assert cfg.seed == 9  # --set wins over the file
     assert cfg.batch_size == DEFAULTS["batch_size"][0]
+
+
+def test_defaults_come_from_the_dataclasses():
+    cfg = RunConfig.from_sources(None, [])
+    loss = LossConfig.from_name("cip+softmax")
+    assert cfg.synthetic_spec() == SyntheticSpec()
+    assert cfg.loss_config() == loss
+    assert cfg.train_config() == TrainConfig(loss=loss)
+    field_keys = {"lambda" if f.name == "lam" else f.name
+                  for cls in (SyntheticSpec, LossConfig, TrainConfig)
+                  for f in dataclasses.fields(cls)}
+    field_keys -= {"seed", "loss", "use_cluster", "use_ortho", "use_softmax", "use_center"}
+    run_keys = {"seed", "out_dir", "train_fraction", "loss", "f1_cutoff", "ndcg_cutoff"}
+    assert set(DEFAULTS) == field_keys | run_keys
 
 
 def test_config_file_bad_line(tmp_path):
@@ -340,3 +358,58 @@ def test_help_lists_config_defaults(capsys):
     assert "config keys and defaults" in text
     assert "lambda = 1.0" in text
     assert "batch_size = 50" in text
+
+
+# ---------------------------------------------------------------------------
+# exit-code contract for wrongly typed file entries
+# ---------------------------------------------------------------------------
+
+WRONG_TYPES = [{}, [1], 5, "x", None]
+CHECKPOINT_ENTRIES = [
+    *(("checkpoint", key) for key in
+      ("format_version", "encoder", "centerlines", "classifier", "velocity", "meta")),
+    *(("checkpoint", "encoder", key) for key in
+      ("format_version", "layer_dims", "hidden_activations", "final_activation", "weights", "biases")),
+]
+SIDECAR_ENTRIES = [
+    *(("sidecar", key) for key in ("format_version", "input_dim", "spec", "split")),
+    *(("sidecar", "spec", f.name) for f in dataclasses.fields(SyntheticSpec)),
+]
+
+
+@pytest.fixture(scope="module")
+def trained_once(tmp_path_factory):
+    root = tmp_path_factory.mktemp("trained")
+    csv_path = run_generate(root)
+    out = root / "run"
+    assert main(["train", "--dataset", str(csv_path), "--out", str(out), *fast_args()]) == 0
+    return csv_path, out / "checkpoint.json"
+
+
+@pytest.mark.parametrize("entry", CHECKPOINT_ENTRIES + SIDECAR_ENTRIES, ids="/".join)
+@pytest.mark.parametrize("value", WRONG_TYPES, ids=json.dumps)
+def test_wrongly_typed_entry_is_one_error_line(tmp_path, trained_once, capsys, entry, value):
+    # cipbench eval on a checkpoint, or cipbench train on a dataset whose
+    # sidecar, has one entry replaced: it runs (exit 0) or prints one
+    # "error: <file>: ..." line (exit 2), never a traceback
+    csv_path, ckpt = trained_once
+    kind, *keys = entry
+    if kind == "checkpoint":
+        source, edited = ckpt, tmp_path / "checkpoint.json"
+        argv = ["eval", "--checkpoint", str(edited), "--dataset", str(csv_path)]
+    else:
+        source, edited = csv_path.with_suffix(".json"), tmp_path / "dataset.json"
+        shutil.copy(csv_path, tmp_path / "dataset.csv")
+        argv = ["train", "--dataset", str(tmp_path / "dataset.csv")]
+    doc = json.loads(source.read_text())
+    parent = doc
+    for key in keys[:-1]:
+        parent = parent[key]
+    assert keys[-1] in parent
+    parent[keys[-1]] = value
+    edited.write_text(json.dumps(doc))
+    code = main([*argv, "--out", str(tmp_path / "out"), *fast_args()])
+    err = capsys.readouterr().err
+    assert code in (0, 2)
+    if code == 2:
+        assert err.count("\n") == 1 and err.startswith(f"error: {edited}: "), err

@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -257,9 +260,16 @@ def test_sidecar_dim_mismatch_rejected(tmp_path):
         load_dataset(path)
 
 
+def sidecar_text(**spec):
+    return json.dumps({"format_version": 1, "input_dim": 5,
+                       "spec": {**dataclasses.asdict(small_spec()), **spec}})
+
+
 @pytest.mark.parametrize("text, message", [
     ("{bad", "Expecting property name"),
     ("[1]", "sidecar is not a JSON object"),
+    (sidecar_text(colour=1), "spec must be an object with exactly the keys"),
+    (sidecar_text(class_separation="x"), "spec entry 'class_separation' must be float, got 'x'"),
 ])
 def test_malformed_sidecar_names_the_file(tmp_path, text, message):
     path = tmp_path / "dataset.csv"
