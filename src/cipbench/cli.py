@@ -130,6 +130,23 @@ def _load_split_dataset(path_text: str, cfg: RunConfig):
     return dataset
 
 
+def _check_agreement(args, checkpoint, dataset, classes: bool = False) -> None:
+    """The encoder must take the dataset's input dimension and, with
+    ``classes``, the checkpoint must hold a centerline for every label."""
+    takes = checkpoint.params.spec.input_dim
+    if dataset.input_dim != takes:
+        raise ValueError(
+            f"{args.checkpoint}: encoder takes {takes} inputs, but {args.dataset} "
+            f"has {dataset.input_dim} coordinate columns"
+        )
+    lines = checkpoint.bank.num_classes
+    if classes and dataset.num_classes > lines:
+        raise ValueError(
+            f"{args.checkpoint}: {lines} centerlines, but {args.dataset} "
+            f"has labels up to {dataset.num_classes}"
+        )
+
+
 def _embed(checkpoint, dataset, mask):
     feats, _ = enc.forward_batch(checkpoint.params, dataset.inputs[mask])
     return feats
@@ -169,10 +186,11 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _resolve(args)
-    out = _outdir(args, cfg)
-    cfg.save(out / "config.used.cfg")
     checkpoint = load_checkpoint(_require_file(args.checkpoint, "checkpoint"))
     dataset = _load_split_dataset(args.dataset, cfg)
+    _check_agreement(args, checkpoint, dataset, classes=True)
+    out = _outdir(args, cfg)
+    cfg.save(out / "config.used.cfg")
     tags = dataset.view_split_tags()
     mask = tags == "test" if (tags == "test").any() else np.ones(dataset.num_views, bool)
     feats = _embed(checkpoint, dataset, mask)
@@ -194,6 +212,7 @@ def cmd_export(args) -> int:
     cfg = _resolve(args)
     checkpoint = load_checkpoint(_require_file(args.checkpoint, "checkpoint"))
     dataset = load_dataset(_require_file(args.dataset, "dataset"))
+    _check_agreement(args, checkpoint, dataset)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     feats = _embed(checkpoint, dataset, np.ones(dataset.num_views, bool))

@@ -83,9 +83,10 @@ class Dataset:
         if uniq[0] != 1 or uniq[-1] != len(uniq):
             raise ValueError(f"labels must be contiguous in [1, K], got {uniq.tolist()}")
         # every object must carry exactly one label and one split tag
-        for oid in np.unique(self.object_ids):
-            if len(np.unique(self.labels[self.object_ids == oid])) != 1:
-                raise ValueError(f"object {oid} has inconsistent labels")
+        _, first, inverse = np.unique(self.object_ids, return_index=True, return_inverse=True)
+        mixed = self.labels != self.labels[first][inverse]
+        if mixed.any():
+            raise ValueError(f"object {self.object_ids[mixed].min()} has inconsistent labels")
         self._check_split()
 
     def _check_split(self):
@@ -155,18 +156,22 @@ def generate(spec: SyntheticSpec) -> Dataset:
     """Deterministically sample the dataset described by ``spec``."""
     rng = np.random.default_rng(spec.seed)
     protos = class_prototypes(spec, rng)
-    rows, labels, oids, vids = [], [], [], []
-    oid = 0
-    for k in range(1, spec.num_classes + 1):
+    view_shape = (spec.views_per_object, spec.input_dim)
+    blocks = []
+    for k in range(spec.num_classes):
         for _ in range(spec.objects_per_class):
-            oid += 1
-            obj = protos[k - 1] + rng.normal(0.0, spec.object_noise_std, spec.input_dim)
-            for v in range(1, spec.views_per_object + 1):
-                rows.append(obj + rng.normal(0.0, spec.view_noise_std, spec.input_dim))
-                labels.append(k)
-                oids.append(oid)
-                vids.append(v)
-    return Dataset(np.array(rows), np.array(labels), np.array(oids), np.array(vids), spec=spec)
+            obj = protos[k] + rng.normal(0.0, spec.object_noise_std, spec.input_dim)
+            # one draw of V x D fills row by row, as V draws of D would
+            blocks.append(obj + rng.normal(0.0, spec.view_noise_std, view_shape))
+    num_objects = spec.num_classes * spec.objects_per_class
+    object_ids = np.arange(1, num_objects + 1).repeat(spec.views_per_object)
+    return Dataset(
+        np.concatenate(blocks),
+        (object_ids - 1) // spec.objects_per_class + 1,
+        object_ids,
+        np.tile(np.arange(1, spec.views_per_object + 1), num_objects),
+        spec=spec,
+    )
 
 
 def split(dataset: Dataset, train_fraction: float, seed: int) -> Dataset:
@@ -265,7 +270,10 @@ def load_dataset(csv_path) -> Dataset:
         rows = [n for n, line in enumerate(lines[1:], start=2) if line.strip()]
         raise ValueError(f"{csv_path}:{rows[int(np.argmin(finite))]}: non-finite coordinate")
 
-    dataset = Dataset(inputs, np.array(labels), np.array(oids), np.array(vids))
+    try:
+        dataset = Dataset(inputs, np.array(labels), np.array(oids), np.array(vids))
+    except ValueError as e:
+        raise ValueError(f"{csv_path}: {e}") from None
     sidecar_file = _sidecar_path(csv_path)
     if sidecar_file.exists():
         try:

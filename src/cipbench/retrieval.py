@@ -10,6 +10,11 @@ citations):
   every rank, anchored at (recall 0, precision 1);
 * NDCG uses binary gains rel_i / log2(i + 1);
 * F1 cutoff defaults to the number of relevant items for the query.
+
+Each stage works on whole arrays: ``pool_descriptors`` sums every object's
+views with one ``np.add.at``, ``rank`` sorts the full distance matrix at
+once, and ``evaluate_run`` scores all queries from the positions of the
+relevant items in the (queries x gallery) relevance matrix.
 """
 
 from __future__ import annotations
@@ -23,7 +28,12 @@ from pathlib import Path
 import numpy as np
 
 from .losses import CenterlineBank
-from .vectors import mean_pool
+
+# No library code calls ``mean_pool`` any more: ``pool_descriptors`` pools
+# every object in one pass.  The name stays importable from this module
+# because the benchmark's traced run (bench/workloads.py) wraps
+# ``retrieval.mean_pool`` by name as a trace slot.
+from .vectors import mean_pool  # noqa: F401
 
 __all__ = [
     "EvalSummary",
@@ -46,16 +56,23 @@ __all__ = [
 # ranking
 # ---------------------------------------------------------------------------
 
+# distance-matrix rows gathered at a time by ``rank``'s tie scan
+_BLOCK_ROWS = 64
+
 
 @dataclass
 class RetrievalRun:
-    """Per-query ordered gallery indices with binary relevance flags."""
+    """Every query's ordered gallery with binary relevance flags.
 
-    query_indices: np.ndarray  # descriptor indices that served as queries
-    query_labels: np.ndarray
-    gallery_labels: np.ndarray
-    rankings: list[np.ndarray]  # per query: gallery indices, best first
-    relevance: list[np.ndarray]  # aligned 0/1 flags
+    Row q of ``rankings`` and ``relevance`` belongs to descriptor
+    ``query_indices[q]`` and holds each other ranked descriptor once.
+    """
+
+    query_indices: np.ndarray  # (Q,) descriptor indices that served as queries
+    query_labels: np.ndarray  # (Q,)
+    gallery_labels: np.ndarray  # (N,) labels of every descriptor
+    rankings: np.ndarray  # (Q, Q - 1) int: gallery descriptor indices, best first
+    relevance: np.ndarray  # (Q, Q - 1) bool: the ranked item carries the query label
     excluded: list[int] = field(default_factory=list)  # zero-norm descriptors
 
     @property
@@ -67,17 +84,30 @@ def pool_descriptors(features: np.ndarray, object_ids: np.ndarray, labels: np.nd
     """Mean-pool per-view features into per-object descriptors.
 
     Returns (descriptors, object_labels, unique_object_ids), ordered by
-    first appearance of each object.
+    first appearance of each object; an object's label is its first view's.
+    Each object's views are added in row order onto 0.0, as
+    ``mean(axis=0)`` adds them, so a descriptor has the same bits as
+    ``vectors.mean_pool`` of its views.
     """
+    features = np.asarray(features, dtype=np.float64)
     object_ids = np.asarray(object_ids)
-    uniq, first = np.unique(object_ids, return_index=True)
-    order = uniq[np.argsort(first)]
-    descs, obj_labels = [], []
-    for oid in order:
-        mask = object_ids == oid
-        descs.append(mean_pool(list(np.asarray(features)[mask])).components)
-        obj_labels.append(int(np.asarray(labels)[mask][0]))
-    return np.stack(descs), np.array(obj_labels, dtype=np.int64), order
+    labels = np.asarray(labels)
+    if features.ndim != 2 or features.size == 0 or not (
+        labels.shape == object_ids.shape == features.shape[:1]
+    ):
+        raise ValueError("need non-empty (N, n) features with aligned object ids and labels")
+    finite = np.isfinite(features).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"features[{int(np.argmin(finite))}] has non-finite components")
+    uniq, first, inverse = np.unique(object_ids, return_index=True, return_inverse=True)
+    by_first = np.argsort(first)
+    slot = np.empty_like(by_first)
+    slot[by_first] = np.arange(by_first.size)
+    slot = slot[inverse]
+    sums = np.zeros((uniq.size, features.shape[1]))
+    np.add.at(sums, slot, features)
+    counts = np.bincount(slot, minlength=uniq.size)
+    return sums / counts[:, None], labels[first[by_first]].astype(np.int64), uniq[by_first]
 
 
 def rank(descriptors: np.ndarray, labels: np.ndarray) -> RetrievalRun:
@@ -92,6 +122,8 @@ def rank(descriptors: np.ndarray, labels: np.ndarray) -> RetrievalRun:
     labels = np.asarray(labels, dtype=np.int64)
     if descriptors.ndim != 2 or labels.shape != (descriptors.shape[0],):
         raise ValueError("need (N, n) descriptors with aligned labels")
+    if not np.isfinite(descriptors).all():
+        raise ValueError("descriptors must be finite")
     norms = np.linalg.norm(descriptors, axis=1)
     excluded = [int(i) for i in np.flatnonzero(norms == 0.0)]
     if excluded:
@@ -102,35 +134,123 @@ def rank(descriptors: np.ndarray, labels: np.ndarray) -> RetrievalRun:
     if keep.size < 2:
         raise ValueError("need at least two nonzero descriptors to rank")
     unit = descriptors[keep] / norms[keep, None]
-    dist = 1.0 - unit @ unit.T
-    rankings, rels = [], []
-    for qi in range(keep.size):
-        others = np.delete(np.arange(keep.size), qi)
-        # stable sort on an index-ordered array implements the tie rule
-        order = others[np.argsort(dist[qi, others], kind="stable")]
-        gallery = keep[order]
-        rankings.append(gallery)
-        rels.append((labels[gallery] == labels[keep[qi]]).astype(np.int64))
+    dist = unit @ unit.T
+    np.subtract(1.0, dist, out=dist)
+    np.fill_diagonal(dist, np.inf)  # each query sorts itself last, then drops it
+    order = np.argsort(dist, axis=1)[:, :-1]
+    kept_labels = labels[keep]
+    relevance = _break_ties_and_flag(dist, order, kept_labels)
+    del dist
     return RetrievalRun(
         query_indices=keep.copy(),
-        query_labels=labels[keep],
+        query_labels=kept_labels,
         gallery_labels=labels,
-        rankings=rankings,
-        relevance=rels,
+        rankings=order if keep.size == labels.size else keep[order],
+        relevance=relevance,
         excluded=excluded,
     )
 
 
+def _break_ties_and_flag(dist: np.ndarray, order: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Break exact distance ties in ``order`` by ascending index, in place,
+    and return the (Q, Q - 1) same-label flags of the ranked items.
+
+    The default sort leaves equal distances adjacent but in any order.  In a
+    row that holds a tie, each run of equal distances gets a run number,
+    and sorting the row's (run number, index) keys puts the indices of each
+    run in ascending order without moving any run.  Rows go in blocks,
+    which keeps the gathered temporaries small.
+    """
+    q = len(order)
+    flat_dist = dist.ravel()
+    flat_same = (labels[:, None] == labels[None, :]).ravel()
+    relevance = np.empty(order.shape, dtype=bool)
+    for lo in range(0, q, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, q)
+        flat = order[lo:hi] + np.arange(lo * q, hi * q, q)[:, None]
+        ranked = flat_dist.take(flat)
+        steps = ranked[:, 1:] != ranked[:, :-1]
+        tied = np.flatnonzero(~steps.all(axis=1))
+        if tied.size:
+            rows = lo + tied
+            run = np.zeros((tied.size, q - 1), dtype=np.int64)
+            np.cumsum(steps[tied], axis=1, out=run[:, 1:])
+            keys = run * q + order[rows]
+            keys.sort(axis=1)
+            order[rows] = keys % q
+            flat[tied] = order[rows] + rows[:, None] * q
+        flat_same.take(flat, out=relevance[lo:hi])
+    return relevance
+
+
 # ---------------------------------------------------------------------------
-# per-ranking metrics (binary relevance arrays, best rank first)
+# metrics over binary relevance rows, best rank first
 # ---------------------------------------------------------------------------
 
 
-def _rel_array(relevance) -> np.ndarray:
+def _check_cutoff(cutoff: int | None) -> None:
+    if cutoff is not None and cutoff < 1:
+        raise ValueError(f"cutoff must be >= 1, got {cutoff}")
+
+
+def _row_metrics(relevance: np.ndarray, f1_cutoff: int | None = None,
+                 ndcg_cutoff: int | None = None) -> dict:
+    """AP, PR-AUC, F1 and NDCG of every row of a (Q, L) bool relevance matrix.
+
+    Only the relevant ranks are visited: a row's k-th relevant item, at
+    rank i, has k hits in the top i.  ``relevant`` holds each row's count of
+    relevant items; a row with none scores NaN AP and PR-AUC and 0 F1 and
+    NDCG.
+    """
+    _check_cutoff(f1_cutoff)
+    _check_cutoff(ndcg_cutoff)
+    nq, length = relevance.shape
+    # each row's relevant ranks, ascending (0-based)
+    row, pos = np.divmod(np.flatnonzero(relevance), length)
+    total = np.count_nonzero(relevance, axis=1)
+    start = np.cumsum(total) - total
+    hits = (np.arange(row.size) - start[row] + 1).astype(np.float64)
+    precision = hits / (pos + 1)
+
+    ap = np.full(nq, np.nan)
+    for count in np.unique(total[total > 0]):
+        rows = np.flatnonzero(total == count)
+        # a (rows, count) block's row means sum in the pairwise order of a
+        # 1-D np.mean, so AP does not depend on which rows share the block
+        ap[rows] = precision[start[rows, None] + np.arange(count)].mean(axis=1)
+
+    # trapezoids between consecutive rank-sampled (recall, precision)
+    # points; recall only moves at relevant ranks, from (0, 1) at rank 0
+    row_total = total[row]
+    recall_step = hits / row_total - (hits - 1.0) / row_total
+    before = (hits - 1.0) / np.maximum(pos, 1)
+    before[pos == 0] = 1.0
+    area = np.bincount(row, recall_step * (before + precision) / 2.0, minlength=nq)
+    pr_auc = np.where(total > 0, area, np.nan)
+
+    cut = np.minimum(length, np.maximum(total, 1)) if f1_cutoff is None else np.full(nq, f1_cutoff)
+    found = np.bincount(row[pos < cut[row]], minlength=nq).astype(np.float64)
+    prec_at = found / cut
+    rec_at = np.divide(found, total, out=np.zeros(nq), where=total > 0)
+    both = prec_at + rec_at
+    f1 = np.divide(2.0 * prec_at * rec_at, both, out=np.zeros(nq), where=both != 0.0)
+
+    depth = length if ndcg_cutoff is None else min(ndcg_cutoff, length)
+    gain = 1.0 / np.log2(np.arange(2, depth + 2))
+    top = pos < depth
+    dcg = np.bincount(row[top], gain[pos[top]], minlength=nq)
+    ideal = np.concatenate([[0.0], np.cumsum(gain)])[np.minimum(total, depth)]
+    ndcg = np.divide(dcg, ideal, out=np.zeros(nq), where=ideal > 0.0)
+    return {"map": ap, "pr_auc": pr_auc, "f1": f1, "ndcg": ndcg, "relevant": total}
+
+
+def _one_row(relevance, f1_cutoff: int | None = None, ndcg_cutoff: int | None = None) -> dict:
+    """``_row_metrics`` of one 1-D relevance list, as scalars."""
     r = np.asarray(relevance)
     if r.ndim != 1 or r.size == 0:
         raise ValueError("relevance must be a non-empty 1-D array")
-    return (r != 0).astype(np.float64)
+    scores = _row_metrics((r != 0)[None, :], f1_cutoff, ndcg_cutoff)
+    return {name: values[0].item() for name, values in scores.items()}
 
 
 def average_precision(relevance) -> float:
@@ -139,24 +259,18 @@ def average_precision(relevance) -> float:
     >>> round(average_precision([1, 0, 1]), 5)
     0.83333
     """
-    r = _rel_array(relevance)
-    if r.sum() == 0:
+    scores = _one_row(relevance)
+    if scores["relevant"] == 0:
         raise ValueError("average precision undefined with no relevant items")
-    hits = np.cumsum(r)
-    ranks = np.arange(1, r.size + 1)
-    return float(np.mean((hits / ranks)[r > 0]))
+    return scores["map"]
 
 
 def pr_auc(relevance) -> float:
     """Trapezoidal area under the rank-sampled precision-recall curve."""
-    r = _rel_array(relevance)
-    total = r.sum()
-    if total == 0:
+    scores = _one_row(relevance)
+    if scores["relevant"] == 0:
         raise ValueError("PR-AUC undefined with no relevant items")
-    hits = np.cumsum(r)
-    recall = np.concatenate([[0.0], hits / total])
-    precision = np.concatenate([[1.0], hits / np.arange(1, r.size + 1)])
-    return float(np.sum(np.diff(recall) * (precision[:-1] + precision[1:]) / 2.0))
+    return scores["pr_auc"]
 
 
 def ndcg(relevance, cutoff: int | None = None) -> float:
@@ -165,16 +279,7 @@ def ndcg(relevance, cutoff: int | None = None) -> float:
     >>> round(ndcg([1, 0, 1]), 5)
     0.91972
     """
-    r = _rel_array(relevance)
-    if cutoff is None:
-        cutoff = r.size
-    if cutoff < 1:
-        raise ValueError(f"cutoff must be >= 1, got {cutoff}")
-    discounts = np.log2(np.arange(2, min(cutoff, r.size) + 2))
-    gain = float(np.sum(r[:cutoff] / discounts))
-    ideal_r = np.sort(r)[::-1]
-    ideal = float(np.sum(ideal_r[:cutoff] / discounts))
-    return gain / ideal if ideal > 0 else 0.0
+    return _one_row(relevance, ndcg_cutoff=cutoff)["ndcg"]
 
 
 def f1_at(relevance, cutoff: int | None = None) -> float:
@@ -183,18 +288,7 @@ def f1_at(relevance, cutoff: int | None = None) -> float:
     The default cutoff is min(length, number of relevant items), so a
     perfect ranking scores exactly 1.
     """
-    r = _rel_array(relevance)
-    total = r.sum()
-    if cutoff is None:
-        cutoff = int(min(r.size, max(total, 1)))
-    if cutoff < 1:
-        raise ValueError(f"cutoff must be >= 1, got {cutoff}")
-    hits = float(r[:cutoff].sum())
-    precision = hits / cutoff
-    recall = hits / total if total > 0 else 0.0
-    if precision + recall == 0.0:
-        return 0.0
-    return 2.0 * precision * recall / (precision + recall)
+    return _one_row(relevance, f1_cutoff=cutoff)["f1"]
 
 
 # ---------------------------------------------------------------------------
@@ -284,25 +378,19 @@ def evaluate_run(
     ndcg_cutoff: int | None = None,
 ) -> EvalSummary:
     """Score every query and aggregate both micro and macro reports."""
-    per = {"map": [], "pr_auc": [], "f1": [], "ndcg": []}
-    kept_labels = []
-    skipped = 0
-    for rel, qlabel in zip(run.relevance, run.query_labels):
-        if np.asarray(rel).sum() == 0:
-            skipped += 1
-            continue
-        per["map"].append(average_precision(rel))
-        per["pr_auc"].append(pr_auc(rel))
-        per["f1"].append(f1_at(rel, f1_cutoff))
-        per["ndcg"].append(ndcg(rel, ndcg_cutoff))
-        kept_labels.append(qlabel)
-    if not kept_labels:
+    relevance = np.asarray(run.relevance)
+    scores = _row_metrics(relevance if relevance.dtype == bool else relevance != 0,
+                          f1_cutoff, ndcg_cutoff)
+    kept = scores.pop("relevant") > 0  # a query with no relevant item is skipped
+    if not kept.any():
         raise ValueError("no query had any relevant gallery item")
+    per = {name: values[kept] for name, values in scores.items()}
+    kept_labels = np.asarray(run.query_labels)[kept]
     return EvalSummary(
         micro=aggregate(per, kept_labels, "micro"),
         macro=aggregate(per, kept_labels, "macro"),
         total_queries=run.num_queries,
-        skipped_queries=skipped,
+        skipped_queries=int(np.count_nonzero(~kept)),
     )
 
 

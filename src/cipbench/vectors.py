@@ -47,7 +47,13 @@ class ShapeDescriptor:
 
 
 def mean_pool(views) -> ShapeDescriptor:
-    """Component-wise mean of a non-empty list of equal-dimension view features."""
+    """Component-wise mean of a non-empty list of equal-dimension view features.
+
+    No library code calls this any more: ``retrieval.pool_descriptors``
+    pools every object in one pass with the same bits.  It stays public,
+    and importable from ``retrieval``, because the benchmark's traced run
+    wraps ``retrieval.mean_pool`` by name.
+    """
     if len(views) == 0:
         raise ValueError("mean_pool needs at least one view")
     rows = [as_vector(v, f"views[{i}]") for i, v in enumerate(views)]

@@ -191,3 +191,104 @@ def f1_brute(rel, cutoff=None):
     if precision + recall == 0:
         return 0.0
     return 2 * precision * recall / (precision + recall)
+
+
+# ---------------------------------------------------------------------------
+# per-object and per-query retrieval loops: the whole-array pooling, ranking
+# and scoring in ``cipbench.retrieval`` must reproduce them
+# ---------------------------------------------------------------------------
+
+
+def pool_loop(features, object_ids, labels):
+    """One mask and one ``mean(axis=0)`` per object, in first-appearance order."""
+    features = np.asarray(features, dtype=np.float64)
+    object_ids = np.asarray(object_ids)
+    labels = np.asarray(labels)
+    uniq, first = np.unique(object_ids, return_index=True)
+    order = uniq[np.argsort(first)]
+    descs, obj_labels = [], []
+    for oid in order:
+        mask = object_ids == oid
+        descs.append(features[mask].mean(axis=0))
+        obj_labels.append(int(labels[mask][0]))
+    return np.stack(descs), np.array(obj_labels, dtype=np.int64), order
+
+
+def rank_loop(descriptors, labels):
+    """(query indices, rankings, relevance): one stable sort per query over
+    the other nonzero descriptors, which are in ascending index order."""
+    descriptors = np.asarray(descriptors, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    norms = np.linalg.norm(descriptors, axis=1)
+    keep = np.flatnonzero(norms > 0.0)
+    unit = descriptors[keep] / norms[keep, None]
+    dist = 1.0 - unit @ unit.T
+    rankings, rels = [], []
+    for qi in range(keep.size):
+        others = np.delete(np.arange(keep.size), qi)
+        gallery = keep[others[np.argsort(dist[qi, others], kind="stable")]]
+        rankings.append(gallery)
+        rels.append(labels[gallery] == labels[keep[qi]])
+    return keep, np.array(rankings), np.array(rels)
+
+
+def _query_metrics(rel, f1_cutoff, ndcg_cutoff):
+    """AP, PR-AUC, F1 and NDCG of one relevance row, one numpy pass each."""
+    r = (np.asarray(rel) != 0).astype(np.float64)
+    total = r.sum()
+    hits = np.cumsum(r)
+    ranks = np.arange(1, r.size + 1)
+    ap = float(np.mean((hits / ranks)[r > 0]))
+    recall = np.concatenate([[0.0], hits / total])
+    precision = np.concatenate([[1.0], hits / ranks])
+    prauc = float(np.sum(np.diff(recall) * (precision[:-1] + precision[1:]) / 2.0))
+    cutoff = int(min(r.size, max(total, 1))) if f1_cutoff is None else f1_cutoff
+    found = float(r[:cutoff].sum())
+    p, q = found / cutoff, found / total
+    f1 = 0.0 if p + q == 0.0 else 2.0 * p * q / (p + q)
+    depth = r.size if ndcg_cutoff is None else ndcg_cutoff
+    discounts = np.log2(np.arange(2, min(depth, r.size) + 2))
+    ideal = float(np.sum(np.sort(r)[::-1][:depth] / discounts))
+    ndcg = float(np.sum(r[:depth] / discounts)) / ideal
+    return {"map": ap, "pr_auc": prauc, "f1": f1, "ndcg": ndcg}
+
+
+def evaluate_loop(relevance, query_labels, f1_cutoff=None, ndcg_cutoff=None):
+    """(micro, macro, skipped): per-query metrics of every query with a
+    relevant item, rolled up over queries and over per-class means."""
+    per = {"map": [], "pr_auc": [], "f1": [], "ndcg": []}
+    kept, skipped = [], 0
+    for rel, label in zip(relevance, query_labels):
+        if np.asarray(rel).sum() == 0:
+            skipped += 1
+            continue
+        for name, value in _query_metrics(rel, f1_cutoff, ndcg_cutoff).items():
+            per[name].append(value)
+        kept.append(label)
+    kept = np.asarray(kept)
+    micro = {name: float(np.mean(v)) for name, v in per.items()}
+    macro = {
+        name: float(np.mean([np.mean(np.asarray(v)[kept == c]) for c in np.unique(kept)]))
+        for name, v in per.items()
+    }
+    return micro, macro, skipped
+
+
+def generate_loop(spec, prototypes):
+    """(inputs, labels, object ids, view indices) of ``cipbench.data.generate``
+    with one normal draw per view; ``prototypes`` draws the class prototypes
+    from the generator first."""
+    rng = np.random.default_rng(spec.seed)
+    protos = prototypes(spec, rng)
+    rows, labels, oids, vids = [], [], [], []
+    oid = 0
+    for k in range(1, spec.num_classes + 1):
+        for _ in range(spec.objects_per_class):
+            oid += 1
+            obj = protos[k - 1] + rng.normal(0.0, spec.object_noise_std, spec.input_dim)
+            for v in range(1, spec.views_per_object + 1):
+                rows.append(obj + rng.normal(0.0, spec.view_noise_std, spec.input_dim))
+                labels.append(k)
+                oids.append(oid)
+                vids.append(v)
+    return np.array(rows), np.array(labels), np.array(oids), np.array(vids)

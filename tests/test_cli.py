@@ -266,6 +266,39 @@ def test_eval_missing_checkpoint_exits_1(tmp_path, trained):
     assert code == 1
 
 
+@pytest.mark.parametrize("command", ["eval", "export"])
+def test_input_dim_disagreement_names_both_files(tmp_path, trained, capsys, command):
+    _, ckpt = trained
+    other = tmp_path / "wide"
+    assert main(["generate", "--out", str(other), *fast_args("input_dim=12")]) == 0
+    csv_path = other / "dataset.csv"
+    out = tmp_path / "out"
+    capsys.readouterr()
+    code = main([command, "--checkpoint", str(ckpt), "--dataset", str(csv_path),
+                 "--out", str(out), *fast_args("input_dim=12")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: {ckpt}: encoder takes 8 inputs, but {csv_path} has 12 coordinate columns\n"
+    )
+    assert not out.exists()
+
+
+def test_eval_class_count_disagreement_names_both_files(tmp_path, trained, capsys):
+    _, ckpt = trained
+    other = tmp_path / "more"
+    assert main(["generate", "--out", str(other), *fast_args("num_classes=6")]) == 0
+    csv_path = other / "dataset.csv"
+    out = tmp_path / "out"
+    capsys.readouterr()
+    code = main(["eval", "--checkpoint", str(ckpt), "--dataset", str(csv_path),
+                 "--out", str(out), *fast_args("num_classes=6")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: {ckpt}: 4 centerlines, but {csv_path} has labels up to 6\n"
+    )
+    assert not out.exists()
+
+
 def test_export_per_view_rows(tmp_path, trained):
     csv_path, ckpt = trained
     out_file = tmp_path / "emb.csv"

@@ -4,7 +4,17 @@ import json
 import numpy as np
 import pytest
 
-from cipbench.data import Dataset, SyntheticSpec, generate, load_dataset, save_dataset, split
+from cipbench.data import (
+    Dataset,
+    SyntheticSpec,
+    class_prototypes,
+    generate,
+    load_dataset,
+    save_dataset,
+    split,
+)
+
+from oracles import generate_loop
 
 
 def small_spec(**kw):
@@ -54,6 +64,17 @@ def test_generate_deterministic_given_seed():
     b = generate(small_spec())
     np.testing.assert_array_equal(a.inputs, b.inputs)
     np.testing.assert_array_equal(a.labels, b.labels)
+
+
+@pytest.mark.parametrize("kw", [{}, {"views_per_object": 1}, {"num_classes": 7, "input_dim": 4}])
+def test_generate_bytes_equal_one_draw_per_view(kw):
+    # drawing an object's V x D view noise at once must consume the
+    # generator exactly as V separate draws of D did
+    spec = small_spec(**kw)
+    ds = generate(spec)
+    got = (ds.inputs, ds.labels, ds.object_ids, ds.view_index)
+    for a, b in zip(got, generate_loop(spec, class_prototypes)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def test_generate_rejects_bad_spec():
@@ -289,6 +310,29 @@ def test_labels_must_be_contiguous():
             object_ids=np.array([1, 2]),
             view_index=np.array([1, 1]),
         )
+
+
+def test_inconsistent_labels_name_the_smallest_object():
+    with pytest.raises(ValueError, match="object 4 has inconsistent labels"):
+        Dataset(
+            inputs=np.ones((6, 2)),
+            labels=np.array([1, 2, 2, 1, 2, 1]),
+            object_ids=np.array([9, 4, 4, 4, 9, 9]),
+            view_index=np.array([1, 1, 2, 3, 2, 3]),
+        )
+
+
+def test_csv_row_errors_name_the_file(tmp_path):
+    path = tmp_path / "dataset.csv"
+    save_dataset(generate(small_spec()), path)
+    lines = path.read_text().splitlines()
+    for i, line in enumerate(lines[1:], start=1):
+        oid, label, rest = line.split(",", 2)
+        lines[i] = ",".join([oid, "3" if label == "1" else label, rest])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as err:
+        load_dataset(path)
+    assert str(err.value) == f"{path}: labels must be contiguous in [1, K], got [2, 3]"
 
 
 def test_split_map_must_cover_every_object():

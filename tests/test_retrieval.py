@@ -16,7 +16,15 @@ from cipbench.retrieval import (
     rank,
 )
 
-from oracles import ap_brute, f1_brute, ndcg_brute, prauc_brute
+from oracles import (
+    ap_brute,
+    evaluate_loop,
+    f1_brute,
+    ndcg_brute,
+    pool_loop,
+    prauc_brute,
+    rank_loop,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -78,6 +86,50 @@ def test_rank_needs_two_usable_descriptors():
     with pytest.warns(UserWarning, match="zero-norm"):
         with pytest.raises(ValueError, match="at least two"):
             rank(np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([1, 1]))
+
+
+def _assert_rank_matches_loop(descs, labels):
+    run = rank(descs, labels)
+    keep, rankings, relevance = rank_loop(descs, labels)
+    np.testing.assert_array_equal(run.query_indices, keep)
+    assert run.rankings.shape == rankings.shape == (keep.size, keep.size - 1)
+    assert np.array_equal(run.rankings, rankings)
+    assert run.relevance.dtype == bool
+    assert np.array_equal(run.relevance, relevance)
+
+
+def test_rank_equals_per_query_loop_on_random_descriptors():
+    rng = np.random.default_rng(3)
+    _assert_rank_matches_loop(rng.standard_normal((60, 5)), rng.integers(1, 5, 60))
+
+
+def test_rank_equals_per_query_loop_with_exact_ties():
+    # duplicated rows give bit-equal distances, and small integer vectors
+    # give many parallel pairs: every such tie must break by ascending index
+    rng = np.random.default_rng(4)
+    base = rng.standard_normal((30, 4))
+    descs = base[rng.integers(0, 12, 50)]
+    _assert_rank_matches_loop(descs, rng.integers(1, 4, 50))
+    _assert_rank_matches_loop(rng.integers(-2, 3, (50, 3)).astype(float) + [0.0, 0.0, 3.0],
+                              rng.integers(1, 4, 50))
+
+
+def test_rank_equals_per_query_loop_with_zero_norm_rows():
+    rng = np.random.default_rng(5)
+    descs = rng.standard_normal((40, 4))
+    descs[[0, 17, 39]] = 0.0
+    descs[20] = descs[21]
+    labels = rng.integers(1, 4, 40)
+    with pytest.warns(UserWarning, match="zero-norm"):
+        run = rank(descs, labels)
+    assert run.excluded == [0, 17, 39]
+    with pytest.warns(UserWarning, match="zero-norm"):
+        _assert_rank_matches_loop(descs, labels)
+
+
+def test_rank_rejects_non_finite_descriptors():
+    with pytest.raises(ValueError, match="finite"):
+        rank(np.array([[1.0, 0.0], [np.nan, 1.0], [0.0, 1.0]]), np.array([1, 1, 2]))
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +274,37 @@ def test_evaluate_run_perfect_embedding():
     assert summary.micro.ndcg == 1.0
 
 
+def _unbalanced_run():
+    # three classes of 140, 12 and 1 objects: AP sums 139 precisions (past
+    # np.mean's 128-item pairwise block) or 11; the singleton's query has no
+    # relevant item and is skipped
+    rng = np.random.default_rng(6)
+    labels = np.repeat([1, 2, 3], [140, 12, 1])
+    centers = rng.standard_normal((3, 6))
+    descs = centers[labels - 1] + 0.9 * rng.standard_normal((labels.size, 6))
+    return rank(descs, labels)
+
+
+@pytest.mark.parametrize("f1_cutoff", [None, 1, 5, 500])
+@pytest.mark.parametrize("ndcg_cutoff", [None, 1, 5, 500])
+def test_evaluate_run_equals_per_query_loop(f1_cutoff, ndcg_cutoff):
+    run = _unbalanced_run()
+    summary = evaluate_run(run, f1_cutoff, ndcg_cutoff)
+    micro, macro, skipped = evaluate_loop(run.relevance, run.query_labels, f1_cutoff, ndcg_cutoff)
+    assert (summary.total_queries, summary.skipped_queries) == (153, 1) and skipped == 1
+    for report, want in ((summary.micro, micro), (summary.macro, macro)):
+        # MAP and F1 sum in the loop's order; PR-AUC and NDCG may round differently
+        assert report.map == want["map"]
+        assert report.f1 == want["f1"]
+        assert report.pr_auc == pytest.approx(want["pr_auc"], rel=1e-12)
+        assert report.ndcg == pytest.approx(want["ndcg"], rel=1e-12)
+
+
+def test_evaluate_run_rejects_cutoff_below_one():
+    with pytest.raises(ValueError, match="cutoff"):
+        evaluate_run(_unbalanced_run(), f1_cutoff=0)
+
+
 # ---------------------------------------------------------------------------
 # descriptor pooling
 # ---------------------------------------------------------------------------
@@ -235,6 +318,29 @@ def test_pool_descriptors_means_per_object():
     np.testing.assert_allclose(descs, [[2.0, 0.0], [0.0, 2.0]])
     np.testing.assert_array_equal(dlabels, [1, 2])
     np.testing.assert_array_equal(order, [7, 9])
+
+
+def test_pool_descriptors_equals_per_object_loop_bit_for_bit():
+    # interleaved object ids with 1 to 11 views each, and a column of -0.0
+    # (whose mean is +0.0, as the loop's mean(axis=0) gives)
+    rng = np.random.default_rng(7)
+    oids = rng.permutation(np.repeat(rng.permutation(50) + 100, rng.integers(1, 12, 50)))
+    labels = oids % 7 + 1
+    feats = rng.standard_normal((oids.size, 5)) * 10.0 ** rng.integers(-3, 4, (oids.size, 1))
+    feats[:, 2] = -0.0
+    got = pool_descriptors(feats, oids, labels)
+    want = pool_loop(feats, oids, labels)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_pool_descriptors_rejects_non_finite_features(bad):
+    feats = np.ones((4, 2))
+    feats[2, 1] = bad
+    with pytest.raises(ValueError, match=r"features\[2\] has non-finite"):
+        pool_descriptors(feats, np.array([1, 1, 2, 2]), np.array([1, 1, 2, 2]))
 
 
 # ---------------------------------------------------------------------------
