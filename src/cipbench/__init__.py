@@ -19,6 +19,7 @@ from .trainer import (
     DivergenceError,
     TrainConfig,
     TrainResult,
+    evaluate_map,
     load_checkpoint,
     lr_at,
     save_checkpoint,

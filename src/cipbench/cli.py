@@ -1,10 +1,12 @@
 """Command-line entry point: generate / train / eval / export / sweep.
 
-Exit codes are stable: 0 success, 1 configuration error (bad config key or
-value, bad flag combination, missing input file), 2 runtime failure
-(including detected training divergence).  Every command copies its fully
+Exit codes are stable: 0 success, 1 configuration error (bad config key,
+out-of-range value, bad flag combination, missing input file), 2 runtime
+failure (including detected training divergence).  Every command builds and
+checks its configuration before it writes anything, then copies the fully
 resolved configuration into the output location so a run is reproducible
-from that file and its seed alone.
+from that file and its seed alone.  ``eval``, ``sweep`` and the trainer's
+``eval_every`` score the rows of ``Dataset.eval_mask``.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .data import generate, load_dataset, save_dataset, split
 from .retrieval import evaluate_run, geometry_report, pool_descriptors, rank
 from .trainer import (
     DivergenceError,
+    evaluate_map,
     history_to_csv,
     load_checkpoint,
     save_checkpoint,
@@ -147,15 +150,11 @@ def _check_agreement(args, checkpoint, dataset, classes: bool = False) -> None:
         )
 
 
-def _embed(checkpoint, dataset, mask):
-    feats, _ = enc.forward_batch(checkpoint.params, dataset.inputs[mask])
-    return feats
-
-
 def cmd_generate(args) -> int:
     cfg = _resolve(args)
+    spec = cfg.synthetic_spec()
     out = _outdir(args, cfg)
-    dataset = generate(cfg.synthetic_spec())
+    dataset = generate(spec)
     if cfg.num_classes >= 1 and cfg.objects_per_class >= 2:
         dataset = split(dataset, cfg.train_fraction, cfg.seed)
     save_dataset(dataset, out / "dataset.csv")
@@ -166,11 +165,12 @@ def cmd_generate(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _resolve(args)
+    train_cfg = cfg.train_config()
+    dataset = _load_split_dataset(args.dataset, cfg)
     out = _outdir(args, cfg)
     cfg.save(out / "config.used.cfg")
-    dataset = _load_split_dataset(args.dataset, cfg)
     try:
-        result = train(dataset, cfg.train_config())
+        result = train(dataset, train_cfg)
     except DivergenceError as e:
         print(f"training diverged ({e.signal}): {e}", file=sys.stderr)
         if e.last_good is not None:
@@ -191,9 +191,8 @@ def cmd_eval(args) -> int:
     _check_agreement(args, checkpoint, dataset, classes=True)
     out = _outdir(args, cfg)
     cfg.save(out / "config.used.cfg")
-    tags = dataset.view_split_tags()
-    mask = tags == "test" if (tags == "test").any() else np.ones(dataset.num_views, bool)
-    feats = _embed(checkpoint, dataset, mask)
+    mask = dataset.eval_mask()
+    feats, _ = enc.forward_batch(checkpoint.params, dataset.inputs[mask])
     descs, labels, _ = pool_descriptors(feats, dataset.object_ids[mask], dataset.labels[mask])
     summary = evaluate_run(rank(descs, labels), cfg.f1_cutoff, cfg.ndcg_cutoff)
     summary.save_json(out / "metrics.json")
@@ -215,23 +214,17 @@ def cmd_export(args) -> int:
     _check_agreement(args, checkpoint, dataset)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    feats = _embed(checkpoint, dataset, np.ones(dataset.num_views, bool))
-    n = feats.shape[1]
+    feats, _ = enc.forward_batch(checkpoint.params, dataset.inputs)
+    oids, labels = dataset.object_ids, dataset.labels
+    if args.pooled:
+        feats, labels, oids = pool_descriptors(feats, oids, labels)
     with open(out, "w", newline="") as fh:
         writer = csv.writer(fh)
-        if args.pooled:
-            descs, labels, oids = pool_descriptors(feats, dataset.object_ids, dataset.labels)
-            writer.writerow(["object_id", "label"] + [f"e{i}" for i in range(n)])
-            for oid, label, row in zip(oids, labels, descs):
-                writer.writerow([oid, label] + [format(v, ".17g") for v in row])
-            count = len(oids)
-        else:
-            writer.writerow(["object_id", "label"] + [f"e{i}" for i in range(n)])
-            for oid, label, row in zip(dataset.object_ids, dataset.labels, feats):
-                writer.writerow([oid, label] + [format(v, ".17g") for v in row])
-            count = dataset.num_views
+        writer.writerow(["object_id", "label"] + [f"e{i}" for i in range(feats.shape[1])])
+        for oid, label, row in zip(oids, labels, feats):
+            writer.writerow([oid, label] + [format(v, ".17g") for v in row])
     cfg.save(out.with_suffix(out.suffix + ".cfg"))
-    print(f"wrote {count} embedding rows to {out}")
+    print(f"wrote {len(oids)} embedding rows to {out}")
     return EXIT_OK
 
 
@@ -247,40 +240,34 @@ def _parse_float_list(text: str, what: str) -> list[float]:
 
 def cmd_sweep(args) -> int:
     cfg = _resolve(args)
-    out = _outdir(args, cfg)
-    cfg.save(out / "config.used.cfg")
     lambdas = _parse_float_list(args.lambdas, "lambda")
     ds = _parse_float_list(args.ds, "d")
+    # sweep convergence means "finished with finite loss": keep the
+    # non-finite and norm-limit guards but not the geometry-quality
+    # collapse check, which extreme lambda/d corners legitimately fail
+    grid = [
+        (lam, d, RunConfig({**cfg.values, "loss": args.loss, "lambda": lam, "d": d,
+                            "centerline_collapse_cosine": 2.0}).train_config())
+        for d in ds for lam in lambdas
+    ]
     if args.dataset:
         dataset = _load_split_dataset(args.dataset, cfg)
     else:
         dataset = split(generate(cfg.synthetic_spec()), cfg.train_fraction, cfg.seed)
+    out = _outdir(args, cfg)
+    cfg.save(out / "config.used.cfg")
 
     rows = []
-    for d in ds:
-        for lam in lambdas:
-            # sweep convergence means "finished with finite loss": keep the
-            # non-finite and norm-limit guards but not the geometry-quality
-            # collapse check, which extreme lambda/d corners legitimately fail
-            run_cfg = RunConfig(
-                {**cfg.values, "loss": args.loss, "lambda": lam, "d": d,
-                 "centerline_collapse_cosine": 2.0}
-            ).train_config()
-            try:
-                result = train(dataset, run_cfg)
-                final_total = result.history[-1]["total"]
-                converged = bool(np.isfinite(final_total))
-                tags = dataset.view_split_tags()
-                mask = tags == "test"
-                feats = enc.forward_batch(result.params, dataset.inputs[mask])[0]
-                descs, labels, _ = pool_descriptors(
-                    feats, dataset.object_ids[mask], dataset.labels[mask]
-                )
-                map_value = evaluate_run(rank(descs, labels)).micro.map
-            except DivergenceError as e:
-                converged, final_total, map_value = False, float("nan"), float("nan")
-                print(f"lambda={lam} d={d}: diverged ({e.signal})", file=sys.stderr)
-            rows.append((lam, d, converged, final_total, map_value))
+    for lam, d, run_cfg in grid:
+        try:
+            result = train(dataset, run_cfg)
+            final_total = result.history[-1]["total"]
+            converged = bool(np.isfinite(final_total))
+            map_value = evaluate_map(result.params, dataset)
+        except DivergenceError as e:
+            converged, final_total, map_value = False, float("nan"), float("nan")
+            print(f"lambda={lam} d={d}: diverged ({e.signal})", file=sys.stderr)
+        rows.append((lam, d, converged, final_total, map_value))
 
     with open(out / "sweep.csv", "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -9,6 +9,9 @@ only place a default lives: each field is a config key with the field's
 default, parsed by its annotation.  Five run keys belong to no dataclass
 (``out_dir``, ``train_fraction``, ``loss``, ``f1_cutoff``, ``ndcg_cutoff``),
 and the ``loss`` name sets ``TrainConfig.loss`` and the ``use_*`` flags.
+Resolving checks the ranges of the keys commands read directly; the
+dataclasses check their own fields when built.  Either failure is a
+``ConfigError`` that names the key.
 """
 
 from __future__ import annotations
@@ -76,6 +79,16 @@ DEFAULTS: dict[str, tuple] = {
 }
 
 
+# range rules of the keys that commands read directly, checked on resolving;
+# the dataclasses check their own fields when a command builds them
+_RUN_KEY_RULES = {
+    "seed": (lambda v: v >= 0, "non-negative"),
+    "train_fraction": (lambda v: 0.0 < v < 1.0, "in (0, 1)"),
+    "f1_cutoff": (lambda v: v is None or v >= 1, "positive or auto"),
+    "ndcg_cutoff": (lambda v: v is None or v >= 1, "positive or auto"),
+}
+
+
 @dataclass
 class RunConfig:
     """Resolved configuration: every DEFAULTS key as an attribute, under its
@@ -100,6 +113,9 @@ class RunConfig:
                 raise ConfigError(f"override {item!r} must look like key=value")
             key, raw = item.split("=", 1)
             values[key.strip()] = _coerce(key.strip(), raw.strip(), "--set")
+        for key, (ok, rule) in _RUN_KEY_RULES.items():
+            if not ok(values[key]):
+                raise ConfigError(f"{key} must be {rule}, got {_format(values[key])}")
         return cls(values)
 
     # ---- builders -------------------------------------------------------

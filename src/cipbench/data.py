@@ -51,6 +51,8 @@ class SyntheticSpec:
             raise ValueError(f"all counts must be >= 1, got {counts}")
         if self.object_noise_std < 0 or self.view_noise_std < 0:
             raise ValueError("noise stds must be non-negative")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.prototype_scheme not in ("orthonormal", "antipodal"):
             raise ValueError(f"unknown prototype scheme {self.prototype_scheme!r}")
         if self.prototype_scheme == "antipodal" and (self.num_classes + 1) // 2 > self.input_dim:
@@ -59,7 +61,11 @@ class SyntheticSpec:
 
 @dataclass
 class Dataset:
-    """Row-per-view storage with an optional object-level split map."""
+    """Row-per-view storage with an optional object-level split map.
+
+    Every per-row split question reads ``test_mask``: training takes the
+    other rows, and retrieval is scored on ``eval_mask``.
+    """
 
     inputs: np.ndarray  # (N, D)
     labels: np.ndarray  # (N,), 1-based, contiguous in [1, K]
@@ -111,15 +117,28 @@ class Dataset:
     def num_classes(self) -> int:
         return int(self.labels.max())
 
+    def test_mask(self) -> np.ndarray:
+        """True on the rows of objects the split map tags ``"test"``; all
+        False for an unsplit dataset.  Computed on each call, because
+        ``split`` may be assigned after construction."""
+        if self.split is None:
+            return np.zeros(self.num_views, dtype=bool)
+        return np.isin(self.object_ids, [o for o, tag in self.split.items() if tag == "test"])
+
+    def eval_mask(self) -> np.ndarray:
+        """The rows retrieval is scored on: the test rows, or every row when
+        there are none."""
+        test = self.test_mask()
+        return test if test.any() else np.ones(self.num_views, dtype=bool)
+
     def view_split_tags(self) -> np.ndarray:
         """Per-row split tag; rows of unsplit datasets all count as train."""
-        if self.split is None:
-            return np.full(self.num_views, "train", dtype=object)
-        return np.array([self.split[int(o)] for o in self.object_ids], dtype=object)
+        return np.array(["train", "test"], dtype=object)[self.test_mask().astype(np.intp)]
 
     def subset(self, tag: str) -> "Dataset":
-        mask = self.view_split_tags() == tag
-        if not mask.any():
+        test = self.test_mask()
+        mask = {"train": ~test, "test": test}.get(tag)
+        if mask is None or not mask.any():
             raise ValueError(f"no rows in split {tag!r}")
         keep_split = None
         if self.split is not None:

@@ -9,9 +9,7 @@ occupy all orthants; a relu head remains available for ablation.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -25,8 +23,8 @@ __all__ = [
     "backward_batch",
     "forward_batch",
     "init_params",
-    "load_params",
-    "save_params",
+    "params_from_dict",
+    "params_to_dict",
 ]
 
 ACTIVATIONS = ("relu", "identity")
@@ -107,9 +105,6 @@ class MlpParams:
             if not np.isfinite(arr).all():
                 raise ValueError("parameters contain non-finite values")
 
-    def copy(self) -> "MlpParams":
-        return MlpParams(self.spec, [w.copy() for w in self.weights], [b.copy() for b in self.biases])
-
 
 @dataclass
 class MlpCache:
@@ -124,10 +119,6 @@ class MlpCache:
 class MlpGrads:
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-
-    @classmethod
-    def zeros_like(cls, params: MlpParams) -> "MlpGrads":
-        return cls([np.zeros_like(w) for w in params.weights], [np.zeros_like(b) for b in params.biases])
 
 
 def init_params(spec: MlpSpec, rng=None, std: float = 0.01) -> MlpParams:
@@ -179,22 +170,24 @@ def backward_batch(
     g = np.asarray(grad_out, dtype=np.float64)
     if g.shape != cache.pre_activations[-1].shape:
         raise ValueError(f"grad_out shape {g.shape} does not match cached forward")
-    grads = MlpGrads.zeros_like(params)
+    weights, biases = [], []
     for l in range(params.spec.num_layers - 1, -1, -1):
         dz = g * _act_deriv(params.spec.activation_of(l), cache.pre_activations[l])
         below = cache.activations[l - 1] if l > 0 else cache.inputs
-        grads.weights[l] = dz.T @ below
-        grads.biases[l] = dz.sum(axis=0)
+        weights.insert(0, dz.T @ below)
+        biases.insert(0, dz.sum(axis=0))
         g = dz @ params.weights[l]
-    return grads, g
+    return MlpGrads(weights, biases), g
 
 
 # ---------------------------------------------------------------------------
-# checkpointing
+# the checkpoint's ``encoder`` entry
 # ---------------------------------------------------------------------------
 
 
 def params_to_dict(params: MlpParams) -> dict:
+    """The JSON form of ``params`` that a checkpoint stores as its
+    ``encoder`` entry, versioned by ``PARAMS_FORMAT_VERSION``."""
     return {
         "format_version": PARAMS_FORMAT_VERSION,
         "layer_dims": list(params.spec.layer_dims),
@@ -228,11 +221,3 @@ def params_from_dict(d: dict) -> MlpParams:
     weights = [as_floats(w, "encoder weights") for w in d["weights"]]
     biases = [as_floats(b, "encoder biases") for b in d["biases"]]
     return MlpParams(spec, weights, biases)
-
-
-def save_params(params: MlpParams, path) -> None:
-    Path(path).write_text(json.dumps(params_to_dict(params)))
-
-
-def load_params(path) -> MlpParams:
-    return params_from_dict(json.loads(Path(path).read_text()))

@@ -212,20 +212,6 @@ class LossReport:
     center_grads: np.ndarray
     classifier_grads: tuple[np.ndarray, np.ndarray] | None = None
 
-    def to_jsonable(self) -> dict:
-        out = {
-            "total": self.total,
-            "per_term": dict(self.per_term),
-            "feature_grads": self.feature_grads.tolist(),
-            "center_grads": self.center_grads.tolist(),
-        }
-        if self.classifier_grads is not None:
-            out["classifier_grads"] = {
-                "weights": self.classifier_grads[0].tolist(),
-                "bias": self.classifier_grads[1].tolist(),
-            }
-        return out
-
 
 # ---------------------------------------------------------------------------
 # validation helpers

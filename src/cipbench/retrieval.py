@@ -22,7 +22,7 @@ from __future__ import annotations
 import csv
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -305,13 +305,7 @@ class MetricsReport:
     aggregation: str
 
     def to_dict(self) -> dict:
-        return {
-            "map": self.map,
-            "pr_auc": self.pr_auc,
-            "f1": self.f1,
-            "ndcg": self.ndcg,
-            "aggregation": self.aggregation,
-        }
+        return asdict(self)
 
 
 def aggregate(per_query_metrics: dict, labels, mode: str) -> MetricsReport:
@@ -348,12 +342,7 @@ class EvalSummary:
     skipped_queries: int  # queries with no relevant gallery item
 
     def to_dict(self) -> dict:
-        return {
-            "micro": self.micro.to_dict(),
-            "macro": self.macro.to_dict(),
-            "total_queries": self.total_queries,
-            "skipped_queries": self.skipped_queries,
-        }
+        return asdict(self)
 
     def save_json(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2))

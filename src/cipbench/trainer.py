@@ -5,7 +5,8 @@ seed: encoder init, centerline init and every epoch's permutation all flow
 from one generator.  Divergence (non-finite values, centerline norm
 blow-up, or centerline collapse onto a single direction / toward zero) is
 detected every epoch and aborts training with the last healthy snapshot
-attached to the raised error.
+attached to the raised error.  Training uses the rows outside
+``Dataset.test_mask``; ``evaluate_map`` scores ``Dataset.eval_mask``.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ __all__ = [
     "DivergenceError",
     "TrainConfig",
     "TrainResult",
+    "evaluate_map",
     "iterate_batches",
     "load_checkpoint",
     "lr_at",
@@ -96,15 +98,29 @@ class TrainConfig:
     eval_every: int = 0
 
     def __post_init__(self):
-        if self.batch_size < 1 or self.epochs < 1:
-            raise ValueError("batch_size and epochs must be positive")
-        if self.lr0 <= 0 or self.lr_drop_factor <= 0 or self.lr_drop_epoch < 1:
-            raise ValueError("learning-rate schedule fields must be positive")
-        if self.momentum < 0 or self.weight_decay < 0:
-            raise ValueError("momentum and weight_decay must be non-negative")
-        if self.centerline_lr is not None and self.centerline_lr <= 0:
-            raise ValueError("centerline_lr must be positive when set")
         self.hidden_dims = tuple(int(h) for h in self.hidden_dims)
+        rules = (
+            ("batch_size", self.batch_size >= 1, "positive"),
+            ("epochs", self.epochs >= 1, "positive"),
+            ("lr0", self.lr0 > 0, "positive"),
+            ("lr_drop_epoch", self.lr_drop_epoch >= 1, "positive"),
+            ("lr_drop_factor", self.lr_drop_factor > 0, "positive"),
+            ("momentum", self.momentum >= 0, "non-negative"),
+            ("weight_decay", self.weight_decay >= 0, "non-negative"),
+            ("centerline_lr", self.centerline_lr is None or self.centerline_lr > 0,
+             "positive when set"),
+            ("seed", self.seed >= 0, "non-negative"),
+            ("hidden_dims", all(h >= 1 for h in self.hidden_dims), "positive widths"),
+            ("embedding_dim", self.embedding_dim >= 1, "positive"),
+            ("final_activation", self.final_activation in enc.ACTIVATIONS,
+             f"one of {enc.ACTIVATIONS}"),
+            ("init_std", self.init_std >= 0, "non-negative"),
+            ("centerline_norm_limit", self.centerline_norm_limit > 0, "positive"),
+            ("eval_every", self.eval_every >= 0, "non-negative"),
+        )
+        for name, ok, rule in rules:
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
 
 def lr_at(epoch: int, cfg: TrainConfig) -> float:
@@ -221,9 +237,9 @@ def _detect_divergence(params: enc.MlpParams, centers: np.ndarray, epoch: int,
     return None
 
 
-def _evaluate_map(params: enc.MlpParams, dataset: Dataset) -> float:
-    tags = dataset.view_split_tags()
-    mask = tags == "test" if (tags == "test").any() else np.ones(dataset.num_views, bool)
+def evaluate_map(params: enc.MlpParams, dataset: Dataset) -> float:
+    """Micro MAP of leave-one-out retrieval over ``dataset.eval_mask()``."""
+    mask = dataset.eval_mask()
     feats, _ = enc.forward_batch(params, dataset.inputs[mask])
     descs, labels, _ = pool_descriptors(feats, dataset.object_ids[mask], dataset.labels[mask])
     return evaluate_run(rank(descs, labels)).micro.map
@@ -235,8 +251,7 @@ def train(dataset: Dataset, cfg: TrainConfig) -> TrainResult:
     Raises DivergenceError when the detector fires; the error carries the
     last healthy snapshot so callers can still persist a checkpoint.
     """
-    tags = dataset.view_split_tags()
-    train_mask = tags == "train"
+    train_mask = ~dataset.test_mask()
     if not train_mask.any():
         raise ValueError("dataset has no training rows")
     inputs = dataset.inputs[train_mask]
@@ -308,7 +323,7 @@ def train(dataset: Dataset, cfg: TrainConfig) -> TrainResult:
         for name in term_sums:
             row[name] = term_sums[name] / len(batches)
         if cfg.eval_every and (epoch + 1) % cfg.eval_every == 0:
-            row["map"] = _evaluate_map(params, dataset)
+            row["map"] = evaluate_map(params, dataset)
         history.append(row)
 
         verdict = _detect_divergence(params, bank.centers, epoch, cfg, init_norm)

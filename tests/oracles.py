@@ -292,3 +292,10 @@ def generate_loop(spec, prototypes):
                 oids.append(oid)
                 vids.append(v)
     return np.array(rows), np.array(labels), np.array(oids), np.array(vids)
+
+
+def split_tags_loop(dataset):
+    """Per-row split tag by one dict lookup per row; "train" when unsplit."""
+    if dataset.split is None:
+        return ["train"] * dataset.num_views
+    return [dataset.split[int(o)] for o in dataset.object_ids]

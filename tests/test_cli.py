@@ -378,6 +378,20 @@ def test_sweep_wide_lambda_range_converges_on_benchmark(tmp_path):
     assert all(np.isfinite(f) for f in finals)
 
 
+def test_sweep_on_an_all_train_split_scores_every_row(tmp_path):
+    csv_path = run_generate(tmp_path)
+    sidecar = csv_path.with_suffix(".json")
+    doc = json.loads(sidecar.read_text())
+    doc["split"] = {oid: "train" for oid in doc["split"]}
+    sidecar.write_text(json.dumps(doc))
+    out = tmp_path / "sweep"
+    code = main(["sweep", "--lambdas", "1", "--ds", "2", "--dataset", str(csv_path),
+                 "--out", str(out), *fast_args()])
+    assert code == 0
+    rows = (out / "sweep.csv").read_text().strip().splitlines()[1:]
+    assert np.isfinite(float(rows[0].split(",")[4]))
+
+
 def test_sweep_empty_lambda_list_exits_1(tmp_path, capsys):
     code = main(["sweep", "--lambdas", "", "--out", str(tmp_path / "s"), *fast_args()])
     assert code == 1
@@ -446,3 +460,38 @@ def test_wrongly_typed_entry_is_one_error_line(tmp_path, trained_once, capsys, e
     assert code in (0, 2)
     if code == 2:
         assert err.count("\n") == 1 and err.startswith(f"error: {edited}: "), err
+
+
+# ---------------------------------------------------------------------------
+# exit-code contract for out-of-range config values
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("command, pair", [
+    ("generate", "seed=-1"),
+    ("generate", "train_fraction=1.5"),
+    ("train", "embedding_dim=0"),
+    ("train", "hidden_dims=0"),
+    ("train", "init_std=-1"),
+    ("train", "final_activation=tanh"),
+    ("train", "centerline_norm_limit=-1"),
+    ("train", "eval_every=-1"),
+    ("train", "lr0=0"),
+    ("eval", "f1_cutoff=0"),
+    ("eval", "ndcg_cutoff=-3"),
+])
+def test_out_of_range_value_is_a_config_error(tmp_path, trained_once, capsys, command, pair):
+    # exit 1 with one "config error:" line naming the key, before any file
+    # or directory is written
+    csv_path, ckpt = trained_once
+    inputs = {
+        "generate": [],
+        "train": ["--dataset", str(csv_path)],
+        "eval": ["--checkpoint", str(ckpt), "--dataset", str(csv_path)],
+    }[command]
+    out = tmp_path / "out"
+    code = main([command, *inputs, "--out", str(out), *fast_args(pair)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.count("\n") == 1 and err.startswith("config error: ") and pair.split("=")[0] in err, err
+    assert not out.exists()

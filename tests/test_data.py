@@ -14,7 +14,7 @@ from cipbench.data import (
     split,
 )
 
-from oracles import generate_loop
+from oracles import generate_loop, split_tags_loop
 
 
 def small_spec(**kw):
@@ -201,6 +201,30 @@ def test_subset_partitions_dataset():
     test = ds.subset("test")
     assert train.num_views + test.num_views == ds.num_views
     assert set(np.unique(train.object_ids)).isdisjoint(np.unique(test.object_ids))
+    with pytest.raises(ValueError, match="no rows in split 'bogus'"):
+        ds.subset("bogus")
+
+
+def _split_kinds(tmp_path):
+    whole = split(generate(small_spec()), 0.5, seed=4)
+    save_dataset(whole, tmp_path / "dataset.csv")
+    return {
+        "split": whole,
+        "unsplit": generate(small_spec()),
+        "sidecar": load_dataset(tmp_path / "dataset.csv"),
+        "subset": whole.subset("train"),
+    }
+
+
+@pytest.mark.parametrize("kind", ["split", "unsplit", "sidecar", "subset"])
+def test_split_masks_match_the_per_row_lookup(tmp_path, kind):
+    ds = _split_kinds(tmp_path)[kind]
+    expected = np.array(split_tags_loop(ds), dtype=object)
+    tags = ds.view_split_tags()
+    assert tags.dtype == object and tags.tolist() == expected.tolist()
+    test = expected == "test"
+    np.testing.assert_array_equal(ds.test_mask(), test)
+    np.testing.assert_array_equal(ds.eval_mask(), test if test.any() else np.ones(ds.num_views, bool))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,8 @@ from cipbench.encoder import (
     backward_batch,
     forward_batch,
     init_params,
-    load_params,
-    save_params,
+    params_from_dict,
+    params_to_dict,
 )
 
 from oracles import central_diff, rel_err
@@ -204,11 +206,9 @@ def test_init_params_seeded_and_scaled():
     assert 0.005 < flat.std() < 0.02
 
 
-def test_params_round_trip(tmp_path):
+def test_params_round_trip():
     params = init_params(MlpSpec.from_dims((4, 6, 3), final="relu"), rng=9, std=0.3)
-    path = tmp_path / "encoder.json"
-    save_params(params, path)
-    loaded = load_params(path)
+    loaded = params_from_dict(json.loads(json.dumps(params_to_dict(params))))
     assert loaded.spec == params.spec
     for wa, wb in zip(params.weights, loaded.weights):
         np.testing.assert_array_equal(wa, wb)
@@ -216,14 +216,8 @@ def test_params_round_trip(tmp_path):
         np.testing.assert_array_equal(ba, bb)
 
 
-def test_params_version_check(tmp_path):
-    params = init_params(MlpSpec.from_dims((2, 2)), rng=0)
-    path = tmp_path / "encoder.json"
-    save_params(params, path)
-    import json
-
-    doc = json.loads(path.read_text())
+def test_params_version_check():
+    doc = params_to_dict(init_params(MlpSpec.from_dims((2, 2)), rng=0))
     doc["format_version"] = 99
-    path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="format version"):
-        load_params(path)
+        params_from_dict(doc)

@@ -586,14 +586,3 @@ def test_loss_report_batch_variant_matches_per_sample():
     expected = np.stack([1.5 * ortho_batch_grad_feature(b.features, b.labels, i) for i in range(m)])
     np.testing.assert_allclose(report.feature_grads, expected, atol=1e-12)
     np.testing.assert_array_equal(report.center_grads, np.zeros((k, n)))
-
-
-def test_loss_report_jsonable():
-    b = batch_of([[1.0, 0.0]], [1])
-    bank = bank_of([[1, 0], [0, 1]])
-    report = loss_report(b, bank, LossConfig())
-    doc = report.to_jsonable()
-    assert set(doc) >= {"total", "per_term", "feature_grads", "center_grads"}
-    import json
-
-    json.dumps(doc)  # must serialize cleanly
