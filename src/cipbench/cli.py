@@ -12,7 +12,6 @@ from that file and its seed alone.  ``eval``, ``sweep`` and the trainer's
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from pathlib import Path
 
@@ -20,7 +19,7 @@ import numpy as np
 
 from . import encoder as enc
 from .config import ConfigError, RunConfig, config_help_lines
-from .data import generate, load_dataset, save_dataset, split
+from .data import generate, load_dataset, save_dataset, split, write_csv
 from .retrieval import evaluate_run, geometry_report, pool_descriptors, rank
 from .trainer import (
     DivergenceError,
@@ -126,6 +125,14 @@ def _require_file(path_text: str, what: str) -> Path:
     return path
 
 
+def _generate_split(cfg: RunConfig):
+    """The configured synthetic dataset with its stratified split."""
+    spec = cfg.synthetic_spec()
+    if spec.objects_per_class < 2:
+        raise ConfigError(f"objects_per_class must be at least 2 to split, got {spec.objects_per_class}")
+    return split(generate(spec), cfg.train_fraction, cfg.seed)
+
+
 def _load_split_dataset(path_text: str, cfg: RunConfig):
     dataset = load_dataset(_require_file(path_text, "dataset"))
     if dataset.split is None:
@@ -152,11 +159,8 @@ def _check_agreement(args, checkpoint, dataset, classes: bool = False) -> None:
 
 def cmd_generate(args) -> int:
     cfg = _resolve(args)
-    spec = cfg.synthetic_spec()
+    dataset = _generate_split(cfg)
     out = _outdir(args, cfg)
-    dataset = generate(spec)
-    if cfg.num_classes >= 1 and cfg.objects_per_class >= 2:
-        dataset = split(dataset, cfg.train_fraction, cfg.seed)
     save_dataset(dataset, out / "dataset.csv")
     cfg.save(out / "config.used.cfg")
     print(f"wrote {dataset.num_views} view rows to {out / 'dataset.csv'}")
@@ -218,11 +222,8 @@ def cmd_export(args) -> int:
     oids, labels = dataset.object_ids, dataset.labels
     if args.pooled:
         feats, labels, oids = pool_descriptors(feats, oids, labels)
-    with open(out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["object_id", "label"] + [f"e{i}" for i in range(feats.shape[1])])
-        for oid, label, row in zip(oids, labels, feats):
-            writer.writerow([oid, label] + [format(v, ".17g") for v in row])
+    write_csv(out, ["object_id", "label", *(f"e{i}" for i in range(feats.shape[1]))],
+              ([o, k, *row.tolist()] for o, k, row in zip(oids.tolist(), labels.tolist(), feats)))
     cfg.save(out.with_suffix(out.suffix + ".cfg"))
     print(f"wrote {len(oids)} embedding rows to {out}")
     return EXIT_OK
@@ -250,10 +251,7 @@ def cmd_sweep(args) -> int:
                             "centerline_collapse_cosine": 2.0}).train_config())
         for d in ds for lam in lambdas
     ]
-    if args.dataset:
-        dataset = _load_split_dataset(args.dataset, cfg)
-    else:
-        dataset = split(generate(cfg.synthetic_spec()), cfg.train_fraction, cfg.seed)
+    dataset = _load_split_dataset(args.dataset, cfg) if args.dataset else _generate_split(cfg)
     out = _outdir(args, cfg)
     cfg.save(out / "config.used.cfg")
 
@@ -269,11 +267,8 @@ def cmd_sweep(args) -> int:
             print(f"lambda={lam} d={d}: diverged ({e.signal})", file=sys.stderr)
         rows.append((lam, d, converged, final_total, map_value))
 
-    with open(out / "sweep.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["lambda", "d", "converged", "final_total", "map"])
-        for lam, d, converged, final_total, map_value in rows:
-            writer.writerow([lam, d, int(converged), f"{final_total:.10g}", f"{map_value:.10g}"])
+    write_csv(out / "sweep.csv", ["lambda", "d", "converged", "final_total", "map"],
+              ([lam, d, int(ok), total, m] for lam, d, ok, total, m in rows))
 
     for d in ds:
         maps = [m for lam_, d_, ok, _, m in rows if d_ == d and ok and np.isfinite(m)]

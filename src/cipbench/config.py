@@ -24,6 +24,7 @@ from typing import get_type_hints
 from .data import SyntheticSpec
 from .losses import LossConfig
 from .trainer import TrainConfig
+from .vectors import KEY_OF_FIELD
 
 __all__ = ["ConfigError", "DEFAULTS", "RunConfig", "config_help_lines"]
 
@@ -47,16 +48,13 @@ def _auto(parse):
 _PARSERS = {int: int, float: float, str: str, tuple[int, ...]: _parse_int_tuple,
             float | None: _auto(float)}
 
-# field name -> config key where they differ (``lambda`` is a Python keyword)
-_KEY_OF_FIELD = {"lam": "lambda"}
-
 # fields no key sets directly: the ``loss`` key names the terms to enable
 _SET_BY_LOSS_NAME = {"loss", "use_cluster", "use_ortho", "use_softmax", "use_center"}
 
 
 def _keyed_fields(cls):
     """(config key, field) for every field of ``cls`` that a key sets."""
-    return [(_KEY_OF_FIELD.get(f.name, f.name), f) for f in fields(cls)
+    return [(KEY_OF_FIELD.get(f.name, f.name), f) for f in fields(cls)
             if f.name not in _SET_BY_LOSS_NAME]
 
 
@@ -98,7 +96,7 @@ class RunConfig:
 
     def __getattr__(self, name):
         try:
-            return self.values[_KEY_OF_FIELD.get(name, name)]
+            return self.values[KEY_OF_FIELD.get(name, name)]
         except KeyError:
             raise AttributeError(name) from None
 

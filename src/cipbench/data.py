@@ -16,7 +16,9 @@ from typing import get_type_hints
 
 import numpy as np
 
-__all__ = ["Dataset", "SyntheticSpec", "generate", "load_dataset", "save_dataset", "split"]
+from .vectors import check_fields
+
+__all__ = ["Dataset", "SyntheticSpec", "generate", "load_dataset", "save_dataset", "split", "write_csv"]
 
 DATASET_FORMAT_VERSION = 1
 
@@ -46,17 +48,20 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        counts = (self.num_classes, self.objects_per_class, self.views_per_object, self.input_dim)
-        if any(c < 1 for c in counts):
-            raise ValueError(f"all counts must be >= 1, got {counts}")
-        if self.object_noise_std < 0 or self.view_noise_std < 0:
-            raise ValueError("noise stds must be non-negative")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if self.prototype_scheme not in ("orthonormal", "antipodal"):
-            raise ValueError(f"unknown prototype scheme {self.prototype_scheme!r}")
-        if self.prototype_scheme == "antipodal" and (self.num_classes + 1) // 2 > self.input_dim:
-            raise ValueError("antipodal scheme needs ceil(K/2) <= input_dim")
+        k, d = self.num_classes, self.input_dim
+        check_fields(self, (
+            ("num_classes", k >= 1, "positive"),
+            ("objects_per_class", self.objects_per_class >= 1, "positive"),
+            ("views_per_object", self.views_per_object >= 1, "positive"),
+            ("input_dim", d >= 1, "positive"),
+            ("object_noise_std", self.object_noise_std >= 0, "non-negative"),
+            ("view_noise_std", self.view_noise_std >= 0, "non-negative"),
+            ("prototype_scheme", self.prototype_scheme in ("orthonormal", "antipodal"),
+             "orthonormal or antipodal"),
+            ("seed", self.seed >= 0, "non-negative"),
+            ("input_dim", self.prototype_scheme != "antipodal" or (k + 1) // 2 <= d,
+             "at least ceil(num_classes / 2) for the antipodal scheme"),
+        ))
 
 
 @dataclass
@@ -229,18 +234,24 @@ def _sidecar_path(csv_path: Path) -> Path:
     return csv_path.with_suffix(".json")
 
 
+def write_csv(path, header, rows) -> None:
+    """The package's one CSV writer: each cell is ``str()`` of a Python value
+    (for a float, the shortest text that reads back with the same bits, as in
+    ``json.dumps``), lines end in ``\\n``, and ``rows`` streams one row at a
+    time (pass ``ndarray.tolist()`` rows)."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(map(str, row)) + "\n")
+
+
 def save_dataset(dataset: Dataset, csv_path) -> None:
     """Write the view CSV and its JSON sidecar (spec + split)."""
     csv_path = Path(csv_path)
     d = dataset.input_dim
-    header = "object_id,label,view_index," + ",".join(f"x{i}" for i in range(d))
-    lines = [header]
-    for i in range(dataset.num_views):
-        coords = ",".join(format(x, ".17g") for x in dataset.inputs[i])
-        lines.append(
-            f"{dataset.object_ids[i]},{dataset.labels[i]},{dataset.view_index[i]},{coords}"
-        )
-    csv_path.write_text("\n".join(lines) + "\n")
+    columns = (dataset.object_ids.tolist(), dataset.labels.tolist(), dataset.view_index.tolist())
+    write_csv(csv_path, ["object_id", "label", "view_index", *(f"x{i}" for i in range(d))],
+              ([o, k, v, *x.tolist()] for o, k, v, x in zip(*columns, dataset.inputs)))
     sidecar = {
         "format_version": DATASET_FORMAT_VERSION,
         "input_dim": d,

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .vectors import as_vector
+from .vectors import as_vector, check_fields
 
 __all__ = [
     "CenterlineBank",
@@ -149,12 +149,13 @@ class LossConfig:
     use_center: bool = False
 
     def __post_init__(self):
-        if self.d <= 0:
-            raise ValueError(f"d must be > 0, got {self.d}")
-        if self.lam < 0 or self.softmax_weight < 0 or self.center_weight < 0:
-            raise ValueError("term weights must be non-negative")
-        if self.ortho_variant not in ORTHO_VARIANTS:
-            raise ValueError(f"ortho_variant must be one of {ORTHO_VARIANTS}")
+        check_fields(self, (
+            ("lam", self.lam >= 0, "non-negative"),
+            ("d", self.d > 0, "positive"),
+            ("softmax_weight", self.softmax_weight >= 0, "non-negative"),
+            ("center_weight", self.center_weight >= 0, "non-negative"),
+            ("ortho_variant", self.ortho_variant in ORTHO_VARIANTS, f"one of {ORTHO_VARIANTS}"),
+        ))
         if not (self.use_cluster or self.use_ortho or self.use_softmax or self.use_center):
             raise ValueError("at least one loss term must be enabled")
 
@@ -330,18 +331,13 @@ def center_loss(batch: LabeledBatch, bank: CenterlineBank):
     raw sum.
     """
     _check_batch_bank(batch, bank)
-    own = bank.centers[batch.labels - 1]
-    diff = batch.features - own
+    labels0 = batch.labels - 1
+    diff = batch.features - bank.centers[labels0]
     loss = 0.5 * float(np.sum(diff * diff))
-    feature_grads = diff.copy()
     center_grads = np.zeros_like(bank.centers)
-    for k in range(1, bank.num_classes + 1):
-        members = batch.labels == k
-        count = int(members.sum())
-        if count:
-            resid = bank.centers[k - 1] - batch.features[members]
-            center_grads[k - 1] = resid.sum(axis=0) / (1.0 + count)
-    return loss, (feature_grads, center_grads)
+    np.add.at(center_grads, labels0, -diff)
+    center_grads /= (1.0 + np.bincount(labels0, minlength=bank.num_classes))[:, None]
+    return loss, (diff, center_grads)
 
 
 def normalized_weight_gradient(w, f) -> np.ndarray:

@@ -19,7 +19,6 @@ relevant items in the (queries x gallery) relevance matrix.
 
 from __future__ import annotations
 
-import csv
 import json
 import warnings
 from dataclasses import asdict, dataclass, field
@@ -27,6 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .data import write_csv
 from .losses import CenterlineBank
 
 # No library code calls ``mean_pool`` any more: ``pool_descriptors`` pools
@@ -349,16 +349,10 @@ class EvalSummary:
 
     def save_csv(self, path) -> None:
         """One row per aggregation mode, for spreadsheet-style consumers."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["aggregation", "map", "pr_auc", "f1", "ndcg",
-                             "total_queries", "skipped_queries"])
-            for report in (self.micro, self.macro):
-                writer.writerow([
-                    report.aggregation,
-                    *(format(v, ".10g") for v in (report.map, report.pr_auc, report.f1, report.ndcg)),
-                    self.total_queries, self.skipped_queries,
-                ])
+        write_csv(path, ["aggregation", "map", "pr_auc", "f1", "ndcg", "total_queries",
+                         "skipped_queries"],
+                  ([r.aggregation, r.map, r.pr_auc, r.f1, r.ndcg, self.total_queries,
+                    self.skipped_queries] for r in (self.micro, self.macro)))
 
 
 def evaluate_run(
@@ -429,11 +423,8 @@ class GeometryReport:
     def save_cosine_csv(self, path) -> None:
         """K x K centerline cosine matrix as CSV for external plotting."""
         k = self.centerline_cosines.shape[0]
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["class"] + [str(i) for i in range(1, k + 1)])
-            for i in range(k):
-                writer.writerow([str(i + 1)] + [format(v, ".10g") for v in self.centerline_cosines[i]])
+        write_csv(path, ["class", *(str(i) for i in range(1, k + 1))],
+                  ([i, *row] for i, row in enumerate(self.centerline_cosines.tolist(), start=1)))
 
 
 def _safe_unit(v: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import encoder as enc
-from .data import Dataset
+from .data import Dataset, write_csv
 from .losses import (
     CenterlineBank,
     LabeledBatch,
@@ -28,7 +28,7 @@ from .losses import (
     loss_report,
 )
 from .retrieval import evaluate_run, pool_descriptors, rank
-from .vectors import as_floats
+from .vectors import as_floats, check_fields
 
 __all__ = [
     "Checkpoint",
@@ -99,7 +99,7 @@ class TrainConfig:
 
     def __post_init__(self):
         self.hidden_dims = tuple(int(h) for h in self.hidden_dims)
-        rules = (
+        check_fields(self, (
             ("batch_size", self.batch_size >= 1, "positive"),
             ("epochs", self.epochs >= 1, "positive"),
             ("lr0", self.lr0 > 0, "positive"),
@@ -117,10 +117,7 @@ class TrainConfig:
             ("init_std", self.init_std >= 0, "non-negative"),
             ("centerline_norm_limit", self.centerline_norm_limit > 0, "positive"),
             ("eval_every", self.eval_every >= 0, "non-negative"),
-        )
-        for name, ok, rule in rules:
-            if not ok:
-                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
+        ))
 
 
 def lr_at(epoch: int, cfg: TrainConfig) -> float:
@@ -190,13 +187,15 @@ def iterate_batches(n: int, batch_size: int, rng) -> list[np.ndarray]:
     return [perm[i : i + batch_size] for i in range(0, n, batch_size)]
 
 
-def _detect_divergence(params: enc.MlpParams, centers: np.ndarray, epoch: int,
+def _detect_divergence(theta: np.ndarray, centers: np.ndarray, epoch: int,
                        cfg: TrainConfig, init_norm: float) -> tuple[str, str] | None:
-    """Epoch-end health check on the centerline bank.
+    """Epoch-end health check on the flat trainable buffer ``theta`` and its
+    centerline view ``centers``.
 
     Signals (each threshold is a config field):
 
-    * ``non_finite``       - NaN/Inf anywhere in parameters or centerlines;
+    * ``non_finite``       - NaN/Inf anywhere in ``theta``: encoder weights
+      and biases, classifier head, centerlines;
     * ``centerline_blowup`` - a centerline norm exceeded the hard limit;
     * ``centerline_collapse`` - the bank grew but its directions merged onto
       one line (max pairwise cosine above the collapse threshold); this is
@@ -205,7 +204,7 @@ def _detect_divergence(params: enc.MlpParams, centers: np.ndarray, epoch: int,
       grew beyond its initialization scale: nothing maintains the
       centerlines, they are effectively abandoned.
     """
-    if not np.isfinite(centers).all() or any(not np.isfinite(w).all() for w in params.weights):
+    if not np.isfinite(theta).all():
         return "non_finite", "non-finite parameter values"
     norms = np.linalg.norm(centers, axis=1)
     if norms.max() > cfg.centerline_norm_limit:
@@ -326,7 +325,7 @@ def train(dataset: Dataset, cfg: TrainConfig) -> TrainResult:
             row["map"] = evaluate_map(params, dataset)
         history.append(row)
 
-        verdict = _detect_divergence(params, bank.centers, epoch, cfg, init_norm)
+        verdict = _detect_divergence(theta, bank.centers, epoch, cfg, init_norm)
         if verdict is not None:
             signal, detail = verdict
             raise DivergenceError(
@@ -423,11 +422,4 @@ def _checkpoint_from_dict(doc) -> Checkpoint:
 
 def history_to_csv(history: list[dict], path) -> None:
     """Write epoch history with stable columns (blank map when not evaluated)."""
-    lines = [",".join(HISTORY_FIELDS)]
-    for row in history:
-        cells = []
-        for name in HISTORY_FIELDS:
-            v = row.get(name, "")
-            cells.append(format(v, ".17g") if isinstance(v, float) else str(v))
-        lines.append(",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_csv(path, HISTORY_FIELDS, ([row.get(name, "") for name in HISTORY_FIELDS] for row in history))

@@ -15,8 +15,22 @@ __all__ = [
     "ShapeDescriptor",
     "as_floats",
     "as_vector",
+    "check_fields",
     "mean_pool",
 ]
+
+# config key of each settings field whose name differs (``lambda`` is a keyword)
+KEY_OF_FIELD = {"lam": "lambda"}
+
+
+def check_fields(owner, rules) -> None:
+    """Raise ``ValueError("<key> must be <rule>, got <value>")`` for the first
+    ``(field, ok, rule)`` of ``rules`` whose ``ok`` is false; the value is
+    that field of ``owner``."""
+    for name, ok, rule in rules:
+        if not ok:
+            raise ValueError(f"{KEY_OF_FIELD.get(name, name)} must be {rule}, "
+                             f"got {getattr(owner, name)!r}")
 
 
 def as_vector(x, name: str = "vector") -> np.ndarray:

@@ -8,8 +8,10 @@ import pytest
 from cipbench.cli import main
 from cipbench.config import DEFAULTS, RunConfig
 from cipbench.data import SyntheticSpec, load_dataset
+from cipbench.encoder import forward_batch
 from cipbench.losses import LossConfig
-from cipbench.trainer import TrainConfig
+from cipbench.retrieval import pool_descriptors
+from cipbench.trainer import TrainConfig, load_checkpoint
 
 # a tiny but trainable configuration so CLI tests stay fast
 FAST = [
@@ -25,6 +27,13 @@ def fast_args(*pairs):
     for p in (*FAST, *pairs):
         out += ["--set", p]
     return out
+
+
+def csv_cells(path):
+    """Rows of cells of a CSV the package wrote, whose lines end in \\n."""
+    data = path.read_bytes()
+    assert b"\r" not in data and data.endswith(b"\n")
+    return [line.split(",") for line in data.decode().split("\n")[:-1]]
 
 
 def run_generate(tmp_path, *pairs):
@@ -205,6 +214,26 @@ def test_eval_writes_metrics_and_geometry(tmp_path, trained):
     assert float(metrics_csv[1].split(",")[1]) == pytest.approx(doc["micro"]["map"], rel=1e-9)
 
 
+def test_eval_csv_cells_equal_the_json_values(tmp_path, trained):
+    # metrics.csv and geometry.csv carry the JSON files' values in the same
+    # shortest round-trip text, not rounded copies
+    csv_path, ckpt = trained
+    out = tmp_path / "eval"
+    assert main(["eval", "--checkpoint", str(ckpt), "--dataset", str(csv_path),
+                 "--out", str(out), *fast_args()]) == 0
+    doc = json.loads((out / "metrics.json").read_text())
+    header, *rows = csv_cells(out / "metrics.csv")
+    assert [row[0] for row in rows] == ["micro", "macro"]
+    for row in rows:
+        values = {**doc[row[0]], **doc}
+        assert row[1:] == [repr(values[key]) for key in header[1:]]
+    geo = json.loads((out / "geometry.json").read_text())
+    header, *rows = csv_cells(out / "geometry.csv")
+    assert header == ["class", "1", "2", "3", "4"]
+    assert rows == [[str(k), *map(repr, line)]
+                    for k, line in enumerate(geo["centerline_cosines"], start=1)]
+
+
 def test_eval_perfect_embedding_fixture(tmp_path):
     # zero noise, separable classes, identity encoder: retrieval must be exact
     out_d = tmp_path / "data"
@@ -326,6 +355,24 @@ def test_export_deterministic(tmp_path, trained):
     main(["export", "--checkpoint", str(ckpt), "--dataset", str(csv_path), "--out", str(a), *fast_args()])
     main(["export", "--checkpoint", str(ckpt), "--dataset", str(csv_path), "--out", str(b), *fast_args()])
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("pooled", [False, True])
+def test_export_reads_back_bit_exact(tmp_path, trained, pooled):
+    # every exported embedding value parses back to the encoder's bits
+    csv_path, ckpt = trained
+    out_file = tmp_path / "emb.csv"
+    assert main(["export", "--checkpoint", str(ckpt), "--dataset", str(csv_path),
+                 "--out", str(out_file), *(["--pooled"] if pooled else []), *fast_args()]) == 0
+    dataset = load_dataset(csv_path)
+    feats, _ = forward_batch(load_checkpoint(ckpt).params, dataset.inputs)
+    oids, labels = dataset.object_ids, dataset.labels
+    if pooled:
+        feats, labels, oids = pool_descriptors(feats, oids, labels)
+    _, *rows = csv_cells(out_file)
+    assert [int(row[0]) for row in rows] == oids.tolist()
+    assert [int(row[1]) for row in rows] == labels.tolist()
+    assert np.array([[float(c) for c in row[2:]] for row in rows]).tobytes() == feats.tobytes()
 
 
 def test_eval_paired_runs_cip_beats_softmax(tmp_path):
@@ -479,6 +526,15 @@ def test_wrongly_typed_entry_is_one_error_line(tmp_path, trained_once, capsys, e
     ("train", "lr0=0"),
     ("eval", "f1_cutoff=0"),
     ("eval", "ndcg_cutoff=-3"),
+    ("generate", "num_classes=0"),
+    ("generate", "views_per_object=0"),
+    ("generate", "object_noise_std=-1"),
+    ("generate", "prototype_scheme=x"),
+    ("generate", "objects_per_class=1"),
+    ("sweep", "objects_per_class=1"),
+    ("train", "lambda=-1"),
+    ("train", "softmax_weight=-1"),
+    ("train", "center_weight=-1"),
 ])
 def test_out_of_range_value_is_a_config_error(tmp_path, trained_once, capsys, command, pair):
     # exit 1 with one "config error:" line naming the key, before any file
@@ -488,6 +544,7 @@ def test_out_of_range_value_is_a_config_error(tmp_path, trained_once, capsys, co
         "generate": [],
         "train": ["--dataset", str(csv_path)],
         "eval": ["--checkpoint", str(ckpt), "--dataset", str(csv_path)],
+        "sweep": ["--lambdas", "1"],
     }[command]
     out = tmp_path / "out"
     code = main([command, *inputs, "--out", str(out), *fast_args(pair)])

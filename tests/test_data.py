@@ -78,7 +78,7 @@ def test_generate_bytes_equal_one_draw_per_view(kw):
 
 
 def test_generate_rejects_bad_spec():
-    with pytest.raises(ValueError, match="counts"):
+    with pytest.raises(ValueError, match="num_classes"):
         small_spec(num_classes=0)
     with pytest.raises(ValueError, match="noise"):
         small_spec(view_noise_std=-1.0)
@@ -243,6 +243,26 @@ def test_round_trip_exact(tmp_path):
     np.testing.assert_array_equal(loaded.view_index, ds.view_index)
     assert loaded.split == ds.split
     assert loaded.spec == ds.spec
+
+
+def test_round_trip_is_bit_exact(tmp_path):
+    # every float reads back with its own bits: -0.0, the smallest subnormal,
+    # the largest double, inexact decimals, and random finite bit patterns
+    special = [-0.0, 5e-324, 1.7976931348623157e308, 0.1, 1 / 3, 1e16, -5e-324, 2.0**-1022]
+    rng = np.random.default_rng(0)
+    random = rng.integers(0, np.iinfo(np.uint64).max, (63, 8), np.uint64, endpoint=True)
+    random = random.view(np.float64)
+    random[~np.isfinite(random)] = 1.0
+    inputs = np.vstack([special, random])
+    ids = np.arange(1, 65)
+    ds = Dataset(inputs, 1 + ids % 3, ids, np.ones(64, dtype=np.int64))
+    path = tmp_path / "dataset.csv"
+    save_dataset(ds, path)
+    assert b"\r" not in path.read_bytes()
+    loaded = load_dataset(path)
+    for name in ("inputs", "labels", "object_ids", "view_index"):
+        a, b = getattr(ds, name), getattr(loaded, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
 def test_save_is_byte_deterministic(tmp_path):

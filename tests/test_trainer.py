@@ -6,6 +6,9 @@ from cipbench.losses import CenterlineBank, LabeledBatch, LossConfig, loss_repor
 from cipbench.trainer import (
     DivergenceError,
     TrainConfig,
+    _bind_views,
+    _detect_divergence,
+    _flat,
     history_to_csv,
     iterate_batches,
     load_checkpoint,
@@ -273,6 +276,23 @@ def test_momentum_heavy_run_diverges():
         train(bench10(), cfg)
     assert err.value.signal in ("centerline_blowup", "non_finite")
     assert err.value.last_good is not None
+
+
+@pytest.mark.parametrize("tensor", ["encoder bias", "classifier weights", "classifier bias"])
+def test_non_finite_check_covers_every_trainable_value(tensor):
+    # the epoch-end check reads the whole flat buffer, so a NaN outside the
+    # encoder weights and centerlines trips non_finite too
+    cfg = quick_config(loss=LossConfig.from_name("cip+softmax"))
+    res = train(bench_dataset(), cfg)
+    theta = _flat(*res.params.weights, *res.params.biases, res.classifier.weights,
+                  res.classifier.bias, res.bank.centers)
+    params, bank, classifier = _bind_views(theta, res.params.spec, 4, softmax=True)
+    assert _detect_divergence(theta, bank.centers, 0, cfg, 1.0) is None
+    view = {"encoder bias": params.biases[0], "classifier weights": classifier.weights,
+            "classifier bias": classifier.bias}[tensor]
+    view.flat[0] = np.nan
+    signal, _ = _detect_divergence(theta, bank.centers, 0, cfg, 1.0)
+    assert signal == "non_finite"
 
 
 def test_healthy_cip_run_completes():
