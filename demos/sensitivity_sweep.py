@@ -6,19 +6,14 @@ of lambda; d=1 drifts much more, which is why 2 is the shipped default.
 Run:  python3 demos/sensitivity_sweep.py
 """
 
-import numpy as np
-
-from cipbench import encoder
 from cipbench.data import SyntheticSpec, generate, split
 from cipbench.losses import LossConfig
-from cipbench.retrieval import evaluate_run, pool_descriptors, rank
-from cipbench.trainer import DivergenceError, TrainConfig, train
+from cipbench.trainer import DivergenceError, TrainConfig, evaluate_map, train
 
 dataset = split(generate(SyntheticSpec(
     num_classes=10, objects_per_class=24, views_per_object=8, input_dim=24,
     class_separation=2.0, object_noise_std=0.7, view_noise_std=0.35, seed=0,
 )), 0.5, 0)
-test = dataset.subset("test")
 
 print(f"{'lambda':>8} {'d':>4} {'final loss':>12} {'MAP':>8}")
 for d in (2.0, 1.0):
@@ -34,9 +29,7 @@ for d in (2.0, 1.0):
         except DivergenceError as e:
             print(f"{lam:8.1f} {d:4.1f} {'diverged: ' + e.signal:>12}")
             continue
-        features, _ = encoder.forward_batch(result.params, test.inputs)
-        descs, labels, _ = pool_descriptors(features, test.object_ids, test.labels)
-        map_value = evaluate_run(rank(descs, labels)).micro.map
+        map_value = evaluate_map(result.params, dataset)
         maps.append(map_value)
         print(f"{lam:8.1f} {d:4.1f} {result.history[-1]['total']:12.3f} {map_value:8.4f}")
     if maps:

@@ -16,6 +16,7 @@ dataclasses check their own fields when built.  Either failure is a
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from functools import partial
 from pathlib import Path
@@ -40,13 +41,20 @@ def _parse_int_tuple(text: str) -> tuple[int, ...]:
     return tuple(int(p) for p in text.split(",") if p.strip())
 
 
+def _parse_finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
+
+
 def _auto(parse):
     return lambda text: None if text.strip() == "auto" else parse(text)
 
 
 # parser of each field annotation, applied to the raw string form
-_PARSERS = {int: int, float: float, str: str, tuple[int, ...]: _parse_int_tuple,
-            float | None: _auto(float)}
+_PARSERS = {int: int, float: _parse_finite, str: str, tuple[int, ...]: _parse_int_tuple,
+            float | None: _auto(_parse_finite)}
 
 # fields no key sets directly: the ``loss`` key names the terms to enable
 _SET_BY_LOSS_NAME = {"loss", "use_cluster", "use_ortho", "use_softmax", "use_center"}
@@ -68,7 +76,7 @@ def _field_defaults(cls) -> dict[str, tuple]:
 DEFAULTS: dict[str, tuple] = {
     "out_dir": ("runs/out", str),
     **_field_defaults(SyntheticSpec),
-    "train_fraction": (0.5, float),
+    "train_fraction": (0.5, _parse_finite),
     "loss": ("cip+softmax", str),
     **_field_defaults(LossConfig),
     **_field_defaults(TrainConfig),

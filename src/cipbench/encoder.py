@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .vectors import as_floats
-
 __all__ = [
     "MlpCache",
     "MlpGrads",
@@ -23,13 +21,9 @@ __all__ = [
     "backward_batch",
     "forward_batch",
     "init_params",
-    "params_from_dict",
-    "params_to_dict",
 ]
 
 ACTIVATIONS = ("relu", "identity")
-
-PARAMS_FORMAT_VERSION = 1
 
 
 def _act(name: str, z: np.ndarray) -> np.ndarray:
@@ -92,18 +86,6 @@ class MlpParams:
     spec: MlpSpec
     weights: list[np.ndarray]  # layer l: (dims[l+1], dims[l])
     biases: list[np.ndarray]  # layer l: (dims[l+1],)
-
-    def __post_init__(self):
-        expect = [
-            ((self.spec.layer_dims[l + 1], self.spec.layer_dims[l]), (self.spec.layer_dims[l + 1],))
-            for l in range(self.spec.num_layers)
-        ]
-        got = [(w.shape, b.shape) for w, b in zip(self.weights, self.biases)]
-        if len(self.weights) != self.spec.num_layers or got != expect:
-            raise ValueError(f"parameter shapes {got} do not match spec {expect}")
-        for arr in (*self.weights, *self.biases):
-            if not np.isfinite(arr).all():
-                raise ValueError("parameters contain non-finite values")
 
 
 @dataclass
@@ -179,45 +161,3 @@ def backward_batch(
         g = dz @ params.weights[l]
     return MlpGrads(weights, biases), g
 
-
-# ---------------------------------------------------------------------------
-# the checkpoint's ``encoder`` entry
-# ---------------------------------------------------------------------------
-
-
-def params_to_dict(params: MlpParams) -> dict:
-    """The JSON form of ``params`` that a checkpoint stores as its
-    ``encoder`` entry, versioned by ``PARAMS_FORMAT_VERSION``."""
-    return {
-        "format_version": PARAMS_FORMAT_VERSION,
-        "layer_dims": list(params.spec.layer_dims),
-        "hidden_activations": list(params.spec.hidden_activations),
-        "final_activation": params.spec.final_activation,
-        "weights": [w.tolist() for w in params.weights],
-        "biases": [b.tolist() for b in params.biases],
-    }
-
-
-def params_from_dict(d: dict) -> MlpParams:
-    """Rebuild parameters from ``params_to_dict`` output; a malformed entry
-    raises a one-line ValueError."""
-    if not isinstance(d, dict):
-        raise ValueError("encoder entry is not a JSON object")
-    version = d.get("format_version")
-    if version != PARAMS_FORMAT_VERSION:
-        raise ValueError(f"unsupported encoder format version: {version}")
-    for key in ("layer_dims", "hidden_activations", "final_activation", "weights", "biases"):
-        if key not in d:
-            raise ValueError(f"encoder has no {key!r} entry")
-        if key != "final_activation" and not isinstance(d[key], list):
-            raise ValueError(f"encoder {key!r} entry is not a list")
-    if not all(isinstance(n, int) for n in d["layer_dims"]):
-        raise ValueError("encoder 'layer_dims' entry is not a list of integers")
-    spec = MlpSpec(
-        tuple(d["layer_dims"]),
-        tuple(d["hidden_activations"]),
-        d["final_activation"],
-    )
-    weights = [as_floats(w, "encoder weights") for w in d["weights"]]
-    biases = [as_floats(b, "encoder biases") for b in d["biases"]]
-    return MlpParams(spec, weights, biases)

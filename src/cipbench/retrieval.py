@@ -70,7 +70,6 @@ class RetrievalRun:
 
     query_indices: np.ndarray  # (Q,) descriptor indices that served as queries
     query_labels: np.ndarray  # (Q,)
-    gallery_labels: np.ndarray  # (N,) labels of every descriptor
     rankings: np.ndarray  # (Q, Q - 1) int: gallery descriptor indices, best first
     relevance: np.ndarray  # (Q, Q - 1) bool: the ranked item carries the query label
     excluded: list[int] = field(default_factory=list)  # zero-norm descriptors
@@ -144,7 +143,6 @@ def rank(descriptors: np.ndarray, labels: np.ndarray) -> RetrievalRun:
     return RetrievalRun(
         query_indices=keep.copy(),
         query_labels=kept_labels,
-        gallery_labels=labels,
         rankings=order if keep.size == labels.size else keep[order],
         relevance=relevance,
         excluded=excluded,

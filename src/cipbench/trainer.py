@@ -46,7 +46,7 @@ __all__ = [
 
 CENTERLINE_INIT_STD = 0.01
 
-CHECKPOINT_FORMAT_VERSION = 2
+CHECKPOINT_FORMAT_VERSION = 3
 
 HISTORY_FIELDS = ("epoch", "lr", "cluster", "ortho", "softmax", "center", "total", "map")
 
@@ -145,9 +145,11 @@ def sgd_step(param: np.ndarray, velocity: np.ndarray, grad: np.ndarray,
 
 @dataclass
 class TrainResult:
-    """Trained state.  ``params``, ``classifier`` and ``bank`` are views of one
-    flat buffer (see ``_bind_views``); ``velocity`` is its momentum buffer."""
+    """Trained state.  ``theta`` holds every trainable value; ``params``,
+    ``classifier`` and ``bank`` are views of it (see ``_bind_views``) and
+    ``velocity`` is its momentum buffer, in the same layout."""
 
+    theta: np.ndarray
     params: enc.MlpParams
     bank: CenterlineBank
     classifier: LinearClassifier | None
@@ -160,16 +162,24 @@ def _flat(*tensors: np.ndarray) -> np.ndarray:
     return np.concatenate([t.ravel() for t in tensors])
 
 
-def _bind_views(theta: np.ndarray, spec: enc.MlpSpec, num_classes: int, softmax: bool):
-    """Split ``theta`` into reshaped views, in flat-buffer order: encoder
-    weights, encoder biases, classifier weights and bias (softmax only),
-    centerlines.  Returns ``(params, bank, classifier)``."""
+def _shapes(spec: enc.MlpSpec, num_classes: int, softmax: bool) -> list[tuple[int, ...]]:
+    """Tensor shapes in flat-buffer order: encoder weights, encoder biases,
+    classifier weights and bias (softmax only), centerlines."""
     dims = spec.layer_dims
     shapes = [(dims[l + 1], dims[l]) for l in range(spec.num_layers)]
     shapes += [(dims[l + 1],) for l in range(spec.num_layers)]
     if softmax:
         shapes += [(num_classes, spec.embedding_dim), (num_classes,)]
-    shapes.append((num_classes, spec.embedding_dim))
+    return shapes + [(num_classes, spec.embedding_dim)]
+
+
+def _bind_views(theta: np.ndarray, spec: enc.MlpSpec, num_classes: int, softmax: bool):
+    """Split ``theta``, of exactly the ``_shapes`` size, into reshaped views in
+    that order.  Returns ``(params, bank, classifier)``."""
+    shapes = _shapes(spec, num_classes, softmax)
+    count = sum(math.prod(shape) for shape in shapes)
+    if theta.shape != (count,):
+        raise ValueError(f"theta has shape {theta.shape}, the layout needs ({count},)")
     views, start = [], 0
     for shape in shapes:
         size = math.prod(shape)
@@ -265,21 +275,24 @@ def train(dataset: Dataset, cfg: TrainConfig) -> TrainResult:
         final=cfg.final_activation,
     )
     softmax = cfg.loss.use_softmax
-    init = enc.init_params(spec, rng, cfg.init_std)
-    bank0 = CenterlineBank.init_gaussian(num_classes, cfg.embedding_dim, CENTERLINE_INIT_STD, rng)
-    head = (np.zeros((num_classes, cfg.embedding_dim)), np.zeros(num_classes)) if softmax else ()
-    # every trainable value lives in theta; params/classifier/bank are views of it
-    theta = _flat(*init.weights, *init.biases, *head, bank0.centers)
+    # every trainable value lives in theta (classifier head starts at zero)
+    theta = np.zeros(sum(math.prod(shape) for shape in _shapes(spec, num_classes, softmax)))
     velocity = np.zeros_like(theta)
     params, bank, classifier = _bind_views(theta, spec, num_classes, softmax)
-    on_centers = np.arange(theta.size) >= theta.size - bank0.centers.size
+    init = enc.init_params(spec, rng, cfg.init_std)
+    for view, value in zip((*params.weights, *params.biases), (*init.weights, *init.biases)):
+        view[...] = value
+    bank.centers[...] = CenterlineBank.init_gaussian(
+        num_classes, cfg.embedding_dim, CENTERLINE_INIT_STD, rng).centers
+    on_centers = np.arange(theta.size) >= theta.size - bank.centers.size
     decay = np.where(on_centers, 0.0, cfg.weight_decay)
-    init_norm = float(np.linalg.norm(bank0.centers, axis=1).mean())
+    init_norm = float(np.linalg.norm(bank.centers, axis=1).mean())
     history: list[dict] = []
 
     def snapshot(epochs_run: int) -> TrainResult:
-        views = _bind_views(theta.copy(), spec, num_classes, softmax)
-        return TrainResult(*views, velocity.copy(), [dict(h) for h in history], epochs_run)
+        copy = theta.copy()
+        return TrainResult(copy, *_bind_views(copy, spec, num_classes, softmax), velocity.copy(),
+                           [dict(h) for h in history], epochs_run)
 
     last_good = snapshot(0)
 
@@ -343,27 +356,30 @@ def train(dataset: Dataset, cfg: TrainConfig) -> TrainResult:
 
 
 @dataclass
-class Checkpoint:
-    params: enc.MlpParams
-    bank: CenterlineBank
-    classifier: LinearClassifier | None
-    velocity: np.ndarray | None
+class Checkpoint(TrainResult):
+    """A checkpoint file's ``TrainResult`` (with an empty history) plus its ``meta``."""
+
     meta: dict
 
 
+# JSON type of every checkpoint entry after ``format_version``, in file order
+_CHECKPOINT_ENTRIES = {
+    "layer_dims": list, "hidden_activations": list, "final_activation": str,
+    "num_classes": int, "classifier": bool, "theta": list, "velocity": list, "meta": dict,
+}
+
+
 def save_checkpoint(result: TrainResult, path, meta: dict | None = None) -> None:
+    """Write the layout, then ``theta`` and ``velocity`` as flat lists."""
+    spec = result.params.spec
     doc = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
-        "encoder": enc.params_to_dict(result.params),
-        "centerlines": result.bank.centers.tolist(),
-        "classifier": (
-            {
-                "weights": result.classifier.weights.tolist(),
-                "bias": result.classifier.bias.tolist(),
-            }
-            if result.classifier is not None
-            else None
-        ),
+        "layer_dims": list(spec.layer_dims),
+        "hidden_activations": list(spec.hidden_activations),
+        "final_activation": spec.final_activation,
+        "num_classes": result.bank.num_classes,
+        "classifier": result.classifier is not None,
+        "theta": result.theta.tolist(),
         "velocity": result.velocity.tolist(),
         "meta": {"epochs_run": result.epochs_run, **(meta or {})},
     }
@@ -384,40 +400,23 @@ def _checkpoint_from_dict(doc) -> Checkpoint:
         raise ValueError("checkpoint is not a JSON object")
     if doc.get("format_version") != CHECKPOINT_FORMAT_VERSION:
         raise ValueError(f"unsupported checkpoint format version: {doc.get('format_version')}")
-    for key in ("encoder", "centerlines"):
+    for key, kind in _CHECKPOINT_ENTRIES.items():
         if key not in doc:
             raise ValueError(f"checkpoint has no {key!r} entry")
-    params = enc.params_from_dict(doc["encoder"])
-    bank = CenterlineBank(as_floats(doc["centerlines"], "centerlines"))
-    tensors = [*params.weights, *params.biases, bank.centers]
-    clf = None
-    head = doc.get("classifier")
-    if head is not None:
-        if not isinstance(head, dict) or not {"weights", "bias"} <= head.keys():
-            raise ValueError("classifier is not an object with 'weights' and 'bias' entries")
-        clf = LinearClassifier(
-            as_floats(head["weights"], "classifier weights"),
-            as_floats(head["bias"], "classifier bias"),
-        )
-        if clf.weights.shape != bank.centers.shape:
-            raise ValueError(
-                f"classifier shape {clf.weights.shape} does not match "
-                f"centerlines shape {bank.centers.shape}"
-            )
-        tensors += [clf.weights, clf.bias]
-    velocity = None
-    if doc.get("velocity") is not None:
-        velocity = as_floats(doc["velocity"], "velocity")
-        count = sum(t.size for t in tensors)
-        if velocity.shape != (count,):
-            raise ValueError(f"velocity has {velocity.size} values for {count} parameters")
-    return Checkpoint(
-        params=params,
-        bank=bank,
-        classifier=clf,
-        velocity=velocity,
-        meta=doc.get("meta", {}),
-    )
+        if not isinstance(doc[key], kind):
+            raise ValueError(f"checkpoint {key!r} entry is not of type {kind.__name__}")
+    if not all(isinstance(d, int) for d in doc["layer_dims"]):
+        raise ValueError("checkpoint 'layer_dims' entry is not a list of integers")
+    spec = enc.MlpSpec(tuple(doc["layer_dims"]), tuple(doc["hidden_activations"]),
+                       doc["final_activation"])
+    theta, velocity = (as_floats(doc[key], key) for key in ("theta", "velocity"))
+    if not np.isfinite(theta).all():
+        raise ValueError("theta contains non-finite values")
+    views = _bind_views(theta, spec, doc["num_classes"], doc["classifier"])
+    if velocity.shape != theta.shape:
+        raise ValueError(f"velocity has shape {velocity.shape}, theta has {theta.shape}")
+    meta = doc["meta"]
+    return Checkpoint(theta, *views, velocity, [], meta.get("epochs_run", 0), meta)
 
 
 def history_to_csv(history: list[dict], path) -> None:

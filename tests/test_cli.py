@@ -1,10 +1,15 @@
 import dataclasses
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cipbench
 from cipbench.cli import main
 from cipbench.config import DEFAULTS, RunConfig
 from cipbench.data import SyntheticSpec, load_dataset
@@ -54,6 +59,18 @@ def test_generate_writes_expected_rows(tmp_path):
     assert ds.num_views == 4 * 6 * 3
     assert ds.split is not None
     assert (tmp_path / "data" / "config.used.cfg").exists()
+
+
+def test_module_run_is_the_command_line(tmp_path):
+    # python -m cipbench.cli runs the same main as the cipbench script
+    env = {**os.environ, "PYTHONPATH": str(Path(cipbench.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "cipbench.cli", "generate", "--out", str(tmp_path),
+         "--set", "objects_per_class=2"],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "dataset.csv").is_file()
 
 
 def test_generate_invalid_class_count_exits_1(tmp_path, capsys):
@@ -152,8 +169,7 @@ def test_train_class_count_comes_from_the_data(tmp_path, num_classes):
     out = tmp_path / "run"
     sets = [x for p in FAST if not p.startswith("num_classes=") for x in ("--set", p)]
     assert main(["train", "--dataset", str(csv_path), "--out", str(out), *sets]) == 0
-    doc = json.loads((out / "checkpoint.json").read_text())
-    assert len(doc["centerlines"]) == num_classes
+    assert load_checkpoint(out / "checkpoint.json").bank.num_classes == num_classes
 
 
 def test_train_non_finite_csv_is_a_data_error(tmp_path, capsys):
@@ -240,16 +256,13 @@ def test_eval_perfect_embedding_fixture(tmp_path):
     code = main(["generate", "--out", str(out_d), *fast_args(
         "object_noise_std=0", "view_noise_std=0", "num_classes=3", "input_dim=3")])
     assert code == 0
-    from cipbench.encoder import MlpParams, MlpSpec, params_to_dict
-
     ckpt = tmp_path / "identity.json"
-    params = MlpParams(MlpSpec.from_dims((3, 3)), [np.eye(3)], [np.zeros(3)])
+    eye = np.eye(3).ravel().tolist()
     ckpt.write_text(json.dumps({
-        "format_version": 2,
-        "encoder": params_to_dict(params),
-        "centerlines": np.eye(3).tolist(),
-        "classifier": None,
-        "meta": {},
+        "format_version": 3, "layer_dims": [3, 3], "hidden_activations": [],
+        "final_activation": "identity", "num_classes": 3, "classifier": False,
+        # encoder weights, encoder biases, centerlines
+        "theta": [*eye, 0.0, 0.0, 0.0, *eye], "velocity": [0.0] * 21, "meta": {},
     }))
     out = tmp_path / "eval"
     code = main(["eval", "--checkpoint", str(ckpt), "--dataset", str(out_d / "dataset.csv"),
@@ -262,23 +275,34 @@ def test_eval_perfect_embedding_fixture(tmp_path):
 def test_eval_checkpoint_without_centerlines_exits_2(tmp_path, trained, capsys):
     csv_path, ckpt = trained
     doc = json.loads(ckpt.read_text())
-    del doc["centerlines"]
+    # the centerlines are the last 4 x 4 (num_classes x embedding_dim) values of theta
+    count = len(doc["theta"])
+    doc["theta"] = doc["theta"][:-16]
     ckpt.write_text(json.dumps(doc))
     code = main(["eval", "--checkpoint", str(ckpt), "--dataset", str(csv_path),
                  "--out", str(tmp_path / "e"), *fast_args()])
     assert code == 2
-    assert capsys.readouterr().err == f"error: {ckpt}: checkpoint has no 'centerlines' entry\n"
+    assert capsys.readouterr().err == (
+        f"error: {ckpt}: theta has shape ({count - 16},), the layout needs ({count},)\n"
+    )
 
 
 @pytest.mark.parametrize("case, message", [
-    ("no_layer_dims", "encoder has no 'layer_dims' entry"),
+    ("no_layer_dims", "checkpoint has no 'layer_dims' entry"),
     ("not_an_object", "checkpoint is not a JSON object"),
+    ("format_2", "unsupported checkpoint format version: 2"),
+    ("meta_not_an_object", "checkpoint 'meta' entry is not of type dict"),
 ])
 def test_eval_malformed_checkpoint_exits_2(tmp_path, trained, capsys, case, message):
     csv_path, ckpt = trained
     doc = json.loads(ckpt.read_text())
     if case == "no_layer_dims":
-        del doc["encoder"]["layer_dims"]
+        del doc["layer_dims"]
+    elif case == "format_2":
+        doc = {"format_version": 2, "encoder": {}, "centerlines": [], "classifier": None,
+               "velocity": [], "meta": {}}
+    elif case == "meta_not_an_object":
+        doc["meta"] = [1]
     else:
         doc = [1]
     ckpt.write_text(json.dumps(doc))
@@ -459,12 +483,9 @@ def test_help_lists_config_defaults(capsys):
 # ---------------------------------------------------------------------------
 
 WRONG_TYPES = [{}, [1], 5, "x", None]
-CHECKPOINT_ENTRIES = [
-    *(("checkpoint", key) for key in
-      ("format_version", "encoder", "centerlines", "classifier", "velocity", "meta")),
-    *(("checkpoint", "encoder", key) for key in
-      ("format_version", "layer_dims", "hidden_activations", "final_activation", "weights", "biases")),
-]
+CHECKPOINT_KEYS = ("format_version", "layer_dims", "hidden_activations", "final_activation",
+                   "num_classes", "classifier", "theta", "velocity", "meta")
+CHECKPOINT_ENTRIES = [("checkpoint", key) for key in CHECKPOINT_KEYS]
 SIDECAR_ENTRIES = [
     *(("sidecar", key) for key in ("format_version", "input_dim", "spec", "split")),
     *(("sidecar", "spec", f.name) for f in dataclasses.fields(SyntheticSpec)),
@@ -478,6 +499,11 @@ def trained_once(tmp_path_factory):
     out = root / "run"
     assert main(["train", "--dataset", str(csv_path), "--out", str(out), *fast_args()]) == 0
     return csv_path, out / "checkpoint.json"
+
+
+def test_checkpoint_entries_are_every_key(trained_once):
+    _, ckpt = trained_once
+    assert tuple(json.loads(ckpt.read_text())) == CHECKPOINT_KEYS
 
 
 @pytest.mark.parametrize("entry", CHECKPOINT_ENTRIES + SIDECAR_ENTRIES, ids="/".join)
@@ -535,6 +561,10 @@ def test_wrongly_typed_entry_is_one_error_line(tmp_path, trained_once, capsys, e
     ("train", "lambda=-1"),
     ("train", "softmax_weight=-1"),
     ("train", "center_weight=-1"),
+    ("generate", "class_separation=nan"),
+    ("generate", "view_noise_std=inf"),
+    ("train", "lr0=inf"),
+    ("train", "weight_decay=inf"),
 ])
 def test_out_of_range_value_is_a_config_error(tmp_path, trained_once, capsys, command, pair):
     # exit 1 with one "config error:" line naming the key, before any file

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -9,8 +7,6 @@ from cipbench.encoder import (
     backward_batch,
     forward_batch,
     init_params,
-    params_from_dict,
-    params_to_dict,
 )
 
 from oracles import central_diff, rel_err
@@ -191,7 +187,7 @@ def test_backward_grad_shape_mismatch_rejected():
 
 
 # ---------------------------------------------------------------------------
-# init and checkpointing
+# init
 # ---------------------------------------------------------------------------
 
 
@@ -204,20 +200,3 @@ def test_init_params_seeded_and_scaled():
     assert all(np.all(bv == 0) for bv in a.biases)
     flat = np.concatenate([w.ravel() for w in a.weights])
     assert 0.005 < flat.std() < 0.02
-
-
-def test_params_round_trip():
-    params = init_params(MlpSpec.from_dims((4, 6, 3), final="relu"), rng=9, std=0.3)
-    loaded = params_from_dict(json.loads(json.dumps(params_to_dict(params))))
-    assert loaded.spec == params.spec
-    for wa, wb in zip(params.weights, loaded.weights):
-        np.testing.assert_array_equal(wa, wb)
-    for ba, bb in zip(params.biases, loaded.biases):
-        np.testing.assert_array_equal(ba, bb)
-
-
-def test_params_version_check():
-    doc = params_to_dict(init_params(MlpSpec.from_dims((2, 2)), rng=0))
-    doc["format_version"] = 99
-    with pytest.raises(ValueError, match="format version"):
-        params_from_dict(doc)

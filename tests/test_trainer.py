@@ -312,6 +312,7 @@ def test_checkpoint_round_trip(tmp_path):
     path = tmp_path / "ckpt.json"
     save_checkpoint(res, path, meta={"seed": 0})
     loaded = load_checkpoint(path)
+    np.testing.assert_array_equal(res.theta, loaded.theta)
     for wa, wb in zip(res.params.weights, loaded.params.weights):
         np.testing.assert_array_equal(wa, wb)
     np.testing.assert_array_equal(res.bank.centers, loaded.bank.centers)
@@ -320,6 +321,14 @@ def test_checkpoint_round_trip(tmp_path):
     np.testing.assert_array_equal(res.velocity, loaded.velocity)
     assert loaded.meta["seed"] == 0
     assert loaded.meta["epochs_run"] == 4
+    # the loaded views share one buffer, as the trained ones do
+    tensors = (*loaded.params.weights, *loaded.params.biases, loaded.classifier.weights,
+               loaded.classifier.bias, loaded.bank.centers)
+    assert all(t.base is loaded.theta for t in tensors)
+    # saving what was loaded writes the same bytes
+    again = tmp_path / "again.json"
+    save_checkpoint(loaded, again, meta=loaded.meta)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_checkpoint_version_check(tmp_path):
@@ -330,10 +339,11 @@ def test_checkpoint_version_check(tmp_path):
     import json
 
     doc = json.loads(path.read_text())
-    doc["format_version"] = 42
-    path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match="format version"):
-        load_checkpoint(path)
+    for version in (42, 2):
+        doc["format_version"] = version
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"unsupported checkpoint format version: {version}"):
+            load_checkpoint(path)
 
 
 def test_checkpoint_views_share_one_buffer():
@@ -341,24 +351,31 @@ def test_checkpoint_views_share_one_buffer():
     tensors = (*res.params.weights, *res.params.biases, res.classifier.weights,
                res.classifier.bias, res.bank.centers)
     base = res.bank.centers.base
-    assert base is not None and all(t.base is base for t in tensors)
+    assert base is res.theta and all(t.base is base for t in tensors)
     assert base.size == res.velocity.size == sum(t.size for t in tensors)
 
 
 def _corrupt(doc, case):
-    if case in ("encoder", "centerlines"):
+    if case == "layer_dims":
         del doc[case]
-    elif case == "velocity":
-        doc["velocity"] = doc["velocity"][:-1]
+    elif case in ("theta", "velocity"):
+        doc[case] = doc[case][:-1]
+    elif case == "classifier":
+        doc["classifier"] = False
+    elif case == "non_finite":
+        doc["theta"][0] = float("nan")
     else:
-        doc["classifier"]["weights"] = [row[:-1] for row in doc["classifier"]["weights"]]
+        doc["meta"] = [1]
 
 
 @pytest.mark.parametrize("case, message", [
-    ("encoder", "no 'encoder' entry"),
-    ("centerlines", "no 'centerlines' entry"),
+    ("layer_dims", "no 'layer_dims' entry"),
+    ("theta", "theta has shape"),
     ("velocity", "velocity has"),
-    ("classifier", "classifier shape"),
+    # a classifier flag that disagrees with theta leaves values over
+    ("classifier", "theta has shape"),
+    ("non_finite", "theta contains non-finite values"),
+    ("meta", "'meta' entry is not of type dict"),
 ])
 def test_checkpoint_schema_check(tmp_path, case, message):
     import json

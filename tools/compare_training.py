@@ -4,7 +4,10 @@ Trains one grid of configurations with the ``cipbench`` package under each
 given ``src`` directory, each in its own interpreter, and compares the runs
 one by one: the bytes of the encoder, classifier and centerlines and the
 epoch history of a finished run; the signal, epoch, history and last
-healthy snapshot of a diverged one.  Exits 1 when any run differs.
+healthy snapshot of a diverged one.  Each finished run and each last
+healthy snapshot is also saved as a checkpoint and loaded back, and the
+loaded encoder, classifier, centerlines and velocity bytes are compared
+too.  Exits 1 when any run differs.
 
     python3 tools/compare_training.py OLD_CHECKOUT/src NEW_CHECKOUT/src
 
@@ -22,6 +25,8 @@ import hashlib
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 SEEDS = (0, 1, 2, 3)
 LOSSES = {
@@ -39,14 +44,20 @@ OPTIMIZERS = {
 }
 
 
-def _digest(result) -> str:
-    h = hashlib.sha256()
-    for arr in (*result.params.weights, *result.params.biases, result.bank.centers):
-        h.update(arr.tobytes())
-    if result.classifier is not None:
-        h.update(result.classifier.weights.tobytes())
-        h.update(result.classifier.bias.tobytes())
+def _tensor_bytes(state) -> bytes:
+    arrays = [*state.params.weights, *state.params.biases, state.bank.centers]
+    if state.classifier is not None:
+        arrays += [state.classifier.weights, state.classifier.bias]
+    return b"".join(arr.tobytes() for arr in arrays)
+
+
+def _digest(result, loaded) -> str:
+    """Hash of a run's tensors and history, then of the tensors and velocity
+    of ``loaded``, the run saved as a checkpoint and loaded back."""
+    h = hashlib.sha256(_tensor_bytes(result))
     h.update(repr(result.history).encode())
+    h.update(_tensor_bytes(loaded))
+    h.update(loaded.velocity.tobytes())
     return h.hexdigest()
 
 
@@ -54,25 +65,34 @@ def run_grid(src: str) -> dict:
     sys.path.insert(0, src)
     from cipbench.data import SyntheticSpec, generate, split
     from cipbench.losses import LossConfig
-    from cipbench.trainer import DivergenceError, TrainConfig, train
+    from cipbench.trainer import (
+        DivergenceError, TrainConfig, load_checkpoint, save_checkpoint, train,
+    )
 
     runs = {}
-    for seed in SEEDS:
-        spec = SyntheticSpec(num_classes=10, objects_per_class=24, views_per_object=8,
-                             input_dim=24, class_separation=2.0, object_noise_std=0.7,
-                             view_noise_std=0.35, seed=seed)
-        dataset = split(generate(spec), 0.5, seed)
-        for loss, loss_kw in LOSSES.items():
-            for opt, opt_kw in OPTIMIZERS.items():
-                cfg = TrainConfig(batch_size=50, epochs=30, seed=seed, hidden_dims=(32,),
-                                  embedding_dim=16, init_std=0.3,
-                                  loss=LossConfig.from_name(loss, **loss_kw), **opt_kw)
-                try:
-                    outcome = {"outcome": "trained", "result": _digest(train(dataset, cfg))}
-                except DivergenceError as e:
-                    outcome = {"outcome": e.signal, "epoch": e.epoch, "message": str(e),
-                               "history": repr(e.history), "last_good": _digest(e.last_good)}
-                runs[f"seed={seed} loss={loss} {opt}"] = outcome
+    with tempfile.TemporaryDirectory() as work:
+        path = Path(work) / "checkpoint.json"
+
+        def digest(result) -> str:
+            save_checkpoint(result, path)
+            return _digest(result, load_checkpoint(path))
+
+        for seed in SEEDS:
+            spec = SyntheticSpec(num_classes=10, objects_per_class=24, views_per_object=8,
+                                 input_dim=24, class_separation=2.0, object_noise_std=0.7,
+                                 view_noise_std=0.35, seed=seed)
+            dataset = split(generate(spec), 0.5, seed)
+            for loss, loss_kw in LOSSES.items():
+                for opt, opt_kw in OPTIMIZERS.items():
+                    cfg = TrainConfig(batch_size=50, epochs=30, seed=seed, hidden_dims=(32,),
+                                      embedding_dim=16, init_std=0.3,
+                                      loss=LossConfig.from_name(loss, **loss_kw), **opt_kw)
+                    try:
+                        outcome = {"outcome": "trained", "result": digest(train(dataset, cfg))}
+                    except DivergenceError as e:
+                        outcome = {"outcome": e.signal, "epoch": e.epoch, "message": str(e),
+                                   "history": repr(e.history), "last_good": digest(e.last_good)}
+                    runs[f"seed={seed} loss={loss} {opt}"] = outcome
     return runs
 
 
