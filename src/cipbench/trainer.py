@@ -362,11 +362,10 @@ class Checkpoint(TrainResult):
     meta: dict
 
 
-# JSON type of every checkpoint entry after ``format_version``, in file order
-_CHECKPOINT_ENTRIES = {
-    "layer_dims": list, "hidden_activations": list, "final_activation": str,
-    "num_classes": int, "classifier": bool, "theta": list, "velocity": list, "meta": dict,
-}
+# JSON type of each entry after ``format_version`` and of each ``encoder`` entry, in file order
+_CHECKPOINT_ENTRIES = {"encoder": dict, "num_classes": int, "classifier": bool,
+                       "theta": list, "velocity": list, "meta": dict}
+_ENCODER_ENTRIES = {"layer_dims": list, "hidden_activations": list, "final_activation": str}
 
 
 def save_checkpoint(result: TrainResult, path, meta: dict | None = None) -> None:
@@ -374,9 +373,9 @@ def save_checkpoint(result: TrainResult, path, meta: dict | None = None) -> None
     spec = result.params.spec
     doc = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
-        "layer_dims": list(spec.layer_dims),
-        "hidden_activations": list(spec.hidden_activations),
-        "final_activation": spec.final_activation,
+        "encoder": {"layer_dims": list(spec.layer_dims),
+                    "hidden_activations": list(spec.hidden_activations),
+                    "final_activation": spec.final_activation},
         "num_classes": result.bank.num_classes,
         "classifier": result.classifier is not None,
         "theta": result.theta.tolist(),
@@ -400,23 +399,25 @@ def _checkpoint_from_dict(doc) -> Checkpoint:
         raise ValueError("checkpoint is not a JSON object")
     if doc.get("format_version") != CHECKPOINT_FORMAT_VERSION:
         raise ValueError(f"unsupported checkpoint format version: {doc.get('format_version')}")
-    for key, kind in _CHECKPOINT_ENTRIES.items():
-        if key not in doc:
-            raise ValueError(f"checkpoint has no {key!r} entry")
-        if not isinstance(doc[key], kind):
-            raise ValueError(f"checkpoint {key!r} entry is not of type {kind.__name__}")
-    if not all(isinstance(d, int) for d in doc["layer_dims"]):
-        raise ValueError("checkpoint 'layer_dims' entry is not a list of integers")
-    spec = enc.MlpSpec(tuple(doc["layer_dims"]), tuple(doc["hidden_activations"]),
-                       doc["final_activation"])
+    layout = doc.get("encoder")  # the "checkpoint" pass checks it is an object
+    for name, part, entries in (("checkpoint", doc, _CHECKPOINT_ENTRIES),
+                                ("encoder", layout, _ENCODER_ENTRIES)):
+        for key, kind in entries.items():
+            if key not in part:
+                raise ValueError(f"{name} has no {key!r} entry")
+            if not isinstance(part[key], kind):
+                raise ValueError(f"{name} {key!r} entry is not of type {kind.__name__}")
+    if not all(isinstance(d, int) for d in layout["layer_dims"]):
+        raise ValueError("encoder 'layer_dims' entry is not a list of integers")
+    spec = enc.MlpSpec(tuple(layout["layer_dims"]), tuple(layout["hidden_activations"]),
+                       layout["final_activation"])
     theta, velocity = (as_floats(doc[key], key) for key in ("theta", "velocity"))
     if not np.isfinite(theta).all():
         raise ValueError("theta contains non-finite values")
     views = _bind_views(theta, spec, doc["num_classes"], doc["classifier"])
     if velocity.shape != theta.shape:
         raise ValueError(f"velocity has shape {velocity.shape}, theta has {theta.shape}")
-    meta = doc["meta"]
-    return Checkpoint(theta, *views, velocity, [], meta.get("epochs_run", 0), meta)
+    return Checkpoint(theta, *views, velocity, [], doc["meta"].get("epochs_run", 0), doc["meta"])
 
 
 def history_to_csv(history: list[dict], path) -> None:

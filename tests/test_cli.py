@@ -259,8 +259,9 @@ def test_eval_perfect_embedding_fixture(tmp_path):
     ckpt = tmp_path / "identity.json"
     eye = np.eye(3).ravel().tolist()
     ckpt.write_text(json.dumps({
-        "format_version": 3, "layer_dims": [3, 3], "hidden_activations": [],
-        "final_activation": "identity", "num_classes": 3, "classifier": False,
+        "format_version": 3,
+        "encoder": {"layer_dims": [3, 3], "hidden_activations": [], "final_activation": "identity"},
+        "num_classes": 3, "classifier": False,
         # encoder weights, encoder biases, centerlines
         "theta": [*eye, 0.0, 0.0, 0.0, *eye], "velocity": [0.0] * 21, "meta": {},
     }))
@@ -288,7 +289,7 @@ def test_eval_checkpoint_without_centerlines_exits_2(tmp_path, trained, capsys):
 
 
 @pytest.mark.parametrize("case, message", [
-    ("no_layer_dims", "checkpoint has no 'layer_dims' entry"),
+    ("no_layer_dims", "encoder has no 'layer_dims' entry"),
     ("not_an_object", "checkpoint is not a JSON object"),
     ("format_2", "unsupported checkpoint format version: 2"),
     ("meta_not_an_object", "checkpoint 'meta' entry is not of type dict"),
@@ -297,7 +298,7 @@ def test_eval_malformed_checkpoint_exits_2(tmp_path, trained, capsys, case, mess
     csv_path, ckpt = trained
     doc = json.loads(ckpt.read_text())
     if case == "no_layer_dims":
-        del doc["layer_dims"]
+        del doc["encoder"]["layer_dims"]
     elif case == "format_2":
         doc = {"format_version": 2, "encoder": {}, "centerlines": [], "classifier": None,
                "velocity": [], "meta": {}}
@@ -483,9 +484,13 @@ def test_help_lists_config_defaults(capsys):
 # ---------------------------------------------------------------------------
 
 WRONG_TYPES = [{}, [1], 5, "x", None]
-CHECKPOINT_KEYS = ("format_version", "layer_dims", "hidden_activations", "final_activation",
-                   "num_classes", "classifier", "theta", "velocity", "meta")
-CHECKPOINT_ENTRIES = [("checkpoint", key) for key in CHECKPOINT_KEYS]
+CHECKPOINT_KEYS = ("format_version", "encoder", "num_classes", "classifier", "theta", "velocity",
+                   "meta")
+ENCODER_KEYS = ("layer_dims", "hidden_activations", "final_activation")
+CHECKPOINT_ENTRIES = [
+    *(("checkpoint", key) for key in CHECKPOINT_KEYS),
+    *(("checkpoint", "encoder", key) for key in ENCODER_KEYS),
+]
 SIDECAR_ENTRIES = [
     *(("sidecar", key) for key in ("format_version", "input_dim", "spec", "split")),
     *(("sidecar", "spec", f.name) for f in dataclasses.fields(SyntheticSpec)),
@@ -503,7 +508,8 @@ def trained_once(tmp_path_factory):
 
 def test_checkpoint_entries_are_every_key(trained_once):
     _, ckpt = trained_once
-    assert tuple(json.loads(ckpt.read_text())) == CHECKPOINT_KEYS
+    doc = json.loads(ckpt.read_text())
+    assert tuple(doc) == CHECKPOINT_KEYS and tuple(doc["encoder"]) == ENCODER_KEYS
 
 
 @pytest.mark.parametrize("entry", CHECKPOINT_ENTRIES + SIDECAR_ENTRIES, ids="/".join)

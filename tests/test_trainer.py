@@ -356,8 +356,10 @@ def test_checkpoint_views_share_one_buffer():
 
 
 def _corrupt(doc, case):
-    if case == "layer_dims":
+    if case == "encoder":
         del doc[case]
+    elif case == "layer_dims":
+        del doc["encoder"][case]
     elif case in ("theta", "velocity"):
         doc[case] = doc[case][:-1]
     elif case == "classifier":
@@ -369,6 +371,7 @@ def _corrupt(doc, case):
 
 
 @pytest.mark.parametrize("case, message", [
+    ("encoder", "no 'encoder' entry"),
     ("layer_dims", "no 'layer_dims' entry"),
     ("theta", "theta has shape"),
     ("velocity", "velocity has"),
