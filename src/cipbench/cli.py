@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import encoder as enc
-from .config import ConfigError, RunConfig, config_help_lines
+from .config import ConfigError, RunConfig, config_help_lines, parse_value
 from .data import generate, load_dataset, save_dataset, split, write_csv
 from .retrieval import evaluate_run, geometry_report, pool_descriptors, rank
 from .trainer import (
@@ -46,6 +46,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
+        p.epilog, p.formatter_class = epilog, argparse.RawDescriptionHelpFormatter
         p.add_argument("--config", help="key = value config file")
         p.add_argument(
             "--set",
@@ -56,21 +57,11 @@ def _build_parser() -> argparse.ArgumentParser:
             help="override a config key (repeatable)",
         )
 
-    p = sub.add_parser(
-        "generate",
-        help="write a synthetic multi-view dataset (CSV + JSON sidecar)",
-        epilog=epilog,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
+    p = sub.add_parser("generate", help="write a synthetic multi-view dataset (CSV + JSON sidecar)")
     common(p)
     p.add_argument("--out", help="output directory (default: out_dir config key)")
 
-    p = sub.add_parser(
-        "train",
-        help="train on a dataset; writes checkpoint.json and history.csv",
-        epilog=epilog,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
+    p = sub.add_parser("train", help="train on a dataset; writes checkpoint.json and history.csv")
     common(p)
     p.add_argument("--dataset", required=True, help="dataset CSV path")
     p.add_argument("--out", help="output directory (default: out_dir config key)")
@@ -88,12 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output CSV file")
     p.add_argument("--pooled", action="store_true", help="one row per object instead of per view")
 
-    p = sub.add_parser(
-        "sweep",
-        help="train/eval a grid of (lambda, d) settings; writes sweep.csv",
-        epilog=epilog,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
+    p = sub.add_parser("sweep", help="train/eval a grid of (lambda, d) settings; writes sweep.csv")
     common(p)
     p.add_argument("--lambdas", required=True, help="comma list, e.g. 0.1,1,10")
     p.add_argument("--ds", default="2", help="comma list of d values")
@@ -171,6 +157,8 @@ def cmd_train(args) -> int:
     cfg = _resolve(args)
     train_cfg = cfg.train_config()
     dataset = _load_split_dataset(args.dataset, cfg)
+    if train_cfg.eval_every:
+        dataset.check_scorable(args.dataset)
     out = _outdir(args, cfg)
     cfg.save(out / "config.used.cfg")
     try:
@@ -193,6 +181,7 @@ def cmd_eval(args) -> int:
     checkpoint = load_checkpoint(_require_file(args.checkpoint, "checkpoint"))
     dataset = _load_split_dataset(args.dataset, cfg)
     _check_agreement(args, checkpoint, dataset, classes=True)
+    dataset.check_scorable(args.dataset)
     out = _outdir(args, cfg)
     cfg.save(out / "config.used.cfg")
     mask = dataset.eval_mask()
@@ -229,29 +218,25 @@ def cmd_export(args) -> int:
     return EXIT_OK
 
 
-def _parse_float_list(text: str, what: str) -> list[float]:
-    items = [p.strip() for p in text.split(",") if p.strip()]
-    if not items:
-        raise ConfigError(f"{what} list is empty")
-    try:
-        return [float(p) for p in items]
-    except ValueError as e:
-        raise ConfigError(f"bad {what} list: {e}") from None
+def _grid_values(text: str, key: str, flag: str) -> list:
+    """A sweep flag's comma list, each item parsed as ``--set key=item`` is but named ``flag``."""
+    values = [parse_value(key, item.strip(), flag) for item in text.split(",") if item.strip()]
+    if not values:
+        raise ConfigError(f"{flag}: the {key} list is empty")
+    return values
 
 
 def cmd_sweep(args) -> int:
     cfg = _resolve(args)
-    lambdas = _parse_float_list(args.lambdas, "lambda")
-    ds = _parse_float_list(args.ds, "d")
+    lambdas = _grid_values(args.lambdas, "lambda", "--lambdas")
+    ds = _grid_values(args.ds, "d", "--ds")
     # sweep convergence means "finished with finite loss": keep the
     # non-finite and norm-limit guards but not the geometry-quality
     # collapse check, which extreme lambda/d corners legitimately fail
-    grid = [
-        (lam, d, RunConfig({**cfg.values, "loss": args.loss, "lambda": lam, "d": d,
-                            "centerline_collapse_cosine": 2.0}).train_config())
-        for d in ds for lam in lambdas
-    ]
+    point = cfg.replace(loss=args.loss, centerline_collapse_cosine=2.0)
+    grid = [(lam, d, point.replace(lam=lam, d=d).train_config()) for d in ds for lam in lambdas]
     dataset = _load_split_dataset(args.dataset, cfg) if args.dataset else _generate_split(cfg)
+    dataset.check_scorable(args.dataset or "the generated dataset")
     out = _outdir(args, cfg)
     cfg.save(out / "config.used.cfg")
 

@@ -23,11 +23,11 @@ from pathlib import Path
 from typing import get_type_hints
 
 from .data import SyntheticSpec
-from .losses import LossConfig
+from .losses import TERM_NAMES, LossConfig
 from .trainer import TrainConfig
 from .vectors import KEY_OF_FIELD
 
-__all__ = ["ConfigError", "DEFAULTS", "RunConfig", "config_help_lines"]
+__all__ = ["ConfigError", "DEFAULTS", "RunConfig", "config_help_lines", "parse_value"]
 
 
 class ConfigError(ValueError):
@@ -57,7 +57,7 @@ _PARSERS = {int: int, float: _parse_finite, str: str, tuple[int, ...]: _parse_in
             float | None: _auto(_parse_finite)}
 
 # fields no key sets directly: the ``loss`` key names the terms to enable
-_SET_BY_LOSS_NAME = {"loss", "use_cluster", "use_ortho", "use_softmax", "use_center"}
+_SET_BY_LOSS_NAME = {"loss", *(f"use_{term}" for term in TERM_NAMES)}
 
 
 def _keyed_fields(cls):
@@ -113,16 +113,20 @@ class RunConfig:
         values = {k: v for k, (v, _) in DEFAULTS.items()}
         if path is not None:
             for key, raw, lineno in _read_pairs(Path(path)):
-                values[key] = _coerce(key, raw, f"{path}:{lineno}")
+                values[key] = parse_value(key, raw, f"{path}:{lineno}")
         for item in overrides:
             if "=" not in item:
                 raise ConfigError(f"override {item!r} must look like key=value")
             key, raw = item.split("=", 1)
-            values[key.strip()] = _coerce(key.strip(), raw.strip(), "--set")
+            values[key.strip()] = parse_value(key.strip(), raw.strip(), "--set")
         for key, (ok, rule) in _RUN_KEY_RULES.items():
             if not ok(values[key]):
                 raise ConfigError(f"{key} must be {rule}, got {_format(values[key])}")
         return cls(values)
+
+    def replace(self, **changes) -> "RunConfig":
+        """A copy with ``changes`` (parsed values, by attribute name) in place."""
+        return RunConfig({**self.values, **{KEY_OF_FIELD.get(n, n): v for n, v in changes.items()}})
 
     # ---- builders -------------------------------------------------------
 
@@ -174,7 +178,8 @@ def _read_pairs(path: Path):
         yield key.strip(), raw.strip(), lineno
 
 
-def _coerce(key: str, raw: str, where: str):
+def parse_value(key: str, raw: str, where: str):
+    """``raw`` parsed as ``key``'s value; a ``ConfigError`` names ``where`` and ``key``."""
     if key not in DEFAULTS:
         raise ConfigError(f"{where}: unknown config key {key!r}")
     _, parser = DEFAULTS[key]

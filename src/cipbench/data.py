@@ -136,6 +136,15 @@ class Dataset:
         test = self.test_mask()
         return test if test.any() else np.ones(self.num_views, dtype=bool)
 
+    def check_scorable(self, name: str) -> None:
+        """Raise a ``ValueError`` that starts with ``name`` unless some class
+        has two objects among the ``eval_mask`` rows: without one, no
+        retrieval query has a relevant item, so nothing can be scored."""
+        mask = self.eval_mask()
+        _, first = np.unique(self.object_ids[mask], return_index=True)
+        if np.bincount(self.labels[mask][first]).max() < 2:
+            raise ValueError(f"{name}: no class has two objects among the evaluation rows")
+
     def view_split_tags(self) -> np.ndarray:
         """Per-row split tag; rows of unsplit datasets all count as train."""
         return np.array(["train", "test"], dtype=object)[self.test_mask().astype(np.intp)]

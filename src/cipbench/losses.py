@@ -47,6 +47,9 @@ __all__ = [
 
 ORTHO_VARIANTS = ("centerline", "batch")
 
+# the loss terms in ``loss_report``'s order (``LossConfig.use_<term>`` enables one)
+TERM_NAMES = ("cluster", "ortho", "softmax", "center")
+
 
 # ---------------------------------------------------------------------------
 # domain types
@@ -156,46 +159,22 @@ class LossConfig:
             ("center_weight", self.center_weight >= 0, "non-negative"),
             ("ortho_variant", self.ortho_variant in ORTHO_VARIANTS, f"one of {ORTHO_VARIANTS}"),
         ))
-        if not (self.use_cluster or self.use_ortho or self.use_softmax or self.use_center):
+        if not any(getattr(self, f"use_{term}") for term in TERM_NAMES):
             raise ValueError("at least one loss term must be enabled")
 
     @classmethod
     def from_name(cls, name: str, **overrides) -> "LossConfig":
-        """Build a config from a combination name like ``cip+softmax``.
-
-        Tokens: cip (= cluster+ortho), cluster, ortho, softmax, center.
-        """
-        flags = dict(use_cluster=False, use_ortho=False, use_softmax=False, use_center=False)
+        """Build a config from a combination name like ``cip+softmax``: each
+        ``+``-separated token (case and outer spaces ignored) is one of
+        ``TERM_NAMES`` or ``cip`` (cluster + ortho); ``overrides`` are fields."""
+        enabled = set()
         for token in name.lower().split("+"):
             token = token.strip()
-            if token == "cip":
-                flags["use_cluster"] = True
-                flags["use_ortho"] = True
-            elif token == "cluster":
-                flags["use_cluster"] = True
-            elif token == "ortho":
-                flags["use_ortho"] = True
-            elif token == "softmax":
-                flags["use_softmax"] = True
-            elif token == "center":
-                flags["use_center"] = True
-            else:
+            terms = ("cluster", "ortho") if token == "cip" else (token,)
+            if not set(terms) <= set(TERM_NAMES):
                 raise ValueError(f"unknown loss term {token!r} in combination {name!r}")
-        flags.update(overrides)
-        return cls(**flags)
-
-    def term_weights(self) -> dict[str, float]:
-        """Weight applied to each enabled term when summing into the total."""
-        w = {}
-        if self.use_cluster:
-            w["cluster"] = 1.0
-        if self.use_ortho:
-            w["ortho"] = self.lam
-        if self.use_softmax:
-            w["softmax"] = self.softmax_weight
-        if self.use_center:
-            w["center"] = self.center_weight
-        return w
+            enabled.update(terms)
+        return cls(**{**{f"use_{term}": term in enabled for term in TERM_NAMES}, **overrides})
 
 
 @dataclass
@@ -361,8 +340,6 @@ def normalized_weight_gradient(w, f) -> np.ndarray:
 # combined report
 # ---------------------------------------------------------------------------
 
-TERM_NAMES = ("cluster", "ortho", "softmax", "center")
-
 
 def loss_report(
     batch: LabeledBatch,
@@ -372,19 +349,23 @@ def loss_report(
 ) -> LossReport:
     """Evaluate every enabled term and assemble gradients of the weighted total.
 
-    The weighted sum of ``pull_term``, ``push_term`` (or ``push_batch_term``),
-    ``softmax_ce`` and ``center_loss``; this is what the trainer consumes.
+    ``total`` starts at 0.0 and adds each enabled term times its weight, in
+    ``TERM_NAMES`` order: ``pull_term`` (1), ``push_term`` or
+    ``push_batch_term`` (``lam``), ``softmax_ce`` (``softmax_weight``) and
+    ``center_loss`` (``center_weight``).
     """
     if cfg.use_softmax and classifier is None:
         raise ValueError("softmax term enabled but no classifier supplied")
 
-    per_term = {name: 0.0 for name in TERM_NAMES}
+    per_term = dict.fromkeys(TERM_NAMES, 0.0)
+    total = 0.0
     fgrads = np.zeros_like(batch.features)
     cgrads = np.zeros_like(bank.centers)
     clf_grads = None
 
     if cfg.use_cluster:
         per_term["cluster"], tf, tc = pull_term(batch, bank, cfg.d)
+        total += per_term["cluster"]
         fgrads += tf
         cgrads += tc
 
@@ -394,22 +375,23 @@ def loss_report(
         else:
             per_term["ortho"], tf, tc = push_term(batch, bank, cfg.lam)
             cgrads += tc
+        total += cfg.lam * per_term["ortho"]
         fgrads += tf
 
     if cfg.use_softmax:
         value, (sf, sw, sb) = softmax_ce(batch, classifier)
         per_term["softmax"] = value
+        total += cfg.softmax_weight * value
         fgrads += cfg.softmax_weight * sf
         clf_grads = (cfg.softmax_weight * sw, cfg.softmax_weight * sb)
 
     if cfg.use_center:
         value, (of, oc) = center_loss(batch, bank)
         per_term["center"] = value
+        total += cfg.center_weight * value
         fgrads += cfg.center_weight * of
         cgrads += cfg.center_weight * oc
 
-    weights = cfg.term_weights()
-    total = sum(weights[name] * per_term[name] for name in weights)
     return LossReport(
         total=float(total),
         per_term=per_term,

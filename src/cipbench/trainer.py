@@ -24,6 +24,7 @@ from .losses import (
     CenterlineBank,
     LabeledBatch,
     LinearClassifier,
+    TERM_NAMES,
     LossConfig,
     loss_report,
 )
@@ -48,7 +49,7 @@ CENTERLINE_INIT_STD = 0.01
 
 CHECKPOINT_FORMAT_VERSION = 3
 
-HISTORY_FIELDS = ("epoch", "lr", "cluster", "ortho", "softmax", "center", "total", "map")
+HISTORY_FIELDS = ("epoch", "lr", *TERM_NAMES, "total", "map")
 
 
 class DivergenceError(RuntimeError):
@@ -258,11 +259,15 @@ def train(dataset: Dataset, cfg: TrainConfig) -> TrainResult:
     """Run the full schedule; returns the trained state plus epoch history.
 
     Raises DivergenceError when the detector fires; the error carries the
-    last healthy snapshot so callers can still persist a checkpoint.
+    last healthy snapshot so callers can still persist a checkpoint.  With
+    ``eval_every`` set, a dataset that cannot be scored is a ValueError
+    before the first epoch.
     """
     train_mask = ~dataset.test_mask()
     if not train_mask.any():
         raise ValueError("dataset has no training rows")
+    if cfg.eval_every:
+        dataset.check_scorable("dataset")
     inputs = dataset.inputs[train_mask]
     labels = dataset.labels[train_mask]
     n = inputs.shape[0]
@@ -300,7 +305,7 @@ def train(dataset: Dataset, cfg: TrainConfig) -> TrainResult:
         lr = lr_at(epoch, cfg)
         center_lr = cfg.centerline_lr if cfg.centerline_lr is not None else lr
         rates = np.where(on_centers, center_lr, lr)
-        term_sums = {"cluster": 0.0, "ortho": 0.0, "softmax": 0.0, "center": 0.0}
+        term_sums = dict.fromkeys(TERM_NAMES, 0.0)
         total_sum = 0.0
         batches = iterate_batches(n, cfg.batch_size, rng)
 

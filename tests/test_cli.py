@@ -464,15 +464,53 @@ def test_sweep_on_an_all_train_split_scores_every_row(tmp_path):
     assert np.isfinite(float(rows[0].split(",")[4]))
 
 
-def test_sweep_empty_lambda_list_exits_1(tmp_path, capsys):
-    code = main(["sweep", "--lambdas", "", "--out", str(tmp_path / "s"), *fast_args()])
+@pytest.mark.parametrize("flag, items, message", [
+    ("--lambdas", "inf", "--lambdas: bad value for lambda: 'inf' is not a finite number"),
+    ("--lambdas", "1e400", "--lambdas: bad value for lambda: '1e400' is not a finite number"),
+    ("--ds", "inf", "--ds: bad value for d: 'inf' is not a finite number"),
+    ("--lambdas", "-1", "lambda must be non-negative, got -1.0"),
+    ("--ds", "0", "d must be positive, got 0.0"),
+    ("--lambdas", "", "--lambdas: the lambda list is empty"),
+], ids=["lambda_inf", "lambda_1e400", "d_inf", "lambda_negative", "d_zero", "lambda_empty"])
+def test_sweep_bad_grid_value_is_a_config_error(tmp_path, capsys, flag, items, message):
+    # grid values are parsed and range-checked as --set values are
+    grid = {"--lambdas": "1", "--ds": "2", flag: items}
+    out = tmp_path / "s"
+    code = main(["sweep", "--lambdas", grid["--lambdas"], "--ds", grid["--ds"], "--out", str(out),
+                 *fast_args()])
     assert code == 1
-    assert "empty" in capsys.readouterr().err
+    assert capsys.readouterr().err.splitlines() == [f"config error: {message}"]
+    assert not out.exists()
 
 
-def test_help_lists_config_defaults(capsys):
+@pytest.mark.parametrize("command", ["train", "eval", "sweep", "sweep_generated"])
+def test_unscorable_dataset_exits_2_before_any_output(tmp_path, capsys, command):
+    # three objects per class leave one test object per class, so no
+    # retrieval query has a relevant item to find
+    few = fast_args("objects_per_class=3")
+    csv_path = run_generate(tmp_path, "objects_per_class=3")
+    model = tmp_path / "model"
+    assert main(["train", "--dataset", str(csv_path), "--out", str(model), *few]) == 0
+    capsys.readouterr()
+    data = ["--dataset", str(csv_path)]
+    argv = {
+        "train": ["train", *data, *few, "--set", "eval_every=1"],
+        "eval": ["eval", "--checkpoint", str(model / "checkpoint.json"), *data, *few],
+        "sweep": ["sweep", "--lambdas", "1", *data, *few],
+        "sweep_generated": ["sweep", "--lambdas", "1", *few],
+    }[command]
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 2
+    name = "the generated dataset" if command == "sweep_generated" else csv_path
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {name}: no class has two objects among the evaluation rows"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "train", "eval", "export", "sweep"])
+def test_help_lists_config_defaults(capsys, command):
     with pytest.raises(SystemExit):
-        main(["generate", "--help"])
+        main([command, "--help"])
     text = capsys.readouterr().out
     assert "config keys and defaults" in text
     assert "lambda = 1.0" in text

@@ -500,29 +500,45 @@ def test_loss_config_rejects_bad_d():
 
 
 def test_loss_config_from_name():
-    cfg = LossConfig.from_name("cip+softmax")
-    assert cfg.use_cluster and cfg.use_ortho and cfg.use_softmax and not cfg.use_center
-    cfg = LossConfig.from_name("center+softmax")
-    assert not cfg.use_cluster and not cfg.use_ortho and cfg.use_softmax and cfg.use_center
-    with pytest.raises(ValueError, match="unknown loss term"):
+    cases = {
+        "cip+softmax": {"cluster", "ortho", "softmax"},
+        "center+softmax": {"softmax", "center"},
+        "cluster": {"cluster"},
+        "ortho": {"ortho"},
+        "softmax": {"softmax"},
+        "center": {"center"},
+        "cip": {"cluster", "ortho"},
+        "cip+cip": {"cluster", "ortho"},
+        " CIP + Center ": {"cluster", "ortho", "center"},
+    }
+    for name, enabled in cases.items():
+        cfg = LossConfig.from_name(name)
+        terms = {t for t in ("cluster", "ortho", "softmax", "center") if getattr(cfg, f"use_{t}")}
+        assert terms == enabled, name
+    with pytest.raises(ValueError, match="unknown loss term 'frobnicate' in combination 'cip\\+frobnicate'"):
         LossConfig.from_name("cip+frobnicate")
 
 
 def test_loss_report_total_is_weighted_sum():
-    rng = np.random.default_rng(9)
-    b = batch_of(rng.standard_normal((6, 3)), rng.integers(1, 4, 6))
-    bank = bank_of(rng.standard_normal((3, 3)))
-    clf = LinearClassifier(rng.standard_normal((3, 3)), rng.standard_normal(3))
-    cfg = LossConfig(lam=0.7, d=2.0, softmax_weight=0.1, center_weight=0.0003,
-                     use_softmax=True, use_center=True)
-    report = loss_report(b, bank, cfg, clf)
-    expected = (
-        report.per_term["cluster"]
-        + 0.7 * report.per_term["ortho"]
-        + 0.1 * report.per_term["softmax"]
-        + 0.0003 * report.per_term["center"]
-    )
-    assert report.total == pytest.approx(expected, rel=1e-12)
+    # the documented order: from 0.0, each term times its weight, added left
+    # to right; over several draws, a different order gives different bits
+    for seed in range(9, 29):
+        rng = np.random.default_rng(seed)
+        b = batch_of(rng.standard_normal((6, 3)), rng.integers(1, 4, 6))
+        bank = bank_of(rng.standard_normal((3, 3)))
+        clf = LinearClassifier(rng.standard_normal((3, 3)), rng.standard_normal(3))
+        lam, sw, cw = (0.7, 0.1, 0.0003) if seed == 9 else rng.uniform(0.1, 1.0, 3)
+        cfg = LossConfig(lam=lam, d=2.0, softmax_weight=sw, center_weight=cw,
+                         use_softmax=True, use_center=True)
+        report = loss_report(b, bank, cfg, clf)
+        expected = (
+            0.0
+            + report.per_term["cluster"]
+            + lam * report.per_term["ortho"]
+            + sw * report.per_term["softmax"]
+            + cw * report.per_term["center"]
+        )
+        assert report.total == expected, seed
 
 
 def test_loss_report_zero_grads_for_disabled_terms():

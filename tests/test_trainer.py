@@ -192,6 +192,14 @@ def test_train_eval_every_records_map():
     assert 0.0 <= res.history[1]["map"] <= 1.0
 
 
+def test_train_eval_every_on_an_unscorable_dataset_fails_before_training(monkeypatch):
+    # three objects per class leave one test object per class: no query has a relevant item
+    ds = split(bench_dataset(objects_per_class=3), 0.5, 0)
+    monkeypatch.setattr("cipbench.trainer.iterate_batches", lambda *a: pytest.fail("trained"))
+    with pytest.raises(ValueError, match="^dataset: no class has two objects among the evaluation rows$"):
+        train(ds, quick_config(eval_every=1))
+
+
 def test_train_uses_train_split_only():
     ds = split(bench_dataset(), 0.5, 0)
     res = train(ds, quick_config())
