@@ -219,10 +219,15 @@ def cmd_export(args) -> int:
 
 
 def _grid_values(text: str, key: str, flag: str) -> list:
-    """A sweep flag's comma list, each item parsed as ``--set key=item`` is but named ``flag``."""
+    """A sweep flag's comma list, each item parsed and range-checked as ``--set key=item`` is but named ``flag``."""
     values = [parse_value(key, item.strip(), flag) for item in text.split(",") if item.strip()]
     if not values:
         raise ConfigError(f"{flag}: the {key} list is empty")
+    try:
+        for value in values:
+            RunConfig.from_sources().replace(**{key: value}).loss_config()
+    except ConfigError as e:
+        raise ConfigError(f"{flag}: {e}") from None
     return values
 
 
@@ -238,7 +243,7 @@ def cmd_sweep(args) -> int:
     dataset = _load_split_dataset(args.dataset, cfg) if args.dataset else _generate_split(cfg)
     dataset.check_scorable(args.dataset or "the generated dataset")
     out = _outdir(args, cfg)
-    cfg.save(out / "config.used.cfg")
+    point.save(out / "config.used.cfg")
 
     rows = []
     for lam, d, run_cfg in grid:

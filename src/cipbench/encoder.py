@@ -2,9 +2,9 @@
 
 No autodiff: the backward pass is the hand-written chain rule, which keeps
 the whole training pipeline (losses and network alike) in closed form and
-makes finite-difference verification straightforward.  The default
-embedding head is linear (identity activation) so the learned geometry can
-occupy all orthants; a relu head remains available for ablation.
+makes finite-difference verification straightforward.  The encoder only
+stands in for a backbone, so its activations are fixed: relu hidden layers
+and a linear embedding layer, whose output may occupy every orthant.
 """
 
 from __future__ import annotations
@@ -23,45 +23,18 @@ __all__ = [
     "init_params",
 ]
 
-ACTIVATIONS = ("relu", "identity")
-
-
-def _act(name: str, z: np.ndarray) -> np.ndarray:
-    return np.maximum(z, 0.0) if name == "relu" else z
-
-
-def _act_deriv(name: str, z: np.ndarray) -> np.ndarray:
-    if name == "relu":
-        return (z > 0.0).astype(np.float64)
-    return np.ones_like(z)
-
 
 @dataclass(frozen=True)
 class MlpSpec:
-    """Layer widths and activations: input D -> hidden... -> embedding n."""
+    """Layer widths: input D -> relu hidden... -> linear embedding n."""
 
     layer_dims: tuple[int, ...]
-    hidden_activations: tuple[str, ...]
-    final_activation: str = "identity"
 
     def __post_init__(self):
         if len(self.layer_dims) < 2:
             raise ValueError("need at least input and embedding dims")
         if any(d < 1 for d in self.layer_dims):
             raise ValueError(f"layer dims must be positive: {self.layer_dims}")
-        if len(self.hidden_activations) != len(self.layer_dims) - 2:
-            raise ValueError(
-                f"expected {len(self.layer_dims) - 2} hidden activations, "
-                f"got {len(self.hidden_activations)}"
-            )
-        for a in (*self.hidden_activations, self.final_activation):
-            if a not in ACTIVATIONS:
-                raise ValueError(f"unknown activation {a!r}")
-
-    @classmethod
-    def from_dims(cls, dims, hidden: str = "relu", final: str = "identity") -> "MlpSpec":
-        dims = tuple(int(d) for d in dims)
-        return cls(dims, (hidden,) * max(len(dims) - 2, 0), final)
 
     @property
     def input_dim(self) -> int:
@@ -74,11 +47,6 @@ class MlpSpec:
     @property
     def num_layers(self) -> int:
         return len(self.layer_dims) - 1
-
-    def activation_of(self, layer: int) -> str:
-        if layer == self.num_layers - 1:
-            return self.final_activation
-        return self.hidden_activations[layer]
 
 
 @dataclass
@@ -125,7 +93,7 @@ def forward_batch(params: MlpParams, inputs: np.ndarray) -> tuple[np.ndarray, Ml
     h = x
     for l, (w, b) in enumerate(zip(params.weights, params.biases)):
         z = h @ w.T + b
-        h = _act(params.spec.activation_of(l), z)
+        h = z if l == params.spec.num_layers - 1 else np.maximum(z, 0.0)
         pre.append(z)
         post.append(h)
     return post[-1], MlpCache(x, pre, post)
@@ -153,8 +121,9 @@ def backward_batch(
     if g.shape != cache.pre_activations[-1].shape:
         raise ValueError(f"grad_out shape {g.shape} does not match cached forward")
     weights, biases = [], []
-    for l in range(params.spec.num_layers - 1, -1, -1):
-        dz = g * _act_deriv(params.spec.activation_of(l), cache.pre_activations[l])
+    last = params.spec.num_layers - 1
+    for l in range(last, -1, -1):
+        dz = g if l == last else g * (cache.pre_activations[l] > 0.0)
         below = cache.activations[l - 1] if l > 0 else cache.inputs
         weights.insert(0, dz.T @ below)
         biases.insert(0, dz.sum(axis=0))

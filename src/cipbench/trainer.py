@@ -47,7 +47,13 @@ __all__ = [
 
 CENTERLINE_INIT_STD = 0.01
 
-CHECKPOINT_FORMAT_VERSION = 3
+# divergence thresholds; _detect_divergence says what each one bounds
+CENTERLINE_NORM_LIMIT = 25.0
+COLLAPSE_CHECK_EPOCH = 6
+STALL_CHECK_EPOCH = 12
+CENTERLINE_GROWTH_RATIO = 3.0
+
+CHECKPOINT_FORMAT_VERSION = 4
 
 HISTORY_FIELDS = ("epoch", "lr", *TERM_NAMES, "total", "map")
 
@@ -65,12 +71,14 @@ class DivergenceError(RuntimeError):
 
 @dataclass
 class TrainConfig:
-    """Optimization schedule plus the encoder and loss wiring.
+    """Optimization schedule plus the encoder widths and loss wiring.
 
     The learning rate starts at ``lr0`` and is divided once by
     ``lr_drop_factor`` at ``lr_drop_epoch``.  Centerlines follow the same
     schedule unless ``centerline_lr`` pins a constant rate; they never
     receive weight decay (decay would shrink them against the pull term).
+    Activations and divergence thresholds are fixed; only the collapse cosine
+    is a field, which ``cipbench sweep`` sets to 2.0 to turn that check off.
     The defaults are the standard benchmark's, which the CLI derives from.
     """
 
@@ -87,14 +95,9 @@ class TrainConfig:
     # encoder
     hidden_dims: tuple[int, ...] = (32,)
     embedding_dim: int = 16
-    final_activation: str = "identity"
     init_std: float = 0.3
     # divergence detector (see _detect_divergence for the signal semantics)
-    centerline_norm_limit: float = 25.0
     centerline_collapse_cosine: float = 0.95
-    collapse_check_epoch: int = 6
-    stall_check_epoch: int = 12
-    centerline_growth_ratio: float = 3.0
     # optional evaluation cadence (0 = never during training)
     eval_every: int = 0
 
@@ -113,10 +116,7 @@ class TrainConfig:
             ("seed", self.seed >= 0, "non-negative"),
             ("hidden_dims", all(h >= 1 for h in self.hidden_dims), "positive widths"),
             ("embedding_dim", self.embedding_dim >= 1, "positive"),
-            ("final_activation", self.final_activation in enc.ACTIVATIONS,
-             f"one of {enc.ACTIVATIONS}"),
             ("init_std", self.init_std >= 0, "non-negative"),
-            ("centerline_norm_limit", self.centerline_norm_limit > 0, "positive"),
             ("eval_every", self.eval_every >= 0, "non-negative"),
         ))
 
@@ -203,28 +203,30 @@ def _detect_divergence(theta: np.ndarray, centers: np.ndarray, epoch: int,
     """Epoch-end health check on the flat trainable buffer ``theta`` and its
     centerline view ``centers``.
 
-    Signals (each threshold is a config field):
+    Signals, with the module constants as thresholds:
 
     * ``non_finite``       - NaN/Inf anywhere in ``theta``: encoder weights
       and biases, classifier head, centerlines;
-    * ``centerline_blowup`` - a centerline norm exceeded the hard limit;
-    * ``centerline_collapse`` - the bank grew but its directions merged onto
-      one line (max pairwise cosine above the collapse threshold); this is
-      the pull-only failure mode, so it is checked when the pull term is on;
-    * ``centerline_stall`` - a push-only bank (push enabled, no pull) never
-      grew beyond its initialization scale: nothing maintains the
+    * ``centerline_blowup`` - a centerline norm exceeded ``CENTERLINE_NORM_LIMIT``;
+    * ``centerline_collapse`` - from ``COLLAPSE_CHECK_EPOCH``, the bank grew
+      (max norm over ``CENTERLINE_GROWTH_RATIO`` x the initial mean norm) but
+      its directions merged onto one line (max pairwise cosine above
+      ``cfg.centerline_collapse_cosine``); this is the pull-only failure
+      mode, so it is checked when the pull term is on;
+    * ``centerline_stall`` - from ``STALL_CHECK_EPOCH``, a push-only bank
+      (push enabled, no pull) has not grown: nothing maintains the
       centerlines, they are effectively abandoned.
     """
     if not np.isfinite(theta).all():
         return "non_finite", "non-finite parameter values"
     norms = np.linalg.norm(centers, axis=1)
-    if norms.max() > cfg.centerline_norm_limit:
+    if norms.max() > CENTERLINE_NORM_LIMIT:
         return (
             "centerline_blowup",
-            f"max centerline norm {norms.max():.3g} exceeds limit {cfg.centerline_norm_limit:.3g}",
+            f"max centerline norm {norms.max():.3g} exceeds limit {CENTERLINE_NORM_LIMIT:.3g}",
         )
-    grown = norms.max() > cfg.centerline_growth_ratio * init_norm
-    if cfg.loss.use_cluster and epoch >= cfg.collapse_check_epoch and grown:
+    grown = norms.max() > CENTERLINE_GROWTH_RATIO * init_norm
+    if cfg.loss.use_cluster and epoch >= COLLAPSE_CHECK_EPOCH and grown:
         units = centers / np.maximum(norms, 1e-300)[:, None]
         off = (units @ units.T)[~np.eye(len(centers), dtype=bool)]
         if off.max() > cfg.centerline_collapse_cosine:
@@ -238,10 +240,10 @@ def _detect_divergence(theta: np.ndarray, centers: np.ndarray, epoch: int,
         and cfg.loss.ortho_variant == "centerline"
         and not (cfg.loss.use_cluster or cfg.loss.use_center)
     )
-    if push_only and epoch >= cfg.stall_check_epoch and not grown:
+    if push_only and epoch >= STALL_CHECK_EPOCH and not grown:
         return (
             "centerline_stall",
-            f"push-only centerlines never grew past {cfg.centerline_growth_ratio:.3g}x "
+            f"push-only centerlines never grew past {CENTERLINE_GROWTH_RATIO:.3g}x "
             f"their initialization scale (max norm {norms.max():.3g})",
         )
     return None
@@ -275,10 +277,7 @@ def train(dataset: Dataset, cfg: TrainConfig) -> TrainResult:
     num_classes = dataset.num_classes
 
     rng = np.random.default_rng(cfg.seed)
-    spec = enc.MlpSpec.from_dims(
-        (dataset.input_dim, *cfg.hidden_dims, cfg.embedding_dim),
-        final=cfg.final_activation,
-    )
+    spec = enc.MlpSpec((dataset.input_dim, *cfg.hidden_dims, cfg.embedding_dim))
     softmax = cfg.loss.use_softmax
     # every trainable value lives in theta (classifier head starts at zero)
     theta = np.zeros(sum(math.prod(shape) for shape in _shapes(spec, num_classes, softmax)))
@@ -367,20 +366,16 @@ class Checkpoint(TrainResult):
     meta: dict
 
 
-# JSON type of each entry after ``format_version`` and of each ``encoder`` entry, in file order
-_CHECKPOINT_ENTRIES = {"encoder": dict, "num_classes": int, "classifier": bool,
+# JSON type of each entry after ``format_version``, in file order
+_CHECKPOINT_ENTRIES = {"layer_dims": list, "num_classes": int, "classifier": bool,
                        "theta": list, "velocity": list, "meta": dict}
-_ENCODER_ENTRIES = {"layer_dims": list, "hidden_activations": list, "final_activation": str}
 
 
 def save_checkpoint(result: TrainResult, path, meta: dict | None = None) -> None:
     """Write the layout, then ``theta`` and ``velocity`` as flat lists."""
-    spec = result.params.spec
     doc = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
-        "encoder": {"layer_dims": list(spec.layer_dims),
-                    "hidden_activations": list(spec.hidden_activations),
-                    "final_activation": spec.final_activation},
+        "layer_dims": list(result.params.spec.layer_dims),
         "num_classes": result.bank.num_classes,
         "classifier": result.classifier is not None,
         "theta": result.theta.tolist(),
@@ -404,18 +399,14 @@ def _checkpoint_from_dict(doc) -> Checkpoint:
         raise ValueError("checkpoint is not a JSON object")
     if doc.get("format_version") != CHECKPOINT_FORMAT_VERSION:
         raise ValueError(f"unsupported checkpoint format version: {doc.get('format_version')}")
-    layout = doc.get("encoder")  # the "checkpoint" pass checks it is an object
-    for name, part, entries in (("checkpoint", doc, _CHECKPOINT_ENTRIES),
-                                ("encoder", layout, _ENCODER_ENTRIES)):
-        for key, kind in entries.items():
-            if key not in part:
-                raise ValueError(f"{name} has no {key!r} entry")
-            if not isinstance(part[key], kind):
-                raise ValueError(f"{name} {key!r} entry is not of type {kind.__name__}")
-    if not all(isinstance(d, int) for d in layout["layer_dims"]):
-        raise ValueError("encoder 'layer_dims' entry is not a list of integers")
-    spec = enc.MlpSpec(tuple(layout["layer_dims"]), tuple(layout["hidden_activations"]),
-                       layout["final_activation"])
+    for key, kind in _CHECKPOINT_ENTRIES.items():
+        if key not in doc:
+            raise ValueError(f"checkpoint has no {key!r} entry")
+        if not isinstance(doc[key], kind):
+            raise ValueError(f"checkpoint {key!r} entry is not of type {kind.__name__}")
+    if not all(isinstance(d, int) for d in doc["layer_dims"]):
+        raise ValueError("checkpoint 'layer_dims' entry is not a list of integers")
+    spec = enc.MlpSpec(tuple(doc["layer_dims"]))
     theta, velocity = (as_floats(doc[key], key) for key in ("theta", "velocity"))
     if not np.isfinite(theta).all():
         raise ValueError("theta contains non-finite values")

@@ -1,8 +1,8 @@
 """Dense vector primitives shared by the losses, trainer and evaluation code.
 
 All arithmetic is IEEE float64.  A feature vector is a plain 1-D numpy
-array; ``as_vector`` is the single validation choke point, so downstream
-code can assume finite, correctly shaped input.
+array.  ``as_vector`` checks one vector's shape and finiteness and
+``as_floats`` coerces a decoded JSON array; each names its input.
 """
 
 from __future__ import annotations

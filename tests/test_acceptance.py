@@ -227,7 +227,7 @@ def test_criterion_2_finite_difference_suite():
         assert rel_err(cf, fd) < loss_tol
 
     # encoder backward against finite differences, away from relu kinks
-    spec = enc.MlpSpec.from_dims((4, 6, 3))
+    spec = enc.MlpSpec((4, 6, 3))
     checked = 0
     while checked < 20:
         params = enc.init_params(spec, rng=rng, std=0.8)

@@ -259,9 +259,7 @@ def test_eval_perfect_embedding_fixture(tmp_path):
     ckpt = tmp_path / "identity.json"
     eye = np.eye(3).ravel().tolist()
     ckpt.write_text(json.dumps({
-        "format_version": 3,
-        "encoder": {"layer_dims": [3, 3], "hidden_activations": [], "final_activation": "identity"},
-        "num_classes": 3, "classifier": False,
+        "format_version": 4, "layer_dims": [3, 3], "num_classes": 3, "classifier": False,
         # encoder weights, encoder biases, centerlines
         "theta": [*eye, 0.0, 0.0, 0.0, *eye], "velocity": [0.0] * 21, "meta": {},
     }))
@@ -289,16 +287,22 @@ def test_eval_checkpoint_without_centerlines_exits_2(tmp_path, trained, capsys):
 
 
 @pytest.mark.parametrize("case, message", [
-    ("no_layer_dims", "encoder has no 'layer_dims' entry"),
+    ("no_layer_dims", "checkpoint has no 'layer_dims' entry"),
     ("not_an_object", "checkpoint is not a JSON object"),
     ("format_2", "unsupported checkpoint format version: 2"),
+    ("format_3", "unsupported checkpoint format version: 3"),
     ("meta_not_an_object", "checkpoint 'meta' entry is not of type dict"),
 ])
 def test_eval_malformed_checkpoint_exits_2(tmp_path, trained, capsys, case, message):
     csv_path, ckpt = trained
     doc = json.loads(ckpt.read_text())
     if case == "no_layer_dims":
-        del doc["encoder"]["layer_dims"]
+        del doc["layer_dims"]
+    elif case == "format_3":
+        # format 3 kept the layout in an "encoder" object, with the activations
+        doc["format_version"] = 3
+        doc["encoder"] = {"layer_dims": doc.pop("layer_dims"), "hidden_activations": ["relu"],
+                          "final_activation": "identity"}
     elif case == "format_2":
         doc = {"format_version": 2, "encoder": {}, "centerlines": [], "classifier": None,
                "velocity": [], "meta": {}}
@@ -464,12 +468,26 @@ def test_sweep_on_an_all_train_split_scores_every_row(tmp_path):
     assert np.isfinite(float(rows[0].split(",")[4]))
 
 
+def test_sweep_config_reproduces_a_grid_point(tmp_path):
+    # train on the sweep's saved config plus one grid point's lambda and d
+    # retrains that point: the same final total, to the last digit
+    csv_path = run_generate(tmp_path)
+    sweep, run = tmp_path / "sweep", tmp_path / "run"
+    assert main(["sweep", "--dataset", str(csv_path), "--lambdas", "0.5", "--ds", "1",
+                 "--out", str(sweep), *fast_args()]) == 0
+    assert main(["train", "--dataset", str(csv_path), "--config", str(sweep / "config.used.cfg"),
+                 "--set", "lambda=0.5", "--set", "d=1", "--out", str(run)]) == 0
+    history = csv_cells(run / "history.csv")
+    _, point = csv_cells(sweep / "sweep.csv")
+    assert history[-1][history[0].index("total")] == point[3]
+
+
 @pytest.mark.parametrize("flag, items, message", [
     ("--lambdas", "inf", "--lambdas: bad value for lambda: 'inf' is not a finite number"),
     ("--lambdas", "1e400", "--lambdas: bad value for lambda: '1e400' is not a finite number"),
     ("--ds", "inf", "--ds: bad value for d: 'inf' is not a finite number"),
-    ("--lambdas", "-1", "lambda must be non-negative, got -1.0"),
-    ("--ds", "0", "d must be positive, got 0.0"),
+    ("--lambdas", "-1", "--lambdas: lambda must be non-negative, got -1.0"),
+    ("--ds", "0", "--ds: d must be positive, got 0.0"),
     ("--lambdas", "", "--lambdas: the lambda list is empty"),
 ], ids=["lambda_inf", "lambda_1e400", "d_inf", "lambda_negative", "d_zero", "lambda_empty"])
 def test_sweep_bad_grid_value_is_a_config_error(tmp_path, capsys, flag, items, message):
@@ -522,13 +540,9 @@ def test_help_lists_config_defaults(capsys, command):
 # ---------------------------------------------------------------------------
 
 WRONG_TYPES = [{}, [1], 5, "x", None]
-CHECKPOINT_KEYS = ("format_version", "encoder", "num_classes", "classifier", "theta", "velocity",
-                   "meta")
-ENCODER_KEYS = ("layer_dims", "hidden_activations", "final_activation")
-CHECKPOINT_ENTRIES = [
-    *(("checkpoint", key) for key in CHECKPOINT_KEYS),
-    *(("checkpoint", "encoder", key) for key in ENCODER_KEYS),
-]
+CHECKPOINT_KEYS = ("format_version", "layer_dims", "num_classes", "classifier", "theta",
+                   "velocity", "meta")
+CHECKPOINT_ENTRIES = [("checkpoint", key) for key in CHECKPOINT_KEYS]
 SIDECAR_ENTRIES = [
     *(("sidecar", key) for key in ("format_version", "input_dim", "spec", "split")),
     *(("sidecar", "spec", f.name) for f in dataclasses.fields(SyntheticSpec)),
@@ -547,7 +561,7 @@ def trained_once(tmp_path_factory):
 def test_checkpoint_entries_are_every_key(trained_once):
     _, ckpt = trained_once
     doc = json.loads(ckpt.read_text())
-    assert tuple(doc) == CHECKPOINT_KEYS and tuple(doc["encoder"]) == ENCODER_KEYS
+    assert tuple(doc) == CHECKPOINT_KEYS
 
 
 @pytest.mark.parametrize("entry", CHECKPOINT_ENTRIES + SIDECAR_ENTRIES, ids="/".join)
@@ -590,8 +604,6 @@ def test_wrongly_typed_entry_is_one_error_line(tmp_path, trained_once, capsys, e
     ("train", "embedding_dim=0"),
     ("train", "hidden_dims=0"),
     ("train", "init_std=-1"),
-    ("train", "final_activation=tanh"),
-    ("train", "centerline_norm_limit=-1"),
     ("train", "eval_every=-1"),
     ("train", "lr0=0"),
     ("eval", "f1_cutoff=0"),
@@ -625,4 +637,32 @@ def test_out_of_range_value_is_a_config_error(tmp_path, trained_once, capsys, co
     err = capsys.readouterr().err
     assert code == 1
     assert err.count("\n") == 1 and err.startswith("config error: ") and pair.split("=")[0] in err, err
+    assert not out.exists()
+
+
+# keys that were settings until checkpoint format 4, with their last defaults
+REMOVED_KEYS = {"final_activation": "identity", "centerline_norm_limit": "25.0",
+                "collapse_check_epoch": "6", "stall_check_epoch": "12",
+                "centerline_growth_ratio": "3.0"}
+
+
+@pytest.mark.parametrize("source", ["set", "config"])
+@pytest.mark.parametrize("key", REMOVED_KEYS)
+def test_removed_key_is_an_unknown_config_key(tmp_path, trained_once, capsys, key, source):
+    # a config.used.cfg written before the activations and divergence
+    # thresholds became fixed names these keys; it is refused, not read
+    csv_path, _ = trained_once
+    pair = f"{key}={REMOVED_KEYS[key]}"
+    if source == "set":
+        given = ["--set", pair]
+    else:
+        cfg_file = tmp_path / "old.cfg"
+        cfg_file.write_text(f"{key} = {REMOVED_KEYS[key]}\n")
+        given = ["--config", str(cfg_file)]
+    out = tmp_path / "out"
+    code = main(["train", "--dataset", str(csv_path), "--out", str(out), *given, *fast_args()])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.count("\n") == 1 and err.startswith("config error: "), err
+    assert f"unknown config key {key!r}" in err
     assert not out.exists()

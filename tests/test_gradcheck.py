@@ -124,7 +124,7 @@ def test_encoder_end_to_end_gradient_check():
     # d(total loss)/d(params) through backward + loss gradients vs FD,
     # screened away from relu and hinge kinks
     rng = np.random.default_rng(24)
-    spec = MlpSpec.from_dims((4, 6, 3))
+    spec = MlpSpec((4, 6, 3))
     cfg = LossConfig(lam=1.0, d=2.0)
     checked = 0
     while checked < 5:

@@ -347,7 +347,7 @@ def test_checkpoint_version_check(tmp_path):
     import json
 
     doc = json.loads(path.read_text())
-    for version in (42, 2):
+    for version in (42, 3, 2):
         doc["format_version"] = version
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=f"unsupported checkpoint format version: {version}"):
@@ -364,10 +364,8 @@ def test_checkpoint_views_share_one_buffer():
 
 
 def _corrupt(doc, case):
-    if case == "encoder":
+    if case == "layer_dims":
         del doc[case]
-    elif case == "layer_dims":
-        del doc["encoder"][case]
     elif case in ("theta", "velocity"):
         doc[case] = doc[case][:-1]
     elif case == "classifier":
@@ -379,7 +377,6 @@ def _corrupt(doc, case):
 
 
 @pytest.mark.parametrize("case, message", [
-    ("encoder", "no 'encoder' entry"),
     ("layer_dims", "no 'layer_dims' entry"),
     ("theta", "theta has shape"),
     ("velocity", "velocity has"),

@@ -12,7 +12,9 @@ line numbers.  One verdict per file:
   every number parses to the same int or the same float64 bits (so
   ``0.1`` and ``0.10000000000000001`` are the same value);
 * ``differ``: anything else, with the largest relative difference between
-  the numbers at the same place, or the first text that differs.
+  the numbers at the same place, or the first text that differs, or, when
+  the number of cells differs, up to three lines found only in each version
+  (cut to 80 characters).
 
 Exits 1 when any file differs.
 
@@ -84,13 +86,27 @@ def _same(a, b) -> bool:
     return struct.pack("<d", a) == struct.pack("<d", b)
 
 
+def _only_in(text: str, other: str, side: str) -> list[str]:
+    """``["only in <side>: <lines>"]`` naming up to three lines of ``text``
+    that ``other`` lacks, each cut to 80 characters, or ``[]`` when there
+    are none."""
+    others = set(other.split("\n"))
+    extra = [line if len(line) <= 80 else line[:77] + "..."
+             for line in text.split("\n") if line not in others]
+    if not extra:
+        return []
+    return [f"only in {side}: " + ", ".join(map(repr, extra[:3])) + (", ..." if extra[3:] else "")]
+
+
 def verdict(old: bytes, new: bytes) -> tuple[str, bool]:
     """``(verdict text, differs)`` for one file's two versions."""
     if old == new:
         return "identical", False
-    parts = [SEPARATORS.split(b.decode().replace("\r\n", "\n")) for b in (old, new)]
+    texts = [b.decode().replace("\r\n", "\n") for b in (old, new)]
+    parts = [SEPARATORS.split(text) for text in texts]
     if len(parts[0]) != len(parts[1]):
-        return "differ (different number of cells)", True
+        notes = _only_in(*texts, "old") + _only_in(*texts[::-1], "new")
+        return f"differ ({'; '.join(notes) or 'different number of cells'})", True
     worst = None
     for i, (a, b) in enumerate(zip(*parts)):
         if a == b:
