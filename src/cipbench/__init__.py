@@ -2,7 +2,7 @@
 retrieval evaluation harness, all exercised on synthetic multi-view data."""
 
 from .data import Dataset, SyntheticSpec, generate, load_dataset, save_dataset, split
-from .encoder import MlpParams, MlpSpec, backward_batch, forward_batch, init_params
+from .encoder import MlpParams, backward_batch, forward_batch, init_params
 from .losses import (
     CenterlineBank,
     LabeledBatch,

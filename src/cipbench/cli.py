@@ -129,7 +129,7 @@ def _load_split_dataset(path_text: str, cfg: RunConfig):
 def _check_agreement(args, checkpoint, dataset, classes: bool = False) -> None:
     """The encoder must take the dataset's input dimension and, with
     ``classes``, the checkpoint must hold a centerline for every label."""
-    takes = checkpoint.params.spec.input_dim
+    takes = checkpoint.params.layer_dims[0]
     if dataset.input_dim != takes:
         raise ValueError(
             f"{args.checkpoint}: encoder takes {takes} inputs, but {args.dataset} "

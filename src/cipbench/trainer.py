@@ -147,8 +147,10 @@ def sgd_step(param: np.ndarray, velocity: np.ndarray, grad: np.ndarray,
 @dataclass
 class TrainResult:
     """Trained state.  ``theta`` holds every trainable value; ``params``,
-    ``classifier`` and ``bank`` are views of it (see ``_bind_views``) and
-    ``velocity`` is its momentum buffer, in the same layout."""
+    ``classifier`` and ``bank`` are views of it (see ``_bind_views``), and
+    the shapes of ``params``' views are the encoder's layout
+    (``params.layer_dims``).  ``velocity`` is the momentum buffer, in
+    ``theta``'s layout."""
 
     theta: np.ndarray
     params: enc.MlpParams
@@ -163,21 +165,20 @@ def _flat(*tensors: np.ndarray) -> np.ndarray:
     return np.concatenate([t.ravel() for t in tensors])
 
 
-def _shapes(spec: enc.MlpSpec, num_classes: int, softmax: bool) -> list[tuple[int, ...]]:
-    """Tensor shapes in flat-buffer order: encoder weights, encoder biases,
-    classifier weights and bias (softmax only), centerlines."""
-    dims = spec.layer_dims
-    shapes = [(dims[l + 1], dims[l]) for l in range(spec.num_layers)]
-    shapes += [(dims[l + 1],) for l in range(spec.num_layers)]
+def _shapes(dims: tuple[int, ...], num_classes: int, softmax: bool) -> list[tuple[int, ...]]:
+    """Tensor shapes in flat-buffer order for encoder layer widths ``dims``:
+    encoder weights, encoder biases, classifier weights and bias (softmax
+    only), centerlines."""
+    shapes = [*zip(dims[1:], dims[:-1]), *((d,) for d in dims[1:])]
     if softmax:
-        shapes += [(num_classes, spec.embedding_dim), (num_classes,)]
-    return shapes + [(num_classes, spec.embedding_dim)]
+        shapes += [(num_classes, dims[-1]), (num_classes,)]
+    return shapes + [(num_classes, dims[-1])]
 
 
-def _bind_views(theta: np.ndarray, spec: enc.MlpSpec, num_classes: int, softmax: bool):
+def _bind_views(theta: np.ndarray, dims: tuple[int, ...], num_classes: int, softmax: bool):
     """Split ``theta``, of exactly the ``_shapes`` size, into reshaped views in
     that order.  Returns ``(params, bank, classifier)``."""
-    shapes = _shapes(spec, num_classes, softmax)
+    shapes = _shapes(dims, num_classes, softmax)
     count = sum(math.prod(shape) for shape in shapes)
     if theta.shape != (count,):
         raise ValueError(f"theta has shape {theta.shape}, the layout needs ({count},)")
@@ -186,8 +187,8 @@ def _bind_views(theta: np.ndarray, spec: enc.MlpSpec, num_classes: int, softmax:
         size = math.prod(shape)
         views.append(theta[start : start + size].reshape(shape))
         start += size
-    layers = spec.num_layers
-    params = enc.MlpParams(spec, views[:layers], views[layers : 2 * layers])
+    layers = len(dims) - 1
+    params = enc.MlpParams(views[:layers], views[layers : 2 * layers])
     classifier = LinearClassifier(*views[2 * layers : -1]) if softmax else None
     return params, CenterlineBank(views[-1]), classifier
 
@@ -277,13 +278,13 @@ def train(dataset: Dataset, cfg: TrainConfig) -> TrainResult:
     num_classes = dataset.num_classes
 
     rng = np.random.default_rng(cfg.seed)
-    spec = enc.MlpSpec((dataset.input_dim, *cfg.hidden_dims, cfg.embedding_dim))
+    dims = (dataset.input_dim, *cfg.hidden_dims, cfg.embedding_dim)
     softmax = cfg.loss.use_softmax
     # every trainable value lives in theta (classifier head starts at zero)
-    theta = np.zeros(sum(math.prod(shape) for shape in _shapes(spec, num_classes, softmax)))
+    theta = np.zeros(sum(math.prod(shape) for shape in _shapes(dims, num_classes, softmax)))
     velocity = np.zeros_like(theta)
-    params, bank, classifier = _bind_views(theta, spec, num_classes, softmax)
-    init = enc.init_params(spec, rng, cfg.init_std)
+    params, bank, classifier = _bind_views(theta, dims, num_classes, softmax)
+    init = enc.init_params(dims, rng, cfg.init_std)
     for view, value in zip((*params.weights, *params.biases), (*init.weights, *init.biases)):
         view[...] = value
     bank.centers[...] = CenterlineBank.init_gaussian(
@@ -295,7 +296,7 @@ def train(dataset: Dataset, cfg: TrainConfig) -> TrainResult:
 
     def snapshot(epochs_run: int) -> TrainResult:
         copy = theta.copy()
-        return TrainResult(copy, *_bind_views(copy, spec, num_classes, softmax), velocity.copy(),
+        return TrainResult(copy, *_bind_views(copy, dims, num_classes, softmax), velocity.copy(),
                            [dict(h) for h in history], epochs_run)
 
     last_good = snapshot(0)
@@ -375,7 +376,7 @@ def save_checkpoint(result: TrainResult, path, meta: dict | None = None) -> None
     """Write the layout, then ``theta`` and ``velocity`` as flat lists."""
     doc = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
-        "layer_dims": list(result.params.spec.layer_dims),
+        "layer_dims": list(result.params.layer_dims),
         "num_classes": result.bank.num_classes,
         "classifier": result.classifier is not None,
         "theta": result.theta.tolist(),
@@ -406,11 +407,11 @@ def _checkpoint_from_dict(doc) -> Checkpoint:
             raise ValueError(f"checkpoint {key!r} entry is not of type {kind.__name__}")
     if not all(isinstance(d, int) for d in doc["layer_dims"]):
         raise ValueError("checkpoint 'layer_dims' entry is not a list of integers")
-    spec = enc.MlpSpec(tuple(doc["layer_dims"]))
+    dims = enc.check_layer_dims(doc["layer_dims"])
     theta, velocity = (as_floats(doc[key], key) for key in ("theta", "velocity"))
     if not np.isfinite(theta).all():
         raise ValueError("theta contains non-finite values")
-    views = _bind_views(theta, spec, doc["num_classes"], doc["classifier"])
+    views = _bind_views(theta, dims, doc["num_classes"], doc["classifier"])
     if velocity.shape != theta.shape:
         raise ValueError(f"velocity has shape {velocity.shape}, theta has {theta.shape}")
     return Checkpoint(theta, *views, velocity, [], doc["meta"].get("epochs_run", 0), doc["meta"])

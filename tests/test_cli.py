@@ -155,6 +155,18 @@ def test_train_history_shows_lr_drop(tmp_path):
     assert lrs[1] == pytest.approx(0.01) and lrs[2] == pytest.approx(0.002)
 
 
+def test_train_batch_push_variant_on_the_defaults(tmp_path):
+    # the README's weight for the centerline-free push trains cleanly on the
+    # standard benchmark
+    data, out = tmp_path / "data", tmp_path / "run"
+    assert main(["generate", "--out", str(data)]) == 0
+    assert main(["train", "--dataset", str(data / "dataset.csv"), "--out", str(out),
+                 "--set", "ortho_variant=batch", "--set", "lambda=0.01"]) == 0
+    header, *rows = csv_cells(out / "history.csv")
+    assert len(rows) == DEFAULTS["epochs"][0]
+    assert all(np.isfinite(float(row[header.index("total")])) for row in rows)
+
+
 def test_train_missing_dataset_exits_1(tmp_path, capsys):
     code = main(["train", "--dataset", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "o")])
     assert code == 1

@@ -3,8 +3,8 @@ import pytest
 
 from cipbench.encoder import (
     MlpParams,
-    MlpSpec,
     backward_batch,
+    check_layer_dims,
     forward_batch,
     init_params,
 )
@@ -13,25 +13,27 @@ from oracles import central_diff, rel_err
 
 
 def identity_net(dim=3):
-    spec = MlpSpec((dim, dim))
-    return MlpParams(spec, [np.eye(dim)], [np.zeros(dim)])
+    return MlpParams([np.eye(dim)], [np.zeros(dim)])
 
 
 # ---------------------------------------------------------------------------
-# spec validation
+# layout
 # ---------------------------------------------------------------------------
 
 
-def test_spec_rejects_bad_dims():
+def test_layer_dims_check_rejects_bad_dims():
     with pytest.raises(ValueError, match="positive"):
-        MlpSpec((4, 0, 2))
+        check_layer_dims((4, 0, 2))
     with pytest.raises(ValueError, match="at least"):
-        MlpSpec((3,))
+        check_layer_dims((3,))
+    with pytest.raises(ValueError, match="positive"):
+        init_params((4, 0, 2))
 
 
-def test_spec_layout():
-    spec = MlpSpec((5, 4, 3, 2))
-    assert spec.input_dim == 5 and spec.embedding_dim == 2 and spec.num_layers == 3
+def test_layer_dims_are_the_weight_shapes():
+    params = init_params([5, 4, 3, 2])
+    assert params.layer_dims == check_layer_dims([5, 4, 3, 2]) == (5, 4, 3, 2)
+    assert [w.shape for w in params.weights] == [(4, 5), (3, 4), (2, 3)]
 
 
 # ---------------------------------------------------------------------------
@@ -49,26 +51,22 @@ def test_identity_layer_passes_input_through():
 def test_relu_clamps_negative():
     # the hidden relu clamps the negative pre-activation -1 to 0; the linear
     # head passes its negative output -2 through
-    params = MlpParams(MlpSpec((2, 2, 2)), [np.eye(2), np.diag([1.0, -1.0])],
-                       [np.zeros(2), np.zeros(2)])
+    params = MlpParams([np.eye(2), np.diag([1.0, -1.0])], [np.zeros(2), np.zeros(2)])
     out, cache = forward_batch(params, np.array([[-1.0, 2.0]]))
-    np.testing.assert_array_equal(cache.pre_activations[0], [[-1.0, 2.0]])
-    np.testing.assert_array_equal(cache.activations[0], [[0.0, 2.0]])
+    np.testing.assert_array_equal(cache[1], [[0.0, 2.0]])
     np.testing.assert_array_equal(out, [[0.0, -2.0]])
 
 
 def test_two_layer_hand_computed():
     # relu hidden layer then linear head, checked against hand arithmetic:
     # z1 = W1 x + b1 = (4, 6); relu keeps it; out = W2 z1 = (4, 10)
-    spec = MlpSpec((2, 2, 2))
     params = MlpParams(
-        spec,
         [np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[1.0, 0.0], [1.0, 1.0]])],
         [np.array([1.0, -1.0]), np.zeros(2)],
     )
     out, cache = forward_batch(params, np.array([[1.0, 1.0]]))
     np.testing.assert_allclose(out, [[4.0, 10.0]], atol=1e-15)
-    np.testing.assert_allclose(cache.pre_activations[0][0], [4.0, 6.0], atol=1e-15)
+    np.testing.assert_allclose(cache[1][0], [4.0, 6.0], atol=1e-15)
 
 
 def test_forward_rejects_wrong_dim():
@@ -78,7 +76,7 @@ def test_forward_rejects_wrong_dim():
 
 
 def test_forward_deterministic():
-    params = init_params(MlpSpec((4, 8, 3)), rng=0)
+    params = init_params((4, 8, 3), rng=0)
     x = np.linspace(-1, 1, 4)[None]
     a, _ = forward_batch(params, x)
     b, _ = forward_batch(params, x)
@@ -86,7 +84,7 @@ def test_forward_deterministic():
 
 
 def test_forward_batch_matches_single():
-    params = init_params(MlpSpec((5, 7, 3)), rng=1, std=0.5)
+    params = init_params((5, 7, 3), rng=1, std=0.5)
     rng = np.random.default_rng(2)
     xs = rng.standard_normal((6, 5))
     batch_out, _ = forward_batch(params, xs)
@@ -101,7 +99,7 @@ def test_forward_batch_matches_single():
 
 
 def test_backward_zero_grad_out():
-    params = init_params(MlpSpec((3, 4, 2)), rng=3, std=0.5)
+    params = init_params((3, 4, 2), rng=3, std=0.5)
     _, cache = forward_batch(params, np.ones((1, 3)))
     grads, gin = backward_batch(params, cache, np.zeros((1, 2)))
     assert all(np.all(w == 0) for w in grads.weights)
@@ -120,9 +118,9 @@ def test_backward_linear_layer_outer_product():
 
 
 def test_backward_three_layer_finite_differences():
-    spec = MlpSpec((4, 6, 5, 3))
+    dims = (4, 6, 5, 3)
     rng = np.random.default_rng(4)
-    params = init_params(spec, rng=rng, std=0.7)
+    params = init_params(dims, rng=rng, std=0.7)
     x = rng.standard_normal(4)
     g = rng.standard_normal(3)
     _, cache = forward_batch(params, x[None])
@@ -138,19 +136,19 @@ def test_backward_three_layer_finite_differences():
         def value_w(wl, layer=l):
             ws = [w.copy() for w in params.weights]
             ws[layer] = wl
-            return scalar_at(MlpParams(spec, ws, params.biases), x)
+            return scalar_at(MlpParams(ws, params.biases), x)
 
         def value_b(bl, layer=l):
             bs = [b.copy() for b in params.biases]
             bs[layer] = bl
-            return scalar_at(MlpParams(spec, params.weights, bs), x)
+            return scalar_at(MlpParams(params.weights, bs), x)
 
         assert rel_err(grads.weights[l], central_diff(value_w, params.weights[l])) < 1e-6
         assert rel_err(grads.biases[l], central_diff(value_b, params.biases[l])) < 1e-6
 
 
 def test_backward_batch_sums_per_sample():
-    params = init_params(MlpSpec((3, 5, 2)), rng=5, std=0.5)
+    params = init_params((3, 5, 2), rng=5, std=0.5)
     rng = np.random.default_rng(6)
     xs = rng.standard_normal((4, 3))
     gs = rng.standard_normal((4, 2))
@@ -168,8 +166,8 @@ def test_backward_batch_sums_per_sample():
 
 
 def test_backward_cache_mismatch_rejected():
-    params_a = init_params(MlpSpec((3, 4, 2)), rng=7)
-    params_b = init_params(MlpSpec((3, 5, 2)), rng=8)
+    params_a = init_params((3, 4, 2), rng=7)
+    params_b = init_params((3, 5, 2), rng=8)
     _, cache = forward_batch(params_a, np.ones((1, 3)))
     with pytest.raises(ValueError, match="cache"):
         backward_batch(params_b, cache, np.zeros((1, 2)))
@@ -188,9 +186,8 @@ def test_backward_grad_shape_mismatch_rejected():
 
 
 def test_init_params_seeded_and_scaled():
-    spec = MlpSpec((10, 20, 5))
-    a = init_params(spec, rng=42, std=0.01)
-    b = init_params(spec, rng=42, std=0.01)
+    a = init_params((10, 20, 5), rng=42, std=0.01)
+    b = init_params((10, 20, 5), rng=42, std=0.01)
     for wa, wb in zip(a.weights, b.weights):
         np.testing.assert_array_equal(wa, wb)
     assert all(np.all(bv == 0) for bv in a.biases)

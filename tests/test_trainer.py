@@ -294,7 +294,7 @@ def test_non_finite_check_covers_every_trainable_value(tensor):
     res = train(bench_dataset(), cfg)
     theta = _flat(*res.params.weights, *res.params.biases, res.classifier.weights,
                   res.classifier.bias, res.bank.centers)
-    params, bank, classifier = _bind_views(theta, res.params.spec, 4, softmax=True)
+    params, bank, classifier = _bind_views(theta, res.params.layer_dims, 4, softmax=True)
     assert _detect_divergence(theta, bank.centers, 0, cfg, 1.0) is None
     view = {"encoder bias": params.biases[0], "classifier weights": classifier.weights,
             "classifier bias": classifier.bias}[tensor]
