@@ -83,12 +83,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--lambdas", required=True, help="comma list, e.g. 0.1,1,10")
     p.add_argument("--ds", default="2", help="comma list of d values")
-    p.add_argument(
-        "--loss",
-        default="cip",
-        help="loss combination trained at each grid point (the sensitivity "
-        "protocol trains the combined pull+push loss alone)",
-    )
     p.add_argument("--dataset", help="reuse an existing dataset CSV (default: generate)")
     p.add_argument("--out", help="output directory (default: out_dir config key)")
     return parser
@@ -238,7 +232,7 @@ def cmd_sweep(args) -> int:
     # sweep convergence means "finished with finite loss": keep the
     # non-finite and norm-limit guards but not the geometry-quality
     # collapse check, which extreme lambda/d corners legitimately fail
-    point = cfg.replace(loss=args.loss, centerline_collapse_cosine=2.0)
+    point = cfg.replace(centerline_collapse_cosine=2.0)
     grid = [(lam, d, point.replace(lam=lam, d=d).train_config()) for d in ds for lam in lambdas]
     dataset = _load_split_dataset(args.dataset, cfg) if args.dataset else _generate_split(cfg)
     dataset.check_scorable(args.dataset or "the generated dataset")

@@ -11,10 +11,10 @@ citations):
 * NDCG uses binary gains rel_i / log2(i + 1);
 * F1 cutoff defaults to the number of relevant items for the query.
 
-Each stage works on whole arrays: ``pool_descriptors`` sums every object's
-views with one ``np.add.at``, ``rank`` sorts the full distance matrix at
-once, and ``evaluate_run`` scores all queries from the positions of the
-relevant items in the (queries x gallery) relevance matrix.
+``pool_descriptors`` sums every object's views with one ``np.add.at``;
+``rank`` sorts and ``evaluate_run`` scores one block of query rows at a
+time, so neither holds more than O(block x queries) values beside the
+(queries x gallery) rankings and relevance.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ __all__ = [
 # ranking
 # ---------------------------------------------------------------------------
 
-# distance-matrix rows gathered at a time by ``rank``'s tie scan
+# query rows that ``rank`` sorts and ``evaluate_run`` scores at a time
 _BLOCK_ROWS = 64
 
 
@@ -116,6 +116,11 @@ def rank(descriptors: np.ndarray, labels: np.ndarray) -> RetrievalRun:
     distance with ties broken by ascending gallery index.  Zero-norm
     descriptors cannot be ranked; they are excluded with a warning and
     recorded in ``excluded``.
+
+    Queries go in blocks of ``_BLOCK_ROWS`` rows.  The default sort leaves
+    equal distances adjacent but in any order, so in a row that holds a tie
+    each run of equal distances gets a run number, and sorting the row's
+    (run number, index) keys orders each run's indices without moving it.
     """
     descriptors = np.asarray(descriptors, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -133,52 +138,34 @@ def rank(descriptors: np.ndarray, labels: np.ndarray) -> RetrievalRun:
     if keep.size < 2:
         raise ValueError("need at least two nonzero descriptors to rank")
     unit = descriptors[keep] / norms[keep, None]
-    dist = unit @ unit.T
-    np.subtract(1.0, dist, out=dist)
-    np.fill_diagonal(dist, np.inf)  # each query sorts itself last, then drops it
-    order = np.argsort(dist, axis=1)[:, :-1]
     kept_labels = labels[keep]
-    relevance = _break_ties_and_flag(dist, order, kept_labels)
-    del dist
-    return RetrievalRun(
-        query_indices=keep.copy(),
-        query_labels=kept_labels,
-        rankings=order if keep.size == labels.size else keep[order],
-        relevance=relevance,
-        excluded=excluded,
-    )
-
-
-def _break_ties_and_flag(dist: np.ndarray, order: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Break exact distance ties in ``order`` by ascending index, in place,
-    and return the (Q, Q - 1) same-label flags of the ranked items.
-
-    The default sort leaves equal distances adjacent but in any order.  In a
-    row that holds a tie, each run of equal distances gets a run number,
-    and sorting the row's (run number, index) keys puts the indices of each
-    run in ascending order without moving any run.  Rows go in blocks,
-    which keeps the gathered temporaries small.
-    """
-    q = len(order)
-    flat_dist = dist.ravel()
-    flat_same = (labels[:, None] == labels[None, :]).ravel()
-    relevance = np.empty(order.shape, dtype=bool)
+    q = keep.size
+    rankings = np.empty((q, q - 1), dtype=keep.dtype)
+    relevance = np.empty((q, q - 1), dtype=bool)
     for lo in range(0, q, _BLOCK_ROWS):
         hi = min(lo + _BLOCK_ROWS, q)
-        flat = order[lo:hi] + np.arange(lo * q, hi * q, q)[:, None]
-        ranked = flat_dist.take(flat)
+        dist = unit[lo:hi] @ unit.T
+        np.subtract(1.0, dist, out=dist)
+        np.fill_diagonal(dist[:, lo:], np.inf)  # each query sorts itself last, then drops it
+        order = np.argsort(dist, axis=1)[:, :-1]
+        ranked = np.take_along_axis(dist, order, axis=1)
         steps = ranked[:, 1:] != ranked[:, :-1]
         tied = np.flatnonzero(~steps.all(axis=1))
         if tied.size:
-            rows = lo + tied
             run = np.zeros((tied.size, q - 1), dtype=np.int64)
             np.cumsum(steps[tied], axis=1, out=run[:, 1:])
-            keys = run * q + order[rows]
+            keys = run * q + order[tied]
             keys.sort(axis=1)
-            order[rows] = keys % q
-            flat[tied] = order[rows] + rows[:, None] * q
-        flat_same.take(flat, out=relevance[lo:hi])
-    return relevance
+            order[tied] = keys % q
+        np.equal(kept_labels[order], kept_labels[lo:hi, None], out=relevance[lo:hi])
+        rankings[lo:hi] = keep[order]
+    return RetrievalRun(
+        query_indices=keep.copy(),
+        query_labels=kept_labels,
+        rankings=rankings,
+        relevance=relevance,
+        excluded=excluded,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -360,8 +347,9 @@ def evaluate_run(
 ) -> EvalSummary:
     """Score every query and aggregate both micro and macro reports."""
     relevance = np.asarray(run.relevance)
-    scores = _row_metrics(relevance if relevance.dtype == bool else relevance != 0,
-                          f1_cutoff, ndcg_cutoff)
+    blocks = [_row_metrics(relevance[lo:lo + _BLOCK_ROWS] != 0, f1_cutoff, ndcg_cutoff)
+              for lo in range(0, len(relevance), _BLOCK_ROWS)]
+    scores = {name: np.concatenate([b[name] for b in blocks]) for name in blocks[0]}
     kept = scores.pop("relevant") > 0  # a query with no relevant item is skipped
     if not kept.any():
         raise ValueError("no query had any relevant gallery item")

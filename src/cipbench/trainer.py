@@ -258,6 +258,7 @@ def evaluate_map(params: enc.MlpParams, dataset: Dataset) -> float:
     return evaluate_run(rank(descs, labels)).micro.map
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a blow-up is the detector's to report
 def train(dataset: Dataset, cfg: TrainConfig) -> TrainResult:
     """Run the full schedule; returns the trained state plus epoch history.
 

@@ -322,7 +322,8 @@ def test_criterion_5_lambda_d_sensitivity(tmp_path):
     # trains the combined loss alone at each grid point, with the
     # geometric-quality collapse signal off, and scores the test split
     code = cli.main(["sweep", "--lambdas", "0.1,0.5,1,5,10", "--ds", "2,1",
-                     "--set", "batch_size=25", "--set", "seed=0", "--out", str(tmp_path)])
+                     "--set", "batch_size=25", "--set", "seed=0", "--set", "loss=cip",
+                     "--out", str(tmp_path)])
     assert code == 0
     lines = (tmp_path / "sweep.csv").read_text().splitlines()
     assert lines[0] == "lambda,d,converged,final_total,map"

@@ -457,7 +457,7 @@ def test_sweep_wide_lambda_range_converges_on_benchmark(tmp_path):
     # the sensitivity protocol: pure combined loss, gentle batch size
     out = tmp_path / "sweep"
     code = main(["sweep", "--lambdas", "0.1,1,10", "--ds", "2", "--out", str(out),
-                 "--set", "batch_size=25"])
+                 "--set", "batch_size=25", "--set", "loss=cip"])
     assert code == 0
     rows = (out / "sweep.csv").read_text().strip().splitlines()[1:]
     assert len(rows) == 3
@@ -492,6 +492,40 @@ def test_sweep_config_reproduces_a_grid_point(tmp_path):
     history = csv_cells(run / "history.csv")
     _, point = csv_cells(sweep / "sweep.csv")
     assert history[-1][history[0].index("total")] == point[3]
+
+
+@pytest.mark.parametrize("source", ["set", "config"])
+def test_sweep_trains_the_loss_key(tmp_path, source):
+    # the loss key, from --set or from a --config file, is the loss every
+    # grid point trains and the loss the saved config retrains
+    csv_path = run_generate(tmp_path)
+    loss_args = ["--set", "loss=softmax"]
+    if source == "config":
+        (tmp_path / "sweep.cfg").write_text("loss = softmax\n")
+        loss_args = ["--config", str(tmp_path / "sweep.cfg")]
+    sweep, run = tmp_path / "sweep", tmp_path / "run"
+    assert main(["sweep", "--dataset", str(csv_path), "--lambdas", "0.5", "--ds", "1",
+                 "--out", str(sweep), *loss_args, *fast_args()]) == 0
+    assert "loss = softmax" in (sweep / "config.used.cfg").read_text().splitlines()
+    assert main(["train", "--dataset", str(csv_path), "--config", str(sweep / "config.used.cfg"),
+                 "--set", "lambda=0.5", "--set", "d=1", "--out", str(run)]) == 0
+    history = csv_cells(run / "history.csv")
+    _, point = csv_cells(sweep / "sweep.csv")
+    assert history[-1][history[0].index("total")] == point[3]
+
+
+def test_diverged_sweep_point_prints_one_line(tmp_path):
+    # the overflow that ends a diverging run prints no numpy warning: the
+    # point's verdict is the only line on stderr
+    env = {**os.environ, "PYTHONPATH": str(Path(cipbench.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "cipbench.cli", "sweep", "--lambdas", "10", "--ds", "1",
+         "--set", "batch_size=25", "--set", "seed=2", "--set", "loss=cip",
+         "--out", str(tmp_path)],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "lambda=10.0 d=1.0: diverged (non_finite)\n"
 
 
 @pytest.mark.parametrize("flag, items, message", [

@@ -99,8 +99,10 @@ def _assert_rank_matches_loop(descs, labels):
 
 
 def test_rank_equals_per_query_loop_on_random_descriptors():
+    # 60 rows are one 64-row block; 150 end in a partial third block
     rng = np.random.default_rng(3)
     _assert_rank_matches_loop(rng.standard_normal((60, 5)), rng.integers(1, 5, 60))
+    _assert_rank_matches_loop(rng.standard_normal((150, 5)), rng.integers(1, 5, 150))
 
 
 def test_rank_equals_per_query_loop_with_exact_ties():
@@ -112,6 +114,10 @@ def test_rank_equals_per_query_loop_with_exact_ties():
     _assert_rank_matches_loop(descs, rng.integers(1, 4, 50))
     _assert_rank_matches_loop(rng.integers(-2, 3, (50, 3)).astype(float) + [0.0, 0.0, 3.0],
                               rng.integers(1, 4, 50))
+    # a group of duplicates on both sides of the first block edge (row 64)
+    descs = rng.standard_normal((150, 4))
+    descs[58:71] = descs[7]
+    _assert_rank_matches_loop(descs, rng.integers(1, 4, 150))
 
 
 def test_rank_equals_per_query_loop_with_zero_norm_rows():
@@ -123,6 +129,17 @@ def test_rank_equals_per_query_loop_with_zero_norm_rows():
     with pytest.warns(UserWarning, match="zero-norm"):
         run = rank(descs, labels)
     assert run.excluded == [0, 17, 39]
+    with pytest.warns(UserWarning, match="zero-norm"):
+        _assert_rank_matches_loop(descs, labels)
+    # zero-norm rows on both sides of the block edges of the ranked rows
+    # (the 64th and 128th kept rows) and of the input rows
+    descs = rng.standard_normal((150, 4))
+    descs[60:70] = descs[100]
+    descs[[3, 63, 64, 66, 127, 130, 131]] = 0.0
+    labels = rng.integers(1, 4, 150)
+    with pytest.warns(UserWarning, match="zero-norm"):
+        run = rank(descs, labels)
+    assert run.excluded == [3, 63, 64, 66, 127, 130, 131]
     with pytest.warns(UserWarning, match="zero-norm"):
         _assert_rank_matches_loop(descs, labels)
 

@@ -22,8 +22,8 @@ Exits 1 when any file differs.
 
 The commands are ``generate``, ``train``, ``eval``, ``export`` and
 ``export --pooled`` on one 96-objects-per-class dataset trained for two
-epochs, and ``sweep --lambdas 0.1,1,10 --ds 2,1`` on the defaults.  The
-demos are the ones in each tree's ``demos/`` directory.
+epochs, and ``sweep --lambdas 0.1,1,10 --ds 2,1 --set loss=cip`` on the
+defaults.  The demos are the ones in each tree's ``demos/`` directory.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ COMMANDS = {
                "--out", "export/embeddings.csv", *PIPELINE],
     "export-pooled": ["export", "--checkpoint", CKPT, "--dataset", DATA,
                       "--out", "export/pooled.csv", "--pooled", *PIPELINE],
-    "sweep": ["sweep", "--lambdas", "0.1,1,10", "--ds", "2,1", "--out", "sweep"],
+    "sweep": ["sweep", "--lambdas", "0.1,1,10", "--ds", "2,1", "--set", "loss=cip", "--out", "sweep"],
 }
 DEMOS = ("divergence_modes", "loss_playground", "retrieval_metrics_tour",
          "sensitivity_sweep", "train_six_classes")
