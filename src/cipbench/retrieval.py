@@ -347,6 +347,7 @@ def evaluate_run(
 ) -> EvalSummary:
     """Score every query and aggregate both micro and macro reports."""
     relevance = np.asarray(run.relevance)
+    # a row's scores depend on that row alone, so row blocks keep the bits
     blocks = [_row_metrics(relevance[lo:lo + _BLOCK_ROWS] != 0, f1_cutoff, ndcg_cutoff)
               for lo in range(0, len(relevance), _BLOCK_ROWS)]
     scores = {name: np.concatenate([b[name] for b in blocks]) for name in blocks[0]}

@@ -131,8 +131,8 @@ def test_rank_equals_per_query_loop_with_zero_norm_rows():
     assert run.excluded == [0, 17, 39]
     with pytest.warns(UserWarning, match="zero-norm"):
         _assert_rank_matches_loop(descs, labels)
-    # zero-norm rows on both sides of the block edges of the ranked rows
-    # (the 64th and 128th kept rows) and of the input rows
+    # zero-norm rows on both sides of input rows 64 and 128 shift each
+    # later 64-row block of ranked rows; duplicates sit among them
     descs = rng.standard_normal((150, 4))
     descs[60:70] = descs[100]
     descs[[3, 63, 64, 66, 127, 130, 131]] = 0.0
