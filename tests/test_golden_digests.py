@@ -3,7 +3,10 @@ digests in ``golden_digests.json``.
 
 Training: every loss mix and optimizer setting of
 ``tools/compare_training.py`` (imported as it is, with ``tools/`` on the
-import path) is trained at seed 0 on the standard benchmark.  A finished
+import path) is trained at seed 0 on the standard benchmark, and so are
+``EXTRA_LOSSES`` under the same optimizer settings: the batch push
+variant, center loss alone and pull with center loss, which no
+``compare_training.py`` mix trains.  A finished
 run hashes its ``theta`` bytes and ``repr`` of its history; a diverged run
 hashes its signal, epoch, history and the ``theta`` bytes of its last
 healthy snapshot.
@@ -45,14 +48,21 @@ GOLDEN = Path(__file__).with_name("golden_digests.json")
 SEED = 0
 RETRIEVAL_SEEDS = (0, 1, 9)
 LARGE_OBJECTS_PER_CLASS = 384
+# case name -> (combination name, LossConfig overrides)
+EXTRA_LOSSES = {
+    "cip ortho_variant=batch lam=0.01": ("cip", {"ortho_variant": "batch", "lam": 0.01}),
+    "center": ("center", {}),
+    "cluster+center": ("cluster+center", {}),
+}
 
 
 def training_digests() -> dict[str, dict]:
     dataset = split(generate(SyntheticSpec(seed=SEED)), 0.5, SEED)
     runs = {}
-    for loss, loss_kw in LOSSES.items():
+    mixes = {**{loss: (loss, kw) for loss, kw in LOSSES.items()}, **EXTRA_LOSSES}
+    for loss, (name, loss_kw) in mixes.items():
         for opt, opt_kw in OPTIMIZERS.items():
-            cfg = TrainConfig(seed=SEED, loss=LossConfig.from_name(loss, **loss_kw), **opt_kw)
+            cfg = TrainConfig(seed=SEED, loss=LossConfig.from_name(name, **loss_kw), **opt_kw)
             try:
                 result = train(dataset, cfg)
                 h = hashlib.sha256(result.theta.tobytes())
