@@ -67,13 +67,14 @@ def forward_batch(params: MlpParams, inputs: np.ndarray) -> tuple[np.ndarray, li
 
 
 def backward_batch(
-    params: MlpParams, outputs: list[np.ndarray], grad_out: np.ndarray
+    params: MlpParams, outputs: list[np.ndarray], grad_out: np.ndarray, out: MlpParams | None = None
 ) -> tuple[MlpParams, np.ndarray]:
     """Exact gradients of <grad_out, forward_batch(inputs)> w.r.t. params and inputs.
 
     ``outputs`` is forward_batch's cache and ``grad_out`` is (M, n), one
     upstream gradient row per cached sample.  The parameter gradients come
-    back as an ``MlpParams``.
+    back as an ``MlpParams``: ``out``, whose arrays they are written into,
+    when it is given.
     """
     widths = [o.shape[1:] for o in outputs]
     if widths != [(d,) for d in params.layer_dims]:
@@ -81,12 +82,14 @@ def backward_batch(
     g = np.asarray(grad_out, dtype=np.float64)
     if g.shape != outputs[-1].shape:
         raise ValueError(f"grad_out shape {g.shape} does not match cached forward")
-    weights, biases = [], []
+    if out is None:
+        out = MlpParams([np.empty_like(w) for w in params.weights],
+                        [np.empty_like(b) for b in params.biases])
     last = len(params.weights) - 1
     for l in range(last, -1, -1):
         # relu(z) > 0 exactly where z > 0
         dz = g if l == last else g * (outputs[l + 1] > 0.0)
-        weights.insert(0, dz.T @ outputs[l])
-        biases.insert(0, dz.sum(axis=0))
+        np.matmul(dz.T, outputs[l], out=out.weights[l])
+        np.add.reduce(dz, axis=0, out=out.biases[l])
         g = dz @ params.weights[l]
-    return MlpParams(weights, biases), g
+    return out, g

@@ -4,9 +4,14 @@ The combined objective couples a pull term (each feature is rewarded for a
 large inner product with its own class centerline) with a push term
 (features are penalised for positive inner products with other classes'
 centerlines, or with other-class features in the batch variant).  Each term
-is one vectorized function returning its value and gradients, and
-``loss_report`` is their weighted sum.  All gradients are closed forms, not
-autodiff.  Two of them are deliberately not the true derivatives:
+is one array kernel that adds its gradients into the caller's arrays, and
+``accumulate_terms`` runs the enabled ones on plain arrays with no checks:
+``trainer.train`` validates its inputs once at entry and then calls it on
+every batch.  The public functions (``pull_term``, ``push_term``,
+``push_batch_term``, ``softmax_ce``, ``center_loss`` and their weighted sum
+``loss_report``) validate, then call the same kernels.  All gradients are
+closed forms, not autodiff.  Two of them are deliberately not the true
+derivatives:
 
 * the pull gradients clip the inner product at zero, which bounds the update
   magnitude near the 1/x pole of the unclipped form;
@@ -36,6 +41,7 @@ __all__ = [
     "LinearClassifier",
     "LossConfig",
     "LossReport",
+    "accumulate_terms",
     "center_loss",
     "loss_report",
     "normalized_weight_gradient",
@@ -208,9 +214,119 @@ def _check_batch_bank(batch: LabeledBatch, bank: CenterlineBank):
         )
 
 
+def _check_classifier(batch: LabeledBatch, classifier: LinearClassifier):
+    if classifier.weights.shape[1] != batch.dim:
+        raise ValueError("classifier width does not match feature dim")
+    num_classes = classifier.weights.shape[0]
+    if batch.labels.max(initial=1) > num_classes:
+        raise ValueError(f"labels must lie in [1, {num_classes}]")
+
+
 # ---------------------------------------------------------------------------
-# CIP terms: value plus gradients in one vectorized pass
+# array kernels: no validation; ``labels0`` holds 0-based labels in [0, K)
+# and gradients are added into the caller's arrays.  Reductions call the
+# ufunc's reduce, which is what np.sum, np.mean and ndarray.max run, without
+# their Python wrappers.
 # ---------------------------------------------------------------------------
+
+
+def _pull(feats, labels0, centers, d, fgrads, cgrads) -> float:
+    own = centers[labels0]
+    denom = np.maximum(np.einsum("ij,ij->i", feats, own), 0.0) + d
+    scale = (1.0 / denom**2)[:, None]
+    fgrads -= own * scale
+    np.subtract.at(cgrads, labels0, feats * scale)
+    return float(np.add.reduce(1.0 / denom))
+
+
+def _push(feats, labels0, centers, weight, fgrads, cgrads) -> float:
+    prods = feats @ centers.T
+    active = prods > 0.0
+    active[np.arange(feats.shape[0]), labels0] = False
+    fgrads += weight * (active @ centers)
+    cgrads += weight * (active.T @ feats) / (1.0 + np.add.reduce(active, axis=0))[:, None]
+    return float(np.add.reduce(prods[active]))
+
+
+def _push_batch(feats, labels0, weight, fgrads) -> float:
+    grams = feats @ feats.T
+    active = (grams > 0.0) & (labels0[:, None] != labels0[None, :])
+    fgrads += weight * 2.0 * (active @ feats)
+    return float(np.add.reduce(grams[active]))
+
+
+def _softmax(feats, labels0, classifier, weight, fgrads, clf_grads) -> float:
+    # the classifier gradients are written, not added: no other term has any
+    m = feats.shape[0]
+    logits = feats @ classifier.weights.T + classifier.bias
+    shifted = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
+    logz = np.log(np.add.reduce(np.exp(shifted), axis=1))
+    rows = np.arange(m)
+    loss = float(np.add.reduce(logz - shifted[rows, labels0]) / m)
+    dlogits = np.exp(shifted - logz[:, None])
+    dlogits[rows, labels0] -= 1.0
+    dlogits /= m
+    fgrads += weight * (dlogits @ classifier.weights)
+    np.multiply(weight, dlogits.T @ feats, out=clf_grads.weights)
+    np.multiply(weight, np.add.reduce(dlogits, axis=0), out=clf_grads.bias)
+    return loss
+
+
+def _center(feats, labels0, centers, weight, fgrads, cgrads) -> float:
+    diff = feats - centers[labels0]
+    loss = 0.5 * float(np.add.reduce(diff * diff, axis=None))
+    damped = np.zeros_like(centers)
+    np.add.at(damped, labels0, -diff)
+    damped /= (1.0 + np.bincount(labels0, minlength=centers.shape[0]))[:, None]
+    fgrads += weight * diff
+    cgrads += weight * damped
+    return loss
+
+
+def accumulate_terms(feats, labels0, centers, cfg: LossConfig, classifier, fgrads, cgrads,
+                     clf_grads) -> tuple[float, dict[str, float]]:
+    """Every enabled term of ``cfg`` on plain arrays, with no validation.
+
+    ``feats`` is (M, n), ``labels0`` the 0-based labels in [0, K) and
+    ``centers`` (K, n).  The gradients of the weighted total are added
+    into ``fgrads`` (M, n) and ``cgrads`` (K, n), which must hold zeros on
+    entry; with softmax on, ``classifier`` is the head and its gradients
+    are written into the arrays of ``clf_grads``, a ``LinearClassifier`` of
+    the same shapes.  Returns ``(total, per_term)`` as in ``LossReport``.
+    ``total`` starts at 0.0 and adds each enabled term times its weight, in
+    ``TERM_NAMES`` order: pull (1), push (``lam``), softmax
+    (``softmax_weight``) and center (``center_weight``).
+    """
+    per_term = dict.fromkeys(TERM_NAMES, 0.0)
+    total = 0.0
+    if cfg.use_cluster:
+        per_term["cluster"] = _pull(feats, labels0, centers, cfg.d, fgrads, cgrads)
+        total += per_term["cluster"]
+    if cfg.use_ortho:
+        if cfg.ortho_variant == "batch":
+            per_term["ortho"] = _push_batch(feats, labels0, cfg.lam, fgrads)
+        else:
+            per_term["ortho"] = _push(feats, labels0, centers, cfg.lam, fgrads, cgrads)
+        total += cfg.lam * per_term["ortho"]
+    if cfg.use_softmax:
+        per_term["softmax"] = _softmax(feats, labels0, classifier, cfg.softmax_weight, fgrads, clf_grads)
+        total += cfg.softmax_weight * per_term["softmax"]
+    if cfg.use_center:
+        per_term["center"] = _center(feats, labels0, centers, cfg.center_weight, fgrads, cgrads)
+        total += cfg.center_weight * per_term["center"]
+    return total, per_term
+
+
+# ---------------------------------------------------------------------------
+# CIP terms: validate, then run the kernel
+# ---------------------------------------------------------------------------
+
+
+def _identity(like: np.ndarray) -> np.ndarray:
+    """A buffer of -0.0, the exact additive identity (-0.0 + x is x, bit for
+    bit, for every x, where 0.0 + -0.0 is 0.0): a kernel's sum into it
+    returns the bits of the term's gradient expression itself."""
+    return np.full_like(like, -0.0)
 
 
 def pull_term(batch: LabeledBatch, bank: CenterlineBank, d: float):
@@ -224,13 +340,10 @@ def pull_term(batch: LabeledBatch, bank: CenterlineBank, d: float):
     if d <= 0:
         raise ValueError(f"d must be > 0, got {d}")
     _check_batch_bank(batch, bank)
-    labels0 = batch.labels - 1
-    own = bank.centers[labels0]
-    denom = np.maximum(np.einsum("ij,ij->i", batch.features, own), 0.0) + d
-    scale = 1.0 / denom**2
-    center_grads = np.zeros_like(bank.centers)
-    np.add.at(center_grads, labels0, -batch.features * scale[:, None])
-    return float(np.sum(1.0 / denom)), -(own * scale[:, None]), center_grads
+    # the centerline sum starts from 0.0, as it always has
+    fgrads, cgrads = _identity(batch.features), np.zeros_like(bank.centers)
+    value = _pull(batch.features, batch.labels - 1, bank.centers, d, fgrads, cgrads)
+    return value, fgrads, cgrads
 
 
 def push_term(batch: LabeledBatch, bank: CenterlineBank, weight: float = 1.0):
@@ -244,15 +357,9 @@ def push_term(batch: LabeledBatch, bank: CenterlineBank, weight: float = 1.0):
     ``weight`` is applied before that division.
     """
     _check_batch_bank(batch, bank)
-    prods = batch.features @ bank.centers.T
-    active = prods > 0.0
-    active[np.arange(batch.size), batch.labels - 1] = False
-    counts = active.sum(axis=0)
-    return (
-        float(prods[active].sum()),
-        weight * (active @ bank.centers),
-        weight * (active.T @ batch.features) / (1.0 + counts)[:, None],
-    )
+    fgrads, cgrads = _identity(batch.features), _identity(bank.centers)
+    value = _push(batch.features, batch.labels - 1, bank.centers, weight, fgrads, cgrads)
+    return value, fgrads, cgrads
 
 
 def push_batch_term(batch: LabeledBatch, weight: float = 1.0):
@@ -263,10 +370,8 @@ def push_batch_term(batch: LabeledBatch, weight: float = 1.0):
     ``weight * value``.  Each unordered pair appears twice, so a feature's
     gradient is 2 * the sum of the other-class features it overlaps.
     """
-    feats = batch.features
-    grams = feats @ feats.T
-    active = (grams > 0.0) & (batch.labels[:, None] != batch.labels[None, :])
-    return float(grams[active].sum()), weight * 2.0 * (active @ feats)
+    fgrads = _identity(batch.features)
+    return _push_batch(batch.features, batch.labels - 1, weight, fgrads), fgrads
 
 
 # ---------------------------------------------------------------------------
@@ -280,25 +385,11 @@ def softmax_ce(batch: LabeledBatch, classifier: LinearClassifier):
     Returns ``(loss, (feature_grads, weight_grads, bias_grads))`` where the
     gradients are exact derivatives of the mean cross-entropy.
     """
-    if classifier.weights.shape[1] != batch.dim:
-        raise ValueError("classifier width does not match feature dim")
-    num_classes = classifier.weights.shape[0]
-    if batch.labels.max(initial=1) > num_classes:
-        raise ValueError(f"labels must lie in [1, {num_classes}]")
-    m = batch.size
-    logits = batch.features @ classifier.weights.T + classifier.bias
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    logz = np.log(np.exp(shifted).sum(axis=1))
-    rows = np.arange(m)
-    loss = float(np.mean(logz - shifted[rows, batch.labels - 1]))
-    probs = np.exp(shifted - logz[:, None])
-    dlogits = probs
-    dlogits[rows, batch.labels - 1] -= 1.0
-    dlogits /= m
-    feature_grads = dlogits @ classifier.weights
-    weight_grads = dlogits.T @ batch.features
-    bias_grads = dlogits.sum(axis=0)
-    return loss, (feature_grads, weight_grads, bias_grads)
+    _check_classifier(batch, classifier)
+    fgrads = _identity(batch.features)
+    grads = LinearClassifier(np.empty_like(classifier.weights), np.empty_like(classifier.bias))
+    loss = _softmax(batch.features, batch.labels - 1, classifier, 1.0, fgrads, grads)
+    return loss, (fgrads, grads.weights, grads.bias)
 
 
 def center_loss(batch: LabeledBatch, bank: CenterlineBank):
@@ -310,13 +401,9 @@ def center_loss(batch: LabeledBatch, bank: CenterlineBank):
     raw sum.
     """
     _check_batch_bank(batch, bank)
-    labels0 = batch.labels - 1
-    diff = batch.features - bank.centers[labels0]
-    loss = 0.5 * float(np.sum(diff * diff))
-    center_grads = np.zeros_like(bank.centers)
-    np.add.at(center_grads, labels0, -diff)
-    center_grads /= (1.0 + np.bincount(labels0, minlength=bank.num_classes))[:, None]
-    return loss, (diff, center_grads)
+    fgrads, cgrads = _identity(batch.features), _identity(bank.centers)
+    loss = _center(batch.features, batch.labels - 1, bank.centers, 1.0, fgrads, cgrads)
+    return loss, (fgrads, cgrads)
 
 
 def normalized_weight_gradient(w, f) -> np.ndarray:
@@ -349,53 +436,24 @@ def loss_report(
 ) -> LossReport:
     """Evaluate every enabled term and assemble gradients of the weighted total.
 
-    ``total`` starts at 0.0 and adds each enabled term times its weight, in
-    ``TERM_NAMES`` order: ``pull_term`` (1), ``push_term`` or
-    ``push_batch_term`` (``lam``), ``softmax_ce`` (``softmax_weight``) and
-    ``center_loss`` (``center_weight``).
+    Validates what the enabled terms read, then runs ``accumulate_terms``,
+    the kernel ``trainer.train`` runs on each batch.
     """
     if cfg.use_softmax and classifier is None:
         raise ValueError("softmax term enabled but no classifier supplied")
-
-    per_term = dict.fromkeys(TERM_NAMES, 0.0)
-    total = 0.0
-    fgrads = np.zeros_like(batch.features)
-    cgrads = np.zeros_like(bank.centers)
-    clf_grads = None
-
-    if cfg.use_cluster:
-        per_term["cluster"], tf, tc = pull_term(batch, bank, cfg.d)
-        total += per_term["cluster"]
-        fgrads += tf
-        cgrads += tc
-
-    if cfg.use_ortho:
-        if cfg.ortho_variant == "batch":
-            per_term["ortho"], tf = push_batch_term(batch, cfg.lam)
-        else:
-            per_term["ortho"], tf, tc = push_term(batch, bank, cfg.lam)
-            cgrads += tc
-        total += cfg.lam * per_term["ortho"]
-        fgrads += tf
-
+    if cfg.use_cluster or cfg.use_center or (cfg.use_ortho and cfg.ortho_variant == "centerline"):
+        _check_batch_bank(batch, bank)
     if cfg.use_softmax:
-        value, (sf, sw, sb) = softmax_ce(batch, classifier)
-        per_term["softmax"] = value
-        total += cfg.softmax_weight * value
-        fgrads += cfg.softmax_weight * sf
-        clf_grads = (cfg.softmax_weight * sw, cfg.softmax_weight * sb)
-
-    if cfg.use_center:
-        value, (of, oc) = center_loss(batch, bank)
-        per_term["center"] = value
-        total += cfg.center_weight * value
-        fgrads += cfg.center_weight * of
-        cgrads += cfg.center_weight * oc
-
+        _check_classifier(batch, classifier)
+    fgrads, cgrads = np.zeros_like(batch.features), np.zeros_like(bank.centers)
+    clf_grads = (LinearClassifier(np.empty_like(classifier.weights), np.empty_like(classifier.bias))
+                 if cfg.use_softmax else None)
+    total, per_term = accumulate_terms(batch.features, batch.labels - 1, bank.centers, cfg,
+                                       classifier, fgrads, cgrads, clf_grads)
     return LossReport(
-        total=float(total),
+        total=total,
         per_term=per_term,
         feature_grads=fgrads,
         center_grads=cgrads,
-        classifier_grads=clf_grads,
+        classifier_grads=(clf_grads.weights, clf_grads.bias) if clf_grads else None,
     )

@@ -7,6 +7,9 @@ blow-up, or centerline collapse onto a single direction / toward zero) is
 detected every epoch and aborts training with the last healthy snapshot
 attached to the raised error.  Training uses the rows outside
 ``Dataset.test_mask``; ``evaluate_map`` scores ``Dataset.eval_mask``.
+``train`` validates its inputs once at entry; each step then runs the
+loss kernels (``losses.accumulate_terms``) and the backward pass straight
+into views of one flat gradient buffer in ``theta``'s layout.
 """
 
 from __future__ import annotations
@@ -22,12 +25,12 @@ from . import encoder as enc
 from .data import Dataset, write_csv
 from .losses import (
     CenterlineBank,
-    LabeledBatch,
     LinearClassifier,
     TERM_NAMES,
     LossConfig,
-    loss_report,
+    accumulate_terms,
 )
+from .losses import LabeledBatch, loss_report  # noqa: F401  bench/workloads.py trace slots
 from .retrieval import evaluate_run, pool_descriptors, rank
 from .vectors import as_floats, check_fields
 
@@ -161,10 +164,6 @@ class TrainResult:
     epochs_run: int
 
 
-def _flat(*tensors: np.ndarray) -> np.ndarray:
-    return np.concatenate([t.ravel() for t in tensors])
-
-
 def _shapes(dims: tuple[int, ...], num_classes: int, softmax: bool) -> list[tuple[int, ...]]:
     """Tensor shapes in flat-buffer order for encoder layer widths ``dims``:
     encoder weights, encoder biases, classifier weights and bias (softmax
@@ -273,7 +272,8 @@ def train(dataset: Dataset, cfg: TrainConfig) -> TrainResult:
     if cfg.eval_every:
         dataset.check_scorable("dataset")
     inputs = dataset.inputs[train_mask]
-    labels = dataset.labels[train_mask]
+    # a Dataset's labels are contiguous in [1, K]: no step checks them again
+    labels0 = dataset.labels[train_mask] - 1
     n = inputs.shape[0]
 
     num_classes = dataset.num_classes
@@ -285,6 +285,9 @@ def train(dataset: Dataset, cfg: TrainConfig) -> TrainResult:
     theta = np.zeros(sum(math.prod(shape) for shape in _shapes(dims, num_classes, softmax)))
     velocity = np.zeros_like(theta)
     params, bank, classifier = _bind_views(theta, dims, num_classes, softmax)
+    # each step writes its gradient into views of one buffer in theta's layout
+    grad = np.zeros_like(theta)
+    grad_params, grad_bank, grad_classifier = _bind_views(grad, dims, num_classes, softmax)
     init = enc.init_params(dims, rng, cfg.init_std)
     for view, value in zip((*params.weights, *params.biases), (*init.weights, *init.biases)):
         view[...] = value
@@ -317,16 +320,17 @@ def train(dataset: Dataset, cfg: TrainConfig) -> TrainResult:
                     f"non-finite embeddings at epoch {epoch}",
                     "non_finite", epoch, last_good, history,
                 )
-            batch = LabeledBatch(feats, labels[batch_idx])
-            report = loss_report(batch, bank, cfg.loss, classifier)
-            if not np.isfinite(report.total):
+            fgrads = np.zeros_like(feats)
+            grad_bank.centers.fill(0.0)
+            total, per_term = accumulate_terms(feats, labels0[batch_idx], bank.centers, cfg.loss,
+                                               classifier, fgrads, grad_bank.centers,
+                                               grad_classifier)
+            if not np.isfinite(total):
                 raise DivergenceError(
                     f"non-finite loss at epoch {epoch}",
                     "non_finite", epoch, last_good, history,
                 )
-            grads, _ = enc.backward_batch(params, cache, report.feature_grads)
-            grad = _flat(*grads.weights, *grads.biases, *(report.classifier_grads or ()),
-                         report.center_grads)
+            enc.backward_batch(params, cache, fgrads, out=grad_params)
             try:
                 sgd_step(theta, velocity, grad, rates, cfg.momentum, decay)
             except ValueError as e:
@@ -334,8 +338,8 @@ def train(dataset: Dataset, cfg: TrainConfig) -> TrainResult:
                     f"aborting epoch {epoch}: {e}", "non_finite", epoch, last_good, history
                 ) from None
             for name in term_sums:
-                term_sums[name] += report.per_term[name]
-            total_sum += report.total
+                term_sums[name] += per_term[name]
+            total_sum += total
 
         row = {"epoch": epoch, "lr": lr, "total": total_sum / len(batches)}
         for name in term_sums:

@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 from cipbench.data import Dataset, SyntheticSpec, generate, split
-from cipbench.losses import CenterlineBank, LabeledBatch, LossConfig, loss_report
+from cipbench.losses import CenterlineBank, LabeledBatch, LossConfig, LossReport, loss_report
 from cipbench.trainer import (
     DivergenceError,
     TrainConfig,
     _bind_views,
     _detect_divergence,
-    _flat,
     history_to_csv,
     iterate_batches,
     load_checkpoint,
@@ -185,6 +184,28 @@ def test_train_history_has_all_terms():
         assert row["center"] == 0.0
 
 
+@pytest.mark.parametrize("loss", ["cip+softmax", "cip+center", "softmax+center"])
+def test_train_validates_once_and_builds_no_per_step_objects(monkeypatch, loss):
+    # train checks its inputs at entry; a step builds no LabeledBatch and no LossReport
+    built = {"LabeledBatch": 0, "LossReport": 0}
+
+    def counted(name, original):
+        def wrapper(self, *args, **kwargs):
+            built[name] += 1
+            return original(self, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(LabeledBatch, "__post_init__", counted("LabeledBatch", LabeledBatch.__post_init__))
+    monkeypatch.setattr(LossReport, "__init__", counted("LossReport", LossReport.__init__))
+    res = train(bench_dataset(), quick_config(loss=LossConfig.from_name(loss)))
+    assert res.epochs_run == 4
+    assert built == {"LabeledBatch": 0, "LossReport": 0}
+    # the counters do see a construction
+    loss_report(LabeledBatch(np.ones((1, 2)), np.array([1])), CenterlineBank(np.eye(2)),
+                LossConfig.from_name("cip"))
+    assert built == {"LabeledBatch": 1, "LossReport": 1}
+
+
 def test_train_eval_every_records_map():
     ds = split(bench_dataset(), 0.5, 0)
     res = train(ds, quick_config(eval_every=2))
@@ -292,8 +313,7 @@ def test_non_finite_check_covers_every_trainable_value(tensor):
     # encoder weights and centerlines trips non_finite too
     cfg = quick_config(loss=LossConfig.from_name("cip+softmax"))
     res = train(bench_dataset(), cfg)
-    theta = _flat(*res.params.weights, *res.params.biases, res.classifier.weights,
-                  res.classifier.bias, res.bank.centers)
+    theta = res.theta.copy()
     params, bank, classifier = _bind_views(theta, res.params.layer_dims, 4, softmax=True)
     assert _detect_divergence(theta, bank.centers, 0, cfg, 1.0) is None
     view = {"encoder bias": params.biases[0], "classifier weights": classifier.weights,
