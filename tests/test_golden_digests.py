@@ -6,10 +6,9 @@ Training: every loss mix and optimizer setting of
 import path) is trained at seed 0 on the standard benchmark, and so are
 ``EXTRA_LOSSES`` under the same optimizer settings: the batch push
 variant, center loss alone and pull with center loss, which no
-``compare_training.py`` mix trains.  A finished
-run hashes its ``theta`` bytes and ``repr`` of its history; a diverged run
-hashes its signal, epoch, history and the ``theta`` bytes of its last
-healthy snapshot.
+``compare_training.py`` mix trains.  A finished run hashes its ``theta``
+bytes and ``repr`` of its history; a diverged run hashes its signal,
+epoch, history and the ``theta`` bytes of its last healthy snapshot.
 
 Retrieval: for seeds 0, 1 and 9, a ``cip+softmax`` model trained on the
 standard benchmark embeds a 384-objects-per-class set drawn with the same
