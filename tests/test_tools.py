@@ -62,8 +62,8 @@ def test_bench_pairs_summary_gives_medians_quartiles_and_wins():
     summary = summarize(pairs, end_to_end)
     assert summary["pass_norm"] == {
         "unit": "ref_loops", "better": "lower",
-        "parent": {"median": 305.0, "q1": 300.0, "q3": 310.0},
-        "change": {"median": 260.0, "q1": 250.0, "q3": 295.0},
+        "parent": {"median": 305.0, "q1": 295.0, "q3": 315.0},
+        "change": {"median": 260.0, "q1": 245.0, "q3": 307.5},
         "change_wins": 3,  # one loss and one tie
     }
     assert summary["ref_map"]["change_wins"] == 1
