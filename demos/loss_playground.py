@@ -11,8 +11,6 @@ from cipbench.losses import (
     LossConfig,
     loss_report,
     normalized_weight_gradient,
-    pull_term,
-    push_term,
 )
 
 np.set_printoptions(precision=4, suppress=True)
@@ -25,10 +23,13 @@ batch = LabeledBatch(
     np.array([1, 1, 2]),
 )
 
+# a config with one term enabled gives that term's value and gradients
+pull = LossConfig.from_name("cluster", d=2.0)
+push = LossConfig.from_name("ortho", lam=1.0)
 own = np.einsum("ij,ij->i", batch.features, bank.centers[batch.labels - 1])
-print("pull term (clipped):   ", pull_term(batch, bank, d=2.0)[0])
+print("pull term (clipped):   ", loss_report(batch, bank, pull).per_term["cluster"])
 print("pull term (literal):   ", float(np.sum(1.0 / (own + 2.0))))
-print("push term:             ", push_term(batch, bank)[0])
+print("push term:             ", loss_report(batch, bank, push).per_term["ortho"])
 print("combined, lambda=1:    ", loss_report(batch, bank, LossConfig(lam=1.0, d=2.0)).total)
 
 # The pull gradient is clipped so a feature on the wrong side of its
@@ -39,7 +40,7 @@ c = axes.centers[0]
 print("\n  f.c      surrogate         unclipped original")
 for x in (3.0, 0.0, -1.0, -1.9, -1.999):
     f = np.array([x, 0.0])
-    s = pull_term(LabeledBatch(f[None], np.array([1])), axes, d=2.0)[1][0]
+    s = loss_report(LabeledBatch(f[None], np.array([1])), axes, pull).feature_grads[0]
     o = -c / (f @ c + 2.0) ** 2
     print(f"  {x:6.3f}  {s}  {o}")
 
@@ -48,7 +49,7 @@ for x in (3.0, 0.0, -1.0, -1.9, -1.999):
 violators = LabeledBatch(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([2, 2]))
 tilted = CenterlineBank(np.array([[1.0, 1.0], [0.0, -1.0]]))
 print("\naveraged push on a centerline with 2 violators:",
-      push_term(violators, tilted)[2][0])
+      loss_report(violators, tilted, push).center_grads[0])
 
 # Why the losses avoid weight normalization: the normalized-weight gradient
 # scales as 1/|w|, so a small weight vector produces a huge update.

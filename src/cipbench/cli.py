@@ -151,6 +151,7 @@ def cmd_train(args) -> int:
     cfg = _resolve(args)
     train_cfg = cfg.train_config()
     dataset = _load_split_dataset(args.dataset, cfg)
+    dataset.check_trainable(args.dataset)
     if train_cfg.eval_every:
         dataset.check_scorable(args.dataset)
     out = _outdir(args, cfg)
@@ -235,7 +236,9 @@ def cmd_sweep(args) -> int:
     point = cfg.replace(centerline_collapse_cosine=2.0)
     grid = [(lam, d, point.replace(lam=lam, d=d).train_config()) for d in ds for lam in lambdas]
     dataset = _load_split_dataset(args.dataset, cfg) if args.dataset else _generate_split(cfg)
-    dataset.check_scorable(args.dataset or "the generated dataset")
+    name = args.dataset or "the generated dataset"
+    dataset.check_trainable(name)
+    dataset.check_scorable(name)
     out = _outdir(args, cfg)
     point.save(out / "config.used.cfg")
 

@@ -168,6 +168,8 @@ def _read_pairs(path: Path):
         text = path.read_text()
     except OSError as e:
         raise ConfigError(f"cannot read config file: {e}") from None
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"cannot read config file: {path}: {e}") from None
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:

@@ -136,6 +136,15 @@ class Dataset:
         test = self.test_mask()
         return test if test.any() else np.ones(self.num_views, dtype=bool)
 
+    def check_trainable(self, name: str) -> None:
+        """Raise a ``ValueError`` that starts with ``name`` unless some row
+        lies outside ``test_mask`` (training uses those rows) and there are
+        at least 2 classes (the centerline bank needs them)."""
+        if self.test_mask().all():
+            raise ValueError(f"{name}: no training rows")
+        if self.num_classes < 2:
+            raise ValueError(f"{name}: a centerline bank needs at least 2 classes, got {self.num_classes}")
+
     def check_scorable(self, name: str) -> None:
         """Raise a ``ValueError`` that starts with ``name`` unless some class
         has two objects among the ``eval_mask`` rows: without one, no
@@ -273,7 +282,10 @@ def save_dataset(dataset: Dataset, csv_path) -> None:
 def load_dataset(csv_path) -> Dataset:
     """Parse a view CSV (+ sidecar if present); errors carry line numbers."""
     csv_path = Path(csv_path)
-    text = csv_path.read_text()
+    try:
+        text = csv_path.read_text()
+    except UnicodeDecodeError as e:
+        raise ValueError(f"{csv_path}: {e}") from None
     lines = [ln for ln in text.splitlines()]
     if not lines:
         raise ValueError(f"{csv_path}: empty file")

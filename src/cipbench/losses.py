@@ -3,15 +3,15 @@
 The combined objective couples a pull term (each feature is rewarded for a
 large inner product with its own class centerline) with a push term
 (features are penalised for positive inner products with other classes'
-centerlines, or with other-class features in the batch variant).  Each term
-is one array kernel that adds its gradients into the caller's arrays, and
-``accumulate_terms`` runs the enabled ones on plain arrays with no checks:
-``trainer.train`` validates its inputs once at entry and then calls it on
-every batch.  The public functions (``pull_term``, ``push_term``,
-``push_batch_term``, ``softmax_ce``, ``center_loss`` and their weighted sum
-``loss_report``) validate, then call the same kernels.  All gradients are
-closed forms, not autodiff.  Two of them are deliberately not the true
-derivatives:
+centerlines, or with other-class features in the batch variant).  Each
+term is one array function that runs no checks and adds its gradients into
+the caller's arrays; ``accumulate_terms`` runs the enabled ones, and
+``trainer.train`` calls it on every batch after validating its inputs once
+at entry.  ``loss_report`` is the checked, object-level entry: it validates
+a ``LabeledBatch`` against the bank and classifier, then runs
+``accumulate_terms``; a one-term ``LossConfig`` gives one term's value and
+gradients.  All gradients are closed forms, not autodiff.  Two of them are
+deliberately not the true derivatives:
 
 * the pull gradients clip the inner product at zero, which bounds the update
   magnitude near the 1/x pole of the unclipped form;
@@ -20,11 +20,11 @@ derivatives:
 
 Conventions: class labels are 1-based, class k owns centerline row k-1, and
 batch losses are sums over the batch, so gradient scale grows with batch
-size by design.  The pull value is evaluated with the same clipping as its
-gradient, keeping reported loss curves consistent with the updates actually
-applied.  The literal unclipped forms and per-sample reference gradients
-live in ``tests/oracles.py``, where the tests check these functions against
-them.
+size by design.  The term functions take the 0-based labels.  The pull
+value is evaluated with the same clipping as its gradient, keeping reported
+loss curves consistent with the updates actually applied.  The literal
+unclipped forms and per-sample reference gradients live in
+``tests/oracles.py``, where the tests check these functions against them.
 """
 
 from __future__ import annotations
@@ -200,37 +200,24 @@ class LossReport:
 
 
 # ---------------------------------------------------------------------------
-# validation helpers
+# loss terms: one array function each, with no checks (``loss_report`` and
+# the domain types run them).  ``feats`` is (M, n), ``labels0`` holds
+# 0-based labels in [0, K) and ``centers`` is (K, n).  A term returns its
+# unweighted value and adds the gradients of ``weight * value`` into the
+# caller's ``fgrads`` (M, n) and ``cgrads`` (K, n).  Reductions call the
+# ufunc's reduce, which is what np.sum, np.mean and ndarray.max run,
+# without their Python wrappers.
 # ---------------------------------------------------------------------------
 
 
-def _check_batch_bank(batch: LabeledBatch, bank: CenterlineBank):
-    if batch.dim != bank.dim:
-        raise ValueError(f"feature dim {batch.dim} != centerline dim {bank.dim}")
-    if batch.size and (batch.labels.min() < 1 or batch.labels.max() > bank.num_classes):
-        raise ValueError(
-            f"labels must lie in [1, {bank.num_classes}], got range "
-            f"[{batch.labels.min()}, {batch.labels.max()}]"
-        )
+def pull_term(feats, labels0, centers, d, fgrads, cgrads) -> float:
+    """Pull term sum_i 1 / ((f_i . c_{y_i})_+ + d) with its clipped gradients.
 
-
-def _check_classifier(batch: LabeledBatch, classifier: LinearClassifier):
-    if classifier.weights.shape[1] != batch.dim:
-        raise ValueError("classifier width does not match feature dim")
-    num_classes = classifier.weights.shape[0]
-    if batch.labels.max(initial=1) > num_classes:
-        raise ValueError(f"labels must lie in [1, {num_classes}]")
-
-
-# ---------------------------------------------------------------------------
-# array kernels: no validation; ``labels0`` holds 0-based labels in [0, K)
-# and gradients are added into the caller's arrays.  Reductions call the
-# ufunc's reduce, which is what np.sum, np.mean and ndarray.max run, without
-# their Python wrappers.
-# ---------------------------------------------------------------------------
-
-
-def _pull(feats, labels0, centers, d, fgrads, cgrads) -> float:
+    ``d`` must be positive; the term has no weight.  Row i of the feature
+    gradients is -c_{y_i} / ((f_i . c_{y_i})_+ + d)^2, bounded by |c|/d^2;
+    centerline k receives the sum of -f_j / ((f_j . c_k)_+ + d)^2 over its
+    members j.  The value is clipped the same way as the gradients.
+    """
     own = centers[labels0]
     denom = np.maximum(np.einsum("ij,ij->i", feats, own), 0.0) + d
     scale = (1.0 / denom**2)[:, None]
@@ -239,7 +226,15 @@ def _pull(feats, labels0, centers, d, fgrads, cgrads) -> float:
     return float(np.add.reduce(1.0 / denom))
 
 
-def _push(feats, labels0, centers, weight, fgrads, cgrads) -> float:
+def push_term(feats, labels0, centers, weight, fgrads, cgrads) -> float:
+    """Push term sum_i sum_{k != y_i} max(f_i . c_k, 0) and its gradients.
+
+    A feature's gradient is the sum of the other-class centerlines it
+    overlaps (the hinge subgradient is 0).  A centerline's gradient is the
+    surrogate (sum of its violators) / (1 + violator count), which bounds
+    its norm by the largest violator's; ``weight`` is applied before that
+    division.
+    """
     prods = feats @ centers.T
     active = prods > 0.0
     active[np.arange(feats.shape[0]), labels0] = False
@@ -248,15 +243,29 @@ def _push(feats, labels0, centers, weight, fgrads, cgrads) -> float:
     return float(np.add.reduce(prods[active]))
 
 
-def _push_batch(feats, labels0, weight, fgrads) -> float:
+def push_batch_term(feats, labels0, weight, fgrads) -> float:
+    """Centerline-free push term over ordered cross-class feature pairs.
+
+    The value is the sum of max(f_i . f_j, 0) over ordered pairs with
+    different labels.  Each unordered pair appears twice, so a feature's
+    gradient is 2 * the sum of the other-class features it overlaps.  No
+    centerline receives a gradient.
+    """
     grams = feats @ feats.T
     active = (grams > 0.0) & (labels0[:, None] != labels0[None, :])
     fgrads += weight * 2.0 * (active @ feats)
     return float(np.add.reduce(grams[active]))
 
 
-def _softmax(feats, labels0, classifier, weight, fgrads, clf_grads) -> float:
-    # the classifier gradients are written, not added: no other term has any
+def softmax_ce(feats, labels0, classifier, weight, fgrads, clf_grads) -> float:
+    """Mean cross-entropy of a linear softmax head over the batch.
+
+    ``classifier`` is the (K, n) head.  The gradients are exact derivatives
+    of the mean cross-entropy.  The feature gradient is added into
+    ``fgrads``; the head's gradients are written, not added, into the
+    arrays of ``clf_grads``, a ``LinearClassifier`` of the head's shapes:
+    no other term has any.
+    """
     m = feats.shape[0]
     logits = feats @ classifier.weights.T + classifier.bias
     shifted = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
@@ -272,7 +281,13 @@ def _softmax(feats, labels0, classifier, weight, fgrads, clf_grads) -> float:
     return loss
 
 
-def _center(feats, labels0, centers, weight, fgrads, cgrads) -> float:
+def center_loss(feats, labels0, centers, weight, fgrads, cgrads) -> float:
+    """Half squared distance of each feature to its class center, summed.
+
+    Feature gradients are the exact derivative f - c; center gradients use
+    the conventional damped mean update sum(c - f_j) / (1 + count) per
+    class rather than the raw sum.
+    """
     diff = feats - centers[labels0]
     loss = 0.5 * float(np.add.reduce(diff * diff, axis=None))
     damped = np.zeros_like(centers)
@@ -287,123 +302,34 @@ def accumulate_terms(feats, labels0, centers, cfg: LossConfig, classifier, fgrad
                      clf_grads) -> tuple[float, dict[str, float]]:
     """Every enabled term of ``cfg`` on plain arrays, with no validation.
 
-    ``feats`` is (M, n), ``labels0`` the 0-based labels in [0, K) and
-    ``centers`` (K, n).  The gradients of the weighted total are added
-    into ``fgrads`` (M, n) and ``cgrads`` (K, n), which must hold zeros on
-    entry; with softmax on, ``classifier`` is the head and its gradients
-    are written into the arrays of ``clf_grads``, a ``LinearClassifier`` of
-    the same shapes.  Returns ``(total, per_term)`` as in ``LossReport``.
-    ``total`` starts at 0.0 and adds each enabled term times its weight, in
-    ``TERM_NAMES`` order: pull (1), push (``lam``), softmax
-    (``softmax_weight``) and center (``center_weight``).
+    ``feats``, ``labels0`` and ``centers`` are as for each term.  The
+    gradients of the weighted total are added into ``fgrads`` (M, n) and
+    ``cgrads`` (K, n), which must hold zeros on entry; with softmax on,
+    ``classifier`` is the head and its gradients are written into the
+    arrays of ``clf_grads``, a ``LinearClassifier`` of the same shapes.
+    Returns ``(total, per_term)`` as in ``LossReport``.  ``total`` starts at
+    0.0 and adds each enabled term times its weight, in ``TERM_NAMES``
+    order: pull (1), push (``lam``), softmax (``softmax_weight``) and center
+    (``center_weight``).
     """
     per_term = dict.fromkeys(TERM_NAMES, 0.0)
     total = 0.0
     if cfg.use_cluster:
-        per_term["cluster"] = _pull(feats, labels0, centers, cfg.d, fgrads, cgrads)
+        per_term["cluster"] = pull_term(feats, labels0, centers, cfg.d, fgrads, cgrads)
         total += per_term["cluster"]
     if cfg.use_ortho:
         if cfg.ortho_variant == "batch":
-            per_term["ortho"] = _push_batch(feats, labels0, cfg.lam, fgrads)
+            per_term["ortho"] = push_batch_term(feats, labels0, cfg.lam, fgrads)
         else:
-            per_term["ortho"] = _push(feats, labels0, centers, cfg.lam, fgrads, cgrads)
+            per_term["ortho"] = push_term(feats, labels0, centers, cfg.lam, fgrads, cgrads)
         total += cfg.lam * per_term["ortho"]
     if cfg.use_softmax:
-        per_term["softmax"] = _softmax(feats, labels0, classifier, cfg.softmax_weight, fgrads, clf_grads)
+        per_term["softmax"] = softmax_ce(feats, labels0, classifier, cfg.softmax_weight, fgrads, clf_grads)
         total += cfg.softmax_weight * per_term["softmax"]
     if cfg.use_center:
-        per_term["center"] = _center(feats, labels0, centers, cfg.center_weight, fgrads, cgrads)
+        per_term["center"] = center_loss(feats, labels0, centers, cfg.center_weight, fgrads, cgrads)
         total += cfg.center_weight * per_term["center"]
     return total, per_term
-
-
-# ---------------------------------------------------------------------------
-# CIP terms: validate, then run the kernel
-# ---------------------------------------------------------------------------
-
-
-def _identity(like: np.ndarray) -> np.ndarray:
-    """A buffer of -0.0, the exact additive identity (-0.0 + x is x, bit for
-    bit, for every x, where 0.0 + -0.0 is 0.0): a kernel's sum into it
-    returns the bits of the term's gradient expression itself."""
-    return np.full_like(like, -0.0)
-
-
-def pull_term(batch: LabeledBatch, bank: CenterlineBank, d: float):
-    """Pull term sum_i 1 / ((f_i . c_{y_i})_+ + d) with its clipped gradients.
-
-    Returns ``(value, feature_grads, center_grads)``.  Row i of the feature
-    gradients is -c_{y_i} / ((f_i . c_{y_i})_+ + d)^2, bounded by |c|/d^2;
-    centerline k receives the sum of -f_j / ((f_j . c_k)_+ + d)^2 over its
-    members j.  The value is clipped the same way as the gradients.
-    """
-    if d <= 0:
-        raise ValueError(f"d must be > 0, got {d}")
-    _check_batch_bank(batch, bank)
-    # the centerline sum starts from 0.0, as it always has
-    fgrads, cgrads = _identity(batch.features), np.zeros_like(bank.centers)
-    value = _pull(batch.features, batch.labels - 1, bank.centers, d, fgrads, cgrads)
-    return value, fgrads, cgrads
-
-
-def push_term(batch: LabeledBatch, bank: CenterlineBank, weight: float = 1.0):
-    """Push term sum_i sum_{k != y_i} max(f_i . c_k, 0) and its gradients.
-
-    Returns ``(value, feature_grads, center_grads)``: the unweighted value
-    and the gradients of ``weight * value``.  A feature's gradient is the
-    sum of the other-class centerlines it overlaps (the hinge subgradient is
-    0).  A centerline's gradient is the surrogate (sum of its violators) /
-    (1 + violator count), which bounds its norm by the largest violator's;
-    ``weight`` is applied before that division.
-    """
-    _check_batch_bank(batch, bank)
-    fgrads, cgrads = _identity(batch.features), _identity(bank.centers)
-    value = _push(batch.features, batch.labels - 1, bank.centers, weight, fgrads, cgrads)
-    return value, fgrads, cgrads
-
-
-def push_batch_term(batch: LabeledBatch, weight: float = 1.0):
-    """Centerline-free push term over ordered cross-class feature pairs.
-
-    Returns ``(value, feature_grads)``: the unweighted sum of max(f_i . f_j, 0)
-    over ordered pairs with different labels, and the gradient of
-    ``weight * value``.  Each unordered pair appears twice, so a feature's
-    gradient is 2 * the sum of the other-class features it overlaps.
-    """
-    fgrads = _identity(batch.features)
-    return _push_batch(batch.features, batch.labels - 1, weight, fgrads), fgrads
-
-
-# ---------------------------------------------------------------------------
-# baseline losses
-# ---------------------------------------------------------------------------
-
-
-def softmax_ce(batch: LabeledBatch, classifier: LinearClassifier):
-    """Mean cross-entropy of a linear softmax head over the batch.
-
-    Returns ``(loss, (feature_grads, weight_grads, bias_grads))`` where the
-    gradients are exact derivatives of the mean cross-entropy.
-    """
-    _check_classifier(batch, classifier)
-    fgrads = _identity(batch.features)
-    grads = LinearClassifier(np.empty_like(classifier.weights), np.empty_like(classifier.bias))
-    loss = _softmax(batch.features, batch.labels - 1, classifier, 1.0, fgrads, grads)
-    return loss, (fgrads, grads.weights, grads.bias)
-
-
-def center_loss(batch: LabeledBatch, bank: CenterlineBank):
-    """Half squared distance of each feature to its class center, summed.
-
-    Returns ``(loss, (feature_grads, center_grads))``.  Feature gradients
-    are the exact derivative f - c; center gradients use the conventional
-    damped mean update sum(c - f_j) / (1 + count) per class rather than the
-    raw sum.
-    """
-    _check_batch_bank(batch, bank)
-    fgrads, cgrads = _identity(batch.features), _identity(bank.centers)
-    loss = _center(batch.features, batch.labels - 1, bank.centers, 1.0, fgrads, cgrads)
-    return loss, (fgrads, cgrads)
 
 
 def normalized_weight_gradient(w, f) -> np.ndarray:
@@ -436,15 +362,26 @@ def loss_report(
 ) -> LossReport:
     """Evaluate every enabled term and assemble gradients of the weighted total.
 
-    Validates what the enabled terms read, then runs ``accumulate_terms``,
-    the kernel ``trainer.train`` runs on each batch.
+    The checked entry to the loss terms: validates what the enabled terms
+    read, then runs ``accumulate_terms``, which ``trainer.train`` runs on
+    each batch.  A one-term config gives one term's value
+    (``per_term[name]``) and the gradients of that term times its weight,
+    e.g. ``LossConfig.from_name("softmax", softmax_weight=1.0)``.
     """
     if cfg.use_softmax and classifier is None:
         raise ValueError("softmax term enabled but no classifier supplied")
     if cfg.use_cluster or cfg.use_center or (cfg.use_ortho and cfg.ortho_variant == "centerline"):
-        _check_batch_bank(batch, bank)
+        if batch.dim != bank.dim:
+            raise ValueError(f"feature dim {batch.dim} != centerline dim {bank.dim}")
+        if batch.size and (batch.labels.min() < 1 or batch.labels.max() > bank.num_classes):
+            raise ValueError(f"labels must lie in [1, {bank.num_classes}], got range "
+                             f"[{batch.labels.min()}, {batch.labels.max()}]")
     if cfg.use_softmax:
-        _check_classifier(batch, classifier)
+        if classifier.weights.shape[1] != batch.dim:
+            raise ValueError("classifier width does not match feature dim")
+        num_classes = classifier.weights.shape[0]
+        if batch.labels.max(initial=1) > num_classes:
+            raise ValueError(f"labels must lie in [1, {num_classes}]")
     fgrads, cgrads = np.zeros_like(batch.features), np.zeros_like(bank.centers)
     clf_grads = (LinearClassifier(np.empty_like(classifier.weights), np.empty_like(classifier.bias))
                  if cfg.use_softmax else None)

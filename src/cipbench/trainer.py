@@ -262,15 +262,15 @@ def train(dataset: Dataset, cfg: TrainConfig) -> TrainResult:
     """Run the full schedule; returns the trained state plus epoch history.
 
     Raises DivergenceError when the detector fires; the error carries the
-    last healthy snapshot so callers can still persist a checkpoint.  With
-    ``eval_every`` set, a dataset that cannot be scored is a ValueError
-    before the first epoch.
+    last healthy snapshot so callers can still persist a checkpoint.  A
+    dataset that ``Dataset.check_trainable`` refuses, or with
+    ``eval_every`` set one that cannot be scored, is a ValueError before
+    the first epoch.
     """
-    train_mask = ~dataset.test_mask()
-    if not train_mask.any():
-        raise ValueError("dataset has no training rows")
+    dataset.check_trainable("dataset")
     if cfg.eval_every:
         dataset.check_scorable("dataset")
+    train_mask = ~dataset.test_mask()
     inputs = dataset.inputs[train_mask]
     # a Dataset's labels are contiguous in [1, K]: no step checks them again
     labels0 = dataset.labels[train_mask] - 1

@@ -21,12 +21,8 @@ from cipbench.losses import (
     LabeledBatch,
     LinearClassifier,
     LossConfig,
-    center_loss,
+    loss_report,
     normalized_weight_gradient,
-    pull_term,
-    push_batch_term,
-    push_term,
-    softmax_ce,
 )
 from cipbench.retrieval import (
     average_precision,
@@ -104,19 +100,22 @@ def benchmark_config(seed: int, loss: LossConfig) -> TrainConfig:
 def test_criterion_1_gradient_golden_values():
     t0 = time.perf_counter()
     tol = 1e-12
+    push = LossConfig.from_name("ortho", lam=1.0)
 
     # push gradient on a feature: sum of strictly violated other centerlines
     one = LabeledBatch(np.array([[1.0, 1.0, 0.0]]), np.array([1]))
     bank = CenterlineBank(np.array([[5.0, 0, 0], [0.0, 1, 0], [0.0, 0, -1]]))
-    np.testing.assert_allclose(push_term(one, bank)[1][0], [0.0, 1.0, 0.0], atol=tol)
+    np.testing.assert_allclose(loss_report(one, bank, push).feature_grads[0], [0.0, 1.0, 0.0], atol=tol)
     np.testing.assert_allclose(
-        push_term(one, CenterlineBank(np.array([[0.0, 0, 5], [1.0, 0, 0], [0.0, 1, 0]])))[1][0],
+        loss_report(one, CenterlineBank(np.array([[0.0, 0, 5], [1.0, 0, 0], [0.0, 1, 0]])),
+                    push).feature_grads[0],
         [1.0, 1.0, 0.0], atol=tol)
 
     # clipped pull gradient on a feature
     def pull_grad(f, c, d=2.0):
         bank = CenterlineBank(np.stack([c, np.zeros_like(c)]))
-        return pull_term(LabeledBatch(np.array([f]), np.array([1])), bank, d)[1][0]
+        return loss_report(LabeledBatch(np.array([f]), np.array([1])), bank,
+                           LossConfig.from_name("cluster", d=d)).feature_grads[0]
 
     c = np.array([3.0, 0.0, 0.0])
     np.testing.assert_allclose(pull_grad([1.0, 0, 0], c), -c / 25.0, atol=tol)
@@ -129,22 +128,23 @@ def test_criterion_1_gradient_golden_values():
     f1, f2 = np.array([0.0, 1.0]), np.array([1.0, 0.0])
     batch = LabeledBatch(np.stack([f1, f2]), np.array([1, 1]))
     bank2 = CenterlineBank(np.array([[3.0, 0.0], [0.0, 1.0]]))
+    pull = LossConfig.from_name("cluster", d=2.0)
     np.testing.assert_allclose(
-        pull_term(batch, bank2, 2.0)[2][0], -f1 / 4.0 - f2 / 25.0, atol=tol)
+        loss_report(batch, bank2, pull).center_grads[0], -f1 / 4.0 - f2 / 25.0, atol=tol)
     np.testing.assert_allclose(
-        pull_term(LabeledBatch(f2[None], np.array([2])), bank2, 2.0)[2][0],
+        loss_report(LabeledBatch(f2[None], np.array([2])), bank2, pull).center_grads[0],
         [0.0, 0.0], atol=tol)
 
     # averaged push gradient on a centerline
     viol = LabeledBatch(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([2, 2]))
     bank3 = CenterlineBank(np.array([[1.0, 1.0], [0.0, -1.0]]))
     np.testing.assert_allclose(
-        push_term(viol, bank3)[2][0], [1.0 / 3.0, 1.0 / 3.0], atol=tol)
+        loss_report(viol, bank3, push).center_grads[0], [1.0 / 3.0, 1.0 / 3.0], atol=tol)
     single = LabeledBatch(np.array([[2.0, 1.0]]), np.array([2]))
     bank4 = CenterlineBank(np.array([[1.0, 0.0], [0.0, 1.0]]))
-    np.testing.assert_allclose(push_term(single, bank4)[2][0], [1.0, 0.5], atol=tol)
+    np.testing.assert_allclose(loss_report(single, bank4, push).center_grads[0], [1.0, 0.5], atol=tol)
     none = LabeledBatch(np.array([[-1.0, 0.0]]), np.array([2]))
-    np.testing.assert_allclose(push_term(none, bank4)[2][0], [0.0, 0.0], atol=tol)
+    np.testing.assert_allclose(loss_report(none, bank4, push).center_grads[0], [0.0, 0.0], atol=tol)
 
     # surrogate vs unclipped original: bounded vs exploding near the pole
     d = 2.0
@@ -168,6 +168,11 @@ def test_criterion_2_finite_difference_suite():
     rng = np.random.default_rng(2024)
     d = 2.0
     loss_tol, enc_tol = 1e-5, 1e-6
+    pull = LossConfig.from_name("cluster", d=d)
+    push = LossConfig.from_name("ortho", lam=1.0)
+    push_batch = LossConfig.from_name("ortho", ortho_variant="batch", lam=1.0)
+    softmax = LossConfig.from_name("softmax", softmax_weight=1.0)
+    center = LossConfig.from_name("center", center_weight=1.0)
 
     def kink_free_instance(m=4, k=3, n=4):
         while True:
@@ -189,40 +194,40 @@ def test_criterion_2_finite_difference_suite():
         batch, bank = kink_free_instance()
 
         # pull loss vs its feature gradient
-        def pull(feats):
-            return pull_term(LabeledBatch(feats, batch.labels), bank, d)[0]
+        def pull_value(feats):
+            return loss_report(LabeledBatch(feats, batch.labels), bank, pull).total
 
-        got = pull_term(batch, bank, d)[1]
-        assert rel_err(got, central_diff(pull, batch.features)) < loss_tol
+        got = loss_report(batch, bank, pull).feature_grads
+        assert rel_err(got, central_diff(pull_value, batch.features)) < loss_tol
 
         # push loss vs its feature gradient
-        def push(feats):
-            return push_term(LabeledBatch(feats, batch.labels), bank)[0]
+        def push_value(feats):
+            return loss_report(LabeledBatch(feats, batch.labels), bank, push).total
 
-        got = push_term(batch, bank)[1]
-        fd = central_diff(push, batch.features)
+        got = loss_report(batch, bank, push).feature_grads
+        fd = central_diff(push_value, batch.features)
         if np.linalg.norm(fd) > 0:
             assert rel_err(got, fd) < loss_tol
 
         # batch push loss vs its doubled feature gradient
-        def push_batch(feats):
-            return push_batch_term(LabeledBatch(feats, batch.labels))[0]
+        def push_batch_value(feats):
+            return loss_report(LabeledBatch(feats, batch.labels), bank, push_batch).total
 
-        got = push_batch_term(batch)[1]
-        fd = central_diff(push_batch, batch.features)
+        got = loss_report(batch, bank, push_batch).feature_grads
+        fd = central_diff(push_batch_value, batch.features)
         if np.linalg.norm(fd) > 0:
             assert rel_err(got, fd) < loss_tol
 
         # softmax cross-entropy (smooth everywhere)
         clf = LinearClassifier(rng.standard_normal((3, 4)), rng.standard_normal(3))
-        _, (gf, gw, gb) = softmax_ce(batch, clf)
-        fd = central_diff(lambda F: softmax_ce(LabeledBatch(F, batch.labels), clf)[0],
+        gf = loss_report(batch, bank, softmax, clf).feature_grads
+        fd = central_diff(lambda F: loss_report(LabeledBatch(F, batch.labels), bank, softmax, clf).total,
                           batch.features)
         assert rel_err(gf, fd) < loss_tol
 
         # center loss feature gradient (exact derivative side)
-        _, (cf, _) = center_loss(batch, bank)
-        fd = central_diff(lambda F: center_loss(LabeledBatch(F, batch.labels), bank)[0],
+        cf = loss_report(batch, bank, center).feature_grads
+        fd = central_diff(lambda F: loss_report(LabeledBatch(F, batch.labels), bank, center).total,
                           batch.features)
         assert rel_err(cf, fd) < loss_tol
 

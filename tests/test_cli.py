@@ -121,6 +121,17 @@ def test_config_file_bad_line(tmp_path):
     assert code == 1
 
 
+def test_non_utf8_config_file_is_a_config_error(tmp_path, capsys):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_bytes(b"\xffseed = 1\n")
+    out = tmp_path / "x"
+    assert main(["generate", "--config", str(cfg_file), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"config error: cannot read config file: {cfg_file}: 'utf-8' codec")
+    assert not out.exists()
+
+
 def test_resolved_config_round_trips(tmp_path):
     out = tmp_path / "data"
     main(["generate", "--out", str(out), *fast_args("seed=5")])
@@ -193,6 +204,17 @@ def test_train_non_finite_csv_is_a_data_error(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err == f"error: {csv_path}:3: non-finite coordinate\n"
+
+
+def test_train_non_utf8_csv_names_the_file(tmp_path, capsys):
+    csv_path = tmp_path / "dataset.csv"
+    csv_path.write_bytes(b"object_id,label,view_index,x0\n1,1,1,\xff\n")
+    out = tmp_path / "run"
+    assert main(["train", "--dataset", str(csv_path), "--out", str(out), *fast_args()]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: {csv_path}: 'utf-8' codec can't decode byte 0xff")
+    assert not out.exists()
 
 
 def test_train_cluster_only_divergence_exits_2(tmp_path, capsys):
@@ -568,6 +590,30 @@ def test_unscorable_dataset_exits_2_before_any_output(tmp_path, capsys, command)
     name = "the generated dataset" if command == "sweep_generated" else csv_path
     assert capsys.readouterr().err.splitlines() == [
         f"error: {name}: no class has two objects among the evaluation rows"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, case", [
+    ("train", "one_class"), ("sweep", "one_class"), ("sweep_generated", "one_class"),
+    ("train", "no_training_rows"), ("sweep", "no_training_rows"),
+])
+def test_untrainable_dataset_exits_2_before_any_output(tmp_path, capsys, command, case):
+    # one class leaves the centerline bank a single row; a sidecar that tags
+    # every object test leaves nothing to train on
+    pairs = ["num_classes=1"] if case == "one_class" else []
+    csv_path = run_generate(tmp_path, *pairs)
+    if case == "no_training_rows":
+        sidecar = json.loads(csv_path.with_suffix(".json").read_text())
+        sidecar["split"] = dict.fromkeys(sidecar["split"], "test")
+        csv_path.with_suffix(".json").write_text(json.dumps(sidecar))
+    data = [] if command == "sweep_generated" else ["--dataset", str(csv_path)]
+    argv = ["train"] if command == "train" else ["sweep", "--lambdas", "1"]
+    out = tmp_path / "out"
+    assert main([*argv, *data, *fast_args(*pairs), "--out", str(out)]) == 2
+    name = "the generated dataset" if command == "sweep_generated" else csv_path
+    message = {"one_class": "a centerline bank needs at least 2 classes, got 1",
+               "no_training_rows": "no training rows"}[case]
+    assert capsys.readouterr().err.splitlines() == [f"error: {name}: {message}"]
     assert not out.exists()
 
 

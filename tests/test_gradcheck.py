@@ -14,9 +14,6 @@ from cipbench.losses import (
     LabeledBatch,
     LossConfig,
     loss_report,
-    pull_term,
-    push_batch_term,
-    push_term,
 )
 
 from oracles import central_diff, rel_err
@@ -57,25 +54,27 @@ def test_cluster_gradient_matches_fd_in_positive_region():
         checked += 1
         batch = LabeledBatch(f[None, :], np.array([1]))
         bank = CenterlineBank(np.vstack([c, -c]))
+        pull = LossConfig.from_name("cluster", d=d)
 
         def value(fv):
-            return pull_term(LabeledBatch(fv[None, :], np.array([1])), bank, d)[0]
+            return loss_report(LabeledBatch(fv[None, :], np.array([1])), bank, pull).total
 
         fd = central_diff(value, f)
-        assert rel_err(pull_term(batch, bank, d)[1][0], fd) < 1e-5
+        assert rel_err(loss_report(batch, bank, pull).feature_grads[0], fd) < 1e-5
 
 
 def test_ortho_gradient_matches_fd_away_from_kinks():
     rng = np.random.default_rng(21)
+    push = LossConfig.from_name("ortho", lam=1.0)
     for _ in range(40):
         batch, bank = sample_away_from_kinks(rng)
 
         def value(fv, i=0):
             feats = batch.features.copy()
             feats[i] = fv
-            return push_term(LabeledBatch(feats, batch.labels), bank)[0]
+            return loss_report(LabeledBatch(feats, batch.labels), bank, push).total
 
-        grads = push_term(batch, bank)[1]
+        grads = loss_report(batch, bank, push).feature_grads
         for i in range(batch.size):
             fd = central_diff(lambda fv: value(fv, i), batch.features[i])
             g = grads[i]
@@ -87,15 +86,16 @@ def test_ortho_gradient_matches_fd_away_from_kinks():
 
 def test_ortho_batch_gradient_matches_fd_away_from_kinks():
     rng = np.random.default_rng(22)
+    push_batch = LossConfig.from_name("ortho", ortho_variant="batch", lam=1.0)
     for _ in range(40):
-        batch, _ = sample_away_from_kinks(rng)
+        batch, bank = sample_away_from_kinks(rng)
 
         def value(fv, i=0):
             feats = batch.features.copy()
             feats[i] = fv
-            return push_batch_term(LabeledBatch(feats, batch.labels))[0]
+            return loss_report(LabeledBatch(feats, batch.labels), bank, push_batch).total
 
-        grads = push_batch_term(batch)[1]
+        grads = loss_report(batch, bank, push_batch).feature_grads
         for i in range(batch.size):
             fd = central_diff(lambda fv: value(fv, i), batch.features[i])
             g = grads[i]

@@ -36,16 +36,42 @@ def bank_of(centers):
     return CenterlineBank(np.asarray(centers, dtype=float))
 
 
+def one_term(batch, bank, name, classifier=None, **overrides):
+    """``loss_report`` with only the term ``name`` enabled."""
+    return loss_report(batch, bank, LossConfig.from_name(name, **overrides), classifier)
+
+
+def no_bank(batch):
+    """A bank for terms that read no centerlines: ``loss_report`` takes one."""
+    return bank_of(np.zeros((2, batch.dim)))
+
+
+def push_report(batch, bank):
+    return one_term(batch, bank, "ortho", lam=1.0)
+
+
+def push_batch_report(batch):
+    return one_term(batch, no_bank(batch), "ortho", ortho_variant="batch", lam=1.0)
+
+
+def softmax_report(batch, classifier):
+    return one_term(batch, no_bank(batch), "softmax", classifier, softmax_weight=1.0)
+
+
+def center_report(batch, bank):
+    return one_term(batch, bank, "center", center_weight=1.0)
+
+
 def pull_value(batch, bank, d):
-    return pull_term(batch, bank, d)[0]
+    return one_term(batch, bank, "cluster", d=d).per_term["cluster"]
 
 
 def push_value(batch, bank):
-    return push_term(batch, bank)[0]
+    return push_report(batch, bank).per_term["ortho"]
 
 
 def push_batch_value(batch):
-    return push_batch_term(batch)[0]
+    return push_batch_report(batch).per_term["ortho"]
 
 
 def combined_value(batch, bank, cfg):
@@ -153,9 +179,9 @@ def test_ortho_batch_forward_obtuse_zero():
 
 def test_push_batch_term_singleton_batch_is_zero():
     # a single sample has no cross-class partner: zero value, zero gradient
-    value, grads = push_batch_term(batch_of([[1, 0]], [1]))
-    assert value == 0.0
-    np.testing.assert_array_equal(grads, [[0.0, 0.0]])
+    report = push_batch_report(batch_of([[1, 0]], [1]))
+    assert report.per_term["ortho"] == 0.0
+    np.testing.assert_array_equal(report.feature_grads, [[0.0, 0.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +403,7 @@ def test_ortho_grad_centerline_norm_bound():
         b = batch_of(rng.standard_normal((m, n)) * rng.uniform(0.1, 5), rng.integers(1, k + 1, m))
         bank = bank_of(rng.standard_normal((k, n)))
         max_norm = np.linalg.norm(b.features, axis=1).max()
-        for g in push_term(b, bank)[2]:
+        for g in push_report(b, bank).center_grads:
             assert np.linalg.norm(g) <= max_norm + 1e-12
 
 
@@ -389,14 +415,14 @@ def test_ortho_grad_centerline_norm_bound():
 def test_softmax_uniform_logits():
     clf = LinearClassifier(np.zeros((2, 3)), np.zeros(2))
     b = batch_of([[1, 2, 3]], [1])
-    value, _ = softmax_ce(b, clf)
+    value = softmax_report(b, clf).per_term["softmax"]
     assert value == pytest.approx(np.log(2.0), rel=1e-12)
 
 
 def test_softmax_confident_logit_limit():
     clf = LinearClassifier(np.array([[50.0], [0.0]]), np.zeros(2))
     b = batch_of([[1.0]], [1])
-    value, _ = softmax_ce(b, clf)
+    value = softmax_report(b, clf).per_term["softmax"]
     assert value == pytest.approx(0.0, abs=1e-20)
 
 
@@ -404,7 +430,7 @@ def test_softmax_direct_example():
     # logits (1, 0), true class 1
     clf = LinearClassifier(np.array([[1.0], [0.0]]), np.zeros(2))
     b = batch_of([[1.0]], [1])
-    value, _ = softmax_ce(b, clf)
+    value = softmax_report(b, clf).per_term["softmax"]
     assert value == pytest.approx(np.log(1.0 + np.exp(-1.0)), rel=1e-12)
 
 
@@ -414,11 +440,12 @@ def test_softmax_gradients_match_finite_differences():
     labels = rng.integers(1, 4, 5)
     w = rng.standard_normal((3, 4))
     bias = rng.standard_normal(3)
-    _, (gf, gw, gb) = softmax_ce(batch_of(feats, labels), LinearClassifier(w, bias))
+    report = softmax_report(batch_of(feats, labels), LinearClassifier(w, bias))
+    gf, (gw, gb) = report.feature_grads, report.classifier_grads
 
-    fd_f = central_diff(lambda F: softmax_ce(batch_of(F, labels), LinearClassifier(w, bias))[0], feats)
-    fd_w = central_diff(lambda W: softmax_ce(batch_of(feats, labels), LinearClassifier(W, bias))[0], w)
-    fd_b = central_diff(lambda B: softmax_ce(batch_of(feats, labels), LinearClassifier(w, B))[0], bias)
+    fd_f = central_diff(lambda F: softmax_report(batch_of(F, labels), LinearClassifier(w, bias)).total, feats)
+    fd_w = central_diff(lambda W: softmax_report(batch_of(feats, labels), LinearClassifier(W, bias)).total, w)
+    fd_b = central_diff(lambda B: softmax_report(batch_of(feats, labels), LinearClassifier(w, B)).total, bias)
     assert rel_err(gf, fd_f) < 1e-6
     assert rel_err(gw, fd_w) < 1e-6
     assert rel_err(gb, fd_b) < 1e-6
@@ -427,19 +454,19 @@ def test_softmax_gradients_match_finite_differences():
 def test_center_loss_at_center():
     b = batch_of([[1.0, 2.0]], [1])
     bank = bank_of([[1, 2], [0, 0]])
-    value, (gf, gc) = center_loss(b, bank)
-    assert value == 0.0
-    np.testing.assert_array_equal(gf, [[0.0, 0.0]])
+    report = center_report(b, bank)
+    assert report.per_term["center"] == 0.0
+    np.testing.assert_array_equal(report.feature_grads, [[0.0, 0.0]])
 
 
 def test_center_loss_half_squared_distance():
     b = batch_of([[1.0, 0.0]], [1])
     bank = bank_of([[0, 0], [5, 5]])
-    value, (gf, gc) = center_loss(b, bank)
-    assert value == pytest.approx(0.5, abs=1e-15)
-    np.testing.assert_allclose(gf, [[1.0, 0.0]])
+    report = center_report(b, bank)
+    assert report.per_term["center"] == pytest.approx(0.5, abs=1e-15)
+    np.testing.assert_allclose(report.feature_grads, [[1.0, 0.0]])
     # damped mean center update: (c - f) / (1 + 1)
-    np.testing.assert_allclose(gc[0], [-0.5, 0.0])
+    np.testing.assert_allclose(report.center_grads[0], [-0.5, 0.0])
 
 
 def test_center_loss_additivity():
@@ -447,8 +474,9 @@ def test_center_loss_additivity():
     b1 = batch_of([[1.0, 0.0]], [1])
     b2 = batch_of([[0.0, 1.0]], [1])
     both = batch_of([[1.0, 0.0], [0.0, 1.0]], [1, 1])
-    assert center_loss(both, bank)[0] == pytest.approx(
-        center_loss(b1, bank)[0] + center_loss(b2, bank)[0], rel=1e-12
+    assert center_report(both, bank).per_term["center"] == pytest.approx(
+        center_report(b1, bank).per_term["center"] + center_report(b2, bank).per_term["center"],
+        rel=1e-12,
     )
 
 
@@ -551,7 +579,7 @@ def test_loss_report_zero_grads_for_disabled_terms():
     assert report.per_term["cluster"] == 0.0
     assert report.classifier_grads is not None
     # and with no centerline-touching term, feature grads come from softmax only
-    _, (gf, _, _) = softmax_ce(b, clf)
+    gf = softmax_report(b, clf).feature_grads
     np.testing.assert_allclose(report.feature_grads, 0.1 * gf, rtol=1e-12)
 
 
@@ -602,3 +630,34 @@ def test_loss_report_batch_variant_matches_per_sample():
     expected = np.stack([1.5 * ortho_batch_grad_feature(b.features, b.labels, i) for i in range(m)])
     np.testing.assert_allclose(report.feature_grads, expected, atol=1e-12)
     np.testing.assert_array_equal(report.center_grads, np.zeros((k, n)))
+
+
+def test_term_functions_add_into_the_callers_arrays():
+    # a term function returns loss_report's value and adds its gradients to
+    # what the caller's arrays hold; the softmax head's are written over them
+    rng = np.random.default_rng(13)
+    b = batch_of(rng.standard_normal((6, 3)), rng.integers(1, 4, 6))
+    bank = bank_of(rng.standard_normal((3, 3)))
+    clf = LinearClassifier(rng.standard_normal((3, 3)), rng.standard_normal(3))
+    feats, labels0, centers = b.features, b.labels - 1, bank.centers
+    head = LinearClassifier(np.full((3, 3), np.nan), np.full(3, np.nan))
+    cases = [
+        ("cluster", {"d": 2.0}, lambda f, c: pull_term(feats, labels0, centers, 2.0, f, c)),
+        ("ortho", {"lam": 0.5}, lambda f, c: push_term(feats, labels0, centers, 0.5, f, c)),
+        ("ortho", {"lam": 0.5, "ortho_variant": "batch"},
+         lambda f, c: push_batch_term(feats, labels0, 0.5, f)),
+        ("softmax", {"softmax_weight": 0.5},
+         lambda f, c: softmax_ce(feats, labels0, clf, 0.5, f, head)),
+        ("center", {"center_weight": 0.5},
+         lambda f, c: center_loss(feats, labels0, centers, 0.5, f, c)),
+    ]
+    for name, overrides, term in cases:
+        report = one_term(b, bank, name, clf, **overrides)
+        start_f, start_c = rng.standard_normal(feats.shape), rng.standard_normal(centers.shape)
+        fgrads, cgrads = start_f.copy(), start_c.copy()
+        assert term(fgrads, cgrads) == report.per_term[name], name
+        np.testing.assert_allclose(fgrads, start_f + report.feature_grads, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(cgrads, start_c + report.center_grads, rtol=0, atol=1e-12)
+        if name == "softmax":
+            np.testing.assert_array_equal(head.weights, report.classifier_grads[0])
+            np.testing.assert_array_equal(head.bias, report.classifier_grads[1])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cipbench import losses, trainer
 from cipbench.data import Dataset, SyntheticSpec, generate, split
 from cipbench.losses import CenterlineBank, LabeledBatch, LossConfig, LossReport, loss_report
 from cipbench.trainer import (
@@ -184,22 +185,36 @@ def test_train_history_has_all_terms():
         assert row["center"] == 0.0
 
 
+TERM_FUNCTIONS = ("pull_term", "push_term", "push_batch_term", "softmax_ce", "center_loss")
+
+
 @pytest.mark.parametrize("loss", ["cip+softmax", "cip+center", "softmax+center"])
 def test_train_validates_once_and_builds_no_per_step_objects(monkeypatch, loss):
-    # train checks its inputs at entry; a step builds no LabeledBatch and no LossReport
+    # train checks its inputs at entry; a step builds no LabeledBatch and no
+    # LossReport, and calls each enabled term function once
     built = {"LabeledBatch": 0, "LossReport": 0}
+    calls = dict.fromkeys(("sgd_step", *TERM_FUNCTIONS), 0)
 
-    def counted(name, original):
-        def wrapper(self, *args, **kwargs):
-            built[name] += 1
-            return original(self, *args, **kwargs)
+    def counted(counts, name, original):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(LabeledBatch, "__post_init__", counted("LabeledBatch", LabeledBatch.__post_init__))
-    monkeypatch.setattr(LossReport, "__init__", counted("LossReport", LossReport.__init__))
+    monkeypatch.setattr(LabeledBatch, "__post_init__", counted(built, "LabeledBatch", LabeledBatch.__post_init__))
+    monkeypatch.setattr(LossReport, "__init__", counted(built, "LossReport", LossReport.__init__))
+    monkeypatch.setattr(trainer, "sgd_step", counted(calls, "sgd_step", trainer.sgd_step))
+    for name in TERM_FUNCTIONS:
+        monkeypatch.setattr(losses, name, counted(calls, name, getattr(losses, name)))
     res = train(bench_dataset(), quick_config(loss=LossConfig.from_name(loss)))
     assert res.epochs_run == 4
     assert built == {"LabeledBatch": 0, "LossReport": 0}
+    steps = calls.pop("sgd_step")
+    assert steps == 4 * 8  # 128 training rows in batches of 16
+    enabled = {"cip+softmax": {"pull_term", "push_term", "softmax_ce"},
+               "cip+center": {"pull_term", "push_term", "center_loss"},
+               "softmax+center": {"softmax_ce", "center_loss"}}[loss]
+    assert calls == {name: steps if name in enabled else 0 for name in TERM_FUNCTIONS}
     # the counters do see a construction
     loss_report(LabeledBatch(np.ones((1, 2)), np.array([1])), CenterlineBank(np.eye(2)),
                 LossConfig.from_name("cip"))

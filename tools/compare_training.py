@@ -11,11 +11,12 @@ too.  Exits 1 when any run differs.
 
     python3 tools/compare_training.py OLD_CHECKOUT/src NEW_CHECKOUT/src
 
-The grid is 4 seeds x 6 loss mixes x 3 optimizer settings on the standard
-10-class benchmark: the criterion-4 mixes plus pull-only and push-only
-(which trip the collapse and stall detectors), each at zero momentum (with
-evaluation every 10 epochs), at momentum 0.5 with a pinned centerline rate,
-and at momentum 0.9 (which blows up).
+The grid is 4 seeds x 9 loss mixes x 3 optimizer settings on the standard
+10-class benchmark (108 runs): the criterion-4 mixes, pull-only and
+push-only (which trip the collapse and stall detectors), the batch push
+variant, center loss alone and pull with center loss, each at zero
+momentum (with evaluation every 10 epochs), at momentum 0.5 with a pinned
+centerline rate, and at momentum 0.9 (which blows up).
 """
 
 from __future__ import annotations
@@ -29,13 +30,17 @@ import tempfile
 from pathlib import Path
 
 SEEDS = (0, 1, 2, 3)
+# case name -> (combination name, LossConfig overrides)
 LOSSES = {
-    "cip+softmax": {},
-    "softmax": {"softmax_weight": 1.0},
-    "cip": {},
-    "center+softmax": {"softmax_weight": 1.0, "center_weight": 0.003},
-    "cluster": {},
-    "ortho": {},
+    "cip+softmax": ("cip+softmax", {}),
+    "softmax": ("softmax", {"softmax_weight": 1.0}),
+    "cip": ("cip", {}),
+    "center+softmax": ("center+softmax", {"softmax_weight": 1.0, "center_weight": 0.003}),
+    "cluster": ("cluster", {}),
+    "ortho": ("ortho", {}),
+    "cip ortho_variant=batch lam=0.01": ("cip", {"ortho_variant": "batch", "lam": 0.01}),
+    "center": ("center", {}),
+    "cluster+center": ("cluster+center", {}),
 }
 OPTIMIZERS = {
     "plain": {"eval_every": 10},
@@ -82,11 +87,11 @@ def run_grid(src: str) -> dict:
                                  input_dim=24, class_separation=2.0, object_noise_std=0.7,
                                  view_noise_std=0.35, seed=seed)
             dataset = split(generate(spec), 0.5, seed)
-            for loss, loss_kw in LOSSES.items():
+            for loss, (name, loss_kw) in LOSSES.items():
                 for opt, opt_kw in OPTIMIZERS.items():
                     cfg = TrainConfig(batch_size=50, epochs=30, seed=seed, hidden_dims=(32,),
                                       embedding_dim=16, init_std=0.3,
-                                      loss=LossConfig.from_name(loss, **loss_kw), **opt_kw)
+                                      loss=LossConfig.from_name(name, **loss_kw), **opt_kw)
                     try:
                         outcome = {"outcome": "trained", "result": digest(train(dataset, cfg))}
                     except DivergenceError as e:
