@@ -10,9 +10,6 @@ from .losses import (
     LossConfig,
     LossReport,
     loss_report,
-    pull_term,
-    push_batch_term,
-    push_term,
 )
 from .retrieval import evaluate_run, geometry_report, pool_descriptors, rank
 from .trainer import (
@@ -25,6 +22,5 @@ from .trainer import (
     save_checkpoint,
     train,
 )
-from .vectors import ShapeDescriptor, mean_pool
 
 __version__ = "0.1.0"

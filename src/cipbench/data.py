@@ -335,8 +335,9 @@ def load_dataset(csv_path) -> Dataset:
     return dataset
 
 
-# JSON value types accepted for each SyntheticSpec field annotation
-_JSON_TYPES = {int: int, float: (int, float), str: str}
+# JSON value types accepted for each SyntheticSpec field annotation, matched
+# exactly: a JSON boolean decodes to a bool, which is not a number here
+_JSON_TYPES = {int: (int,), float: (int, float), str: (str,)}
 
 
 def _read_sidecar(path: Path, dim: int):
@@ -344,10 +345,11 @@ def _read_sidecar(path: Path, dim: int):
     sidecar = json.loads(path.read_text())
     if not isinstance(sidecar, dict):
         raise ValueError("sidecar is not a JSON object")
-    if sidecar.get("format_version") != DATASET_FORMAT_VERSION:
+    version, input_dim = sidecar.get("format_version"), sidecar.get("input_dim")
+    if type(version) is not int or version != DATASET_FORMAT_VERSION:
         raise ValueError("unsupported format version")
-    if sidecar.get("input_dim") != dim:
-        raise ValueError(f"sidecar input_dim {sidecar.get('input_dim')} != CSV dim {dim}")
+    if type(input_dim) is not int or input_dim != dim:
+        raise ValueError(f"sidecar input_dim {input_dim} != CSV dim {dim}")
     split_map = spec = None
     if sidecar.get("split") is not None:
         if not isinstance(sidecar["split"], dict):
@@ -359,7 +361,7 @@ def _read_sidecar(path: Path, dim: int):
         if not isinstance(doc, dict) or doc.keys() != hints.keys():
             raise ValueError(f"spec must be an object with exactly the keys {list(hints)}")
         for name, kind in hints.items():
-            if not isinstance(doc[name], _JSON_TYPES[kind]):
+            if type(doc[name]) not in _JSON_TYPES[kind]:
                 raise ValueError(f"spec entry {name!r} must be {kind.__name__}, got {doc[name]!r}")
         spec = SyntheticSpec(**doc)
     return split_map, spec

@@ -195,7 +195,7 @@ class LossReport:
     total: float
     per_term: dict[str, float]
     feature_grads: np.ndarray
-    center_grads: np.ndarray
+    center_grads: np.ndarray | None  # None when ``loss_report`` had no bank
     classifier_grads: tuple[np.ndarray, np.ndarray] | None = None
 
 
@@ -356,7 +356,7 @@ def normalized_weight_gradient(w, f) -> np.ndarray:
 
 def loss_report(
     batch: LabeledBatch,
-    bank: CenterlineBank,
+    bank: CenterlineBank | None,
     cfg: LossConfig,
     classifier: LinearClassifier | None = None,
 ) -> LossReport:
@@ -366,11 +366,15 @@ def loss_report(
     read, then runs ``accumulate_terms``, which ``trainer.train`` runs on
     each batch.  A one-term config gives one term's value
     (``per_term[name]``) and the gradients of that term times its weight,
-    e.g. ``LossConfig.from_name("softmax", softmax_weight=1.0)``.
+    e.g. ``LossConfig.from_name("softmax", softmax_weight=1.0)``.  ``bank``
+    may be None when no enabled term reads centerlines (softmax, the batch
+    push variant); ``center_grads`` is then None.
     """
     if cfg.use_softmax and classifier is None:
         raise ValueError("softmax term enabled but no classifier supplied")
     if cfg.use_cluster or cfg.use_center or (cfg.use_ortho and cfg.ortho_variant == "centerline"):
+        if bank is None:
+            raise ValueError("centerline term enabled but no bank supplied")
         if batch.dim != bank.dim:
             raise ValueError(f"feature dim {batch.dim} != centerline dim {bank.dim}")
         if batch.size and (batch.labels.min() < 1 or batch.labels.max() > bank.num_classes):
@@ -382,10 +386,12 @@ def loss_report(
         num_classes = classifier.weights.shape[0]
         if batch.labels.max(initial=1) > num_classes:
             raise ValueError(f"labels must lie in [1, {num_classes}]")
-    fgrads, cgrads = np.zeros_like(batch.features), np.zeros_like(bank.centers)
+    centers = None if bank is None else bank.centers
+    fgrads = np.zeros_like(batch.features)
+    cgrads = None if bank is None else np.zeros_like(centers)
     clf_grads = (LinearClassifier(np.empty_like(classifier.weights), np.empty_like(classifier.bias))
                  if cfg.use_softmax else None)
-    total, per_term = accumulate_terms(batch.features, batch.labels - 1, bank.centers, cfg,
+    total, per_term = accumulate_terms(batch.features, batch.labels - 1, centers, cfg,
                                        classifier, fgrads, cgrads, clf_grads)
     return LossReport(
         total=total,

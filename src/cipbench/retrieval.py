@@ -29,12 +29,6 @@ import numpy as np
 from .data import write_csv
 from .losses import CenterlineBank
 
-# No library code calls ``mean_pool`` any more: ``pool_descriptors`` pools
-# every object in one pass.  The name stays importable from this module
-# because the benchmark's traced run (bench/workloads.py) wraps
-# ``retrieval.mean_pool`` by name as a trace slot.
-from .vectors import mean_pool  # noqa: F401
-
 __all__ = [
     "EvalSummary",
     "GeometryReport",
@@ -85,8 +79,8 @@ def pool_descriptors(features: np.ndarray, object_ids: np.ndarray, labels: np.nd
     Returns (descriptors, object_labels, unique_object_ids), ordered by
     first appearance of each object; an object's label is its first view's.
     Each object's views are added in row order onto 0.0, as
-    ``mean(axis=0)`` adds them, so a descriptor has the same bits as
-    ``vectors.mean_pool`` of its views.
+    ``mean(axis=0)`` adds them, so a descriptor has the same bits as the
+    ``mean(axis=0)`` of its views.
     """
     features = np.asarray(features, dtype=np.float64)
     object_ids = np.asarray(object_ids)
@@ -107,6 +101,17 @@ def pool_descriptors(features: np.ndarray, object_ids: np.ndarray, labels: np.nd
     np.add.at(sums, slot, features)
     counts = np.bincount(slot, minlength=uniq.size)
     return sums / counts[:, None], labels[first[by_first]].astype(np.int64), uniq[by_first]
+
+
+def mean_pool(views) -> np.ndarray:
+    """The (n,) descriptor of one object's (V, n) views: ``pool_descriptors``
+    with one object id.
+
+    No library code calls this.  It stays only as the benchmark's trace
+    slot: ``bench/workloads.py`` wraps ``retrieval.mean_pool`` by name.
+    """
+    ids = np.zeros(len(views), dtype=np.int64)
+    return pool_descriptors(views, ids, ids)[0][0]
 
 
 def rank(descriptors: np.ndarray, labels: np.ndarray) -> RetrievalRun:

@@ -405,12 +405,13 @@ def _checkpoint_from_dict(doc) -> Checkpoint:
         raise ValueError("checkpoint is not a JSON object")
     if doc.get("format_version") != CHECKPOINT_FORMAT_VERSION:
         raise ValueError(f"unsupported checkpoint format version: {doc.get('format_version')}")
+    # decoded JSON values have exact types, so a boolean is not an int here
     for key, kind in _CHECKPOINT_ENTRIES.items():
         if key not in doc:
             raise ValueError(f"checkpoint has no {key!r} entry")
-        if not isinstance(doc[key], kind):
+        if type(doc[key]) is not kind:
             raise ValueError(f"checkpoint {key!r} entry is not of type {kind.__name__}")
-    if not all(isinstance(d, int) for d in doc["layer_dims"]):
+    if not all(type(d) is int for d in doc["layer_dims"]):
         raise ValueError("checkpoint 'layer_dims' entry is not a list of integers")
     dims = enc.check_layer_dims(doc["layer_dims"])
     theta, velocity = (as_floats(doc[key], key) for key in ("theta", "velocity"))

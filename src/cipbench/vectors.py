@@ -7,16 +7,12 @@ array.  ``as_vector`` checks one vector's shape and finiteness and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "ShapeDescriptor",
     "as_floats",
     "as_vector",
     "check_fields",
-    "mean_pool",
 ]
 
 # config key of each settings field whose name differs (``lambda`` is a keyword)
@@ -45,34 +41,11 @@ def as_vector(x, name: str = "vector") -> np.ndarray:
 
 def as_floats(x, name: str) -> np.ndarray:
     """Coerce ``x``, such as a decoded JSON entry, to a float64 array of any
-    shape, or raise a one-line ValueError naming it."""
+    shape, or raise a one-line ValueError naming it.  A boolean element of
+    a list is not a number."""
     try:
+        if isinstance(x, list) and any(type(e) is bool for e in x):
+            raise ValueError
         return np.asarray(x, dtype=np.float64)
     except (TypeError, ValueError):
         raise ValueError(f"{name} is not an array of numbers") from None
-
-
-@dataclass(frozen=True)
-class ShapeDescriptor:
-    """Mean of an object's per-view embeddings; the unit ranked at retrieval."""
-
-    components: np.ndarray
-    source_view_count: int
-
-
-def mean_pool(views) -> ShapeDescriptor:
-    """Component-wise mean of a non-empty list of equal-dimension view features.
-
-    No library code calls this any more: ``retrieval.pool_descriptors``
-    pools every object in one pass with the same bits.  It stays public,
-    and importable from ``retrieval``, because the benchmark's traced run
-    wraps ``retrieval.mean_pool`` by name.
-    """
-    if len(views) == 0:
-        raise ValueError("mean_pool needs at least one view")
-    rows = [as_vector(v, f"views[{i}]") for i, v in enumerate(views)]
-    dims = {r.shape[0] for r in rows}
-    if len(dims) != 1:
-        raise ValueError(f"views have mixed dimensions: {sorted(dims)}")
-    mat = np.stack(rows)
-    return ShapeDescriptor(mat.mean(axis=0), mat.shape[0])

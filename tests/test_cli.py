@@ -5,6 +5,7 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -683,6 +684,104 @@ def test_wrongly_typed_entry_is_one_error_line(tmp_path, trained_once, capsys, e
     assert code in (0, 2)
     if code == 2:
         assert err.count("\n") == 1 and err.startswith(f"error: {edited}: "), err
+
+
+@pytest.fixture()
+def dataset_copy(tmp_path, trained_once):
+    """A copy of the trained-on dataset, CSV and sidecar, under ``tmp_path``."""
+    csv_path, _ = trained_once
+    data = tmp_path / "dataset.csv"
+    shutil.copy(csv_path, data)
+    shutil.copy(csv_path.with_suffix(".json"), data.with_suffix(".json"))
+    return data
+
+
+# a JSON boolean where a file wants a number: (file, key path, the error
+# message that names the entry)
+BOOLEAN_CASES = [
+    ("sidecar", ("format_version",), "unsupported format version"),
+    *(("sidecar", ("spec", name), f"spec entry {name!r} must be {kind.__name__}, got True")
+      for name, kind in get_type_hints(SyntheticSpec).items() if kind is not str),
+    ("checkpoint", ("num_classes",), "checkpoint 'num_classes' entry is not of type int"),
+    ("checkpoint", ("layer_dims", 1), "checkpoint 'layer_dims' entry is not a list of integers"),
+    ("checkpoint", ("theta", 0), "theta is not an array of numbers"),
+    ("checkpoint", ("velocity", 0), "velocity is not an array of numbers"),
+]
+
+
+@pytest.mark.parametrize("kind, keys, message", BOOLEAN_CASES,
+                         ids=["/".join(map(str, (kind, *keys))) for kind, keys, _ in BOOLEAN_CASES])
+def test_json_boolean_is_not_a_number(tmp_path, trained_once, dataset_copy, capsys, kind, keys,
+                                      message):
+    # Python decodes JSON true as a bool, which is an int; the sidecar and
+    # checkpoint readers refuse it with the message for a wrongly typed entry
+    _, ckpt = trained_once
+    if kind == "sidecar":
+        source = edited = dataset_copy.with_suffix(".json")
+        argv = ["train", "--dataset", str(dataset_copy)]
+    else:
+        source, edited = ckpt, tmp_path / "checkpoint.json"
+        argv = ["eval", "--checkpoint", str(edited), "--dataset", str(dataset_copy)]
+    doc = json.loads(source.read_text())
+    parent = doc
+    for key in keys[:-1]:
+        parent = parent[key]
+    assert type(parent[keys[-1]]) in (int, float)
+    parent[keys[-1]] = True
+    edited.write_text(json.dumps(doc))
+    code = main([*argv, "--out", str(tmp_path / "out"), *fast_args()])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {edited}: {message}\n"
+
+
+# ---------------------------------------------------------------------------
+# exit-code contract for malformed inputs
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("case, code, message", [
+    ("set_without_equals", 1, "override 'epochs' must look like key=value"),
+    ("config_is_a_directory", 1, "cannot read config file: "),
+    ("empty_csv", 2, "empty file"),
+    ("bad_coordinate_columns", 2, "bad coordinate columns in header"),
+    ("split_tag_val", 2, "unknown split tags: ['val']"),
+    ("sidecar_not_json", 2, "Expecting value"),
+    ("fractional_layer_dim", 2, "checkpoint 'layer_dims' entry is not a list of integers"),
+])
+def test_malformed_input_is_one_error_line(tmp_path, trained_once, dataset_copy, capsys, case,
+                                           code, message):
+    # a config error exits 1 with one "config error:" line; a bad dataset or
+    # checkpoint exits 2 with one "error: <file>:..." line naming that file
+    _, ckpt = trained_once
+    sidecar = dataset_copy.with_suffix(".json")
+    argv, bad = ["train", "--dataset", str(dataset_copy)], dataset_copy
+    if case == "set_without_equals":
+        argv += ["--set", "epochs"]
+    elif case == "config_is_a_directory":
+        argv += ["--config", str(tmp_path)]
+    elif case == "empty_csv":
+        dataset_copy.write_text("")
+    elif case == "bad_coordinate_columns":
+        dataset_copy.write_text("object_id,label,view_index,x1\n1,1,0,0.5\n")
+    elif case == "split_tag_val":
+        doc = json.loads(sidecar.read_text())
+        doc["split"][next(iter(doc["split"]))] = "val"
+        sidecar.write_text(json.dumps(doc))
+        bad = sidecar
+    elif case == "sidecar_not_json":
+        sidecar.write_text("not json\n")
+        bad = sidecar
+    else:
+        bad = tmp_path / "checkpoint.json"
+        doc = json.loads(ckpt.read_text())
+        doc["layer_dims"] = [24.5, 32, 16]
+        bad.write_text(json.dumps(doc))
+        argv = ["eval", "--checkpoint", str(bad), "--dataset", str(dataset_copy)]
+    got = main([*argv, "--out", str(tmp_path / "out"), *fast_args()])
+    err = capsys.readouterr().err
+    assert got == code
+    prefix = "config error: " if code == 1 else f"error: {bad}:"
+    assert err.count("\n") == 1 and err.startswith(prefix) and message in err, err
 
 
 # ---------------------------------------------------------------------------

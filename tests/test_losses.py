@@ -41,21 +41,16 @@ def one_term(batch, bank, name, classifier=None, **overrides):
     return loss_report(batch, bank, LossConfig.from_name(name, **overrides), classifier)
 
 
-def no_bank(batch):
-    """A bank for terms that read no centerlines: ``loss_report`` takes one."""
-    return bank_of(np.zeros((2, batch.dim)))
-
-
 def push_report(batch, bank):
     return one_term(batch, bank, "ortho", lam=1.0)
 
 
 def push_batch_report(batch):
-    return one_term(batch, no_bank(batch), "ortho", ortho_variant="batch", lam=1.0)
+    return one_term(batch, None, "ortho", ortho_variant="batch", lam=1.0)
 
 
 def softmax_report(batch, classifier):
-    return one_term(batch, no_bank(batch), "softmax", classifier, softmax_weight=1.0)
+    return one_term(batch, None, "softmax", classifier, softmax_weight=1.0)
 
 
 def center_report(batch, bank):
@@ -588,6 +583,18 @@ def test_loss_report_requires_classifier_for_softmax():
     bank = bank_of([[1, 0], [0, 1]])
     with pytest.raises(ValueError, match="classifier"):
         loss_report(b, bank, LossConfig.from_name("cip+softmax"))
+
+
+def test_loss_report_needs_a_bank_only_for_centerline_terms():
+    b = batch_of(np.ones((2, 3)), [1, 2])
+    clf = LinearClassifier(np.zeros((2, 3)), np.zeros(2))
+    for name in ("softmax", "ortho", "softmax+ortho"):
+        report = loss_report(b, None, LossConfig.from_name(name, ortho_variant="batch"), clf)
+        assert report.center_grads is None
+        assert np.isfinite(report.total) and report.feature_grads.shape == (2, 3)
+    for name in ("cluster", "ortho", "center", "cip+softmax"):
+        with pytest.raises(ValueError, match="^centerline term enabled but no bank supplied$"):
+            loss_report(b, None, LossConfig.from_name(name), clf)
 
 
 def test_loss_report_matches_per_sample_ops():

@@ -10,6 +10,7 @@ from cipbench.retrieval import (
     evaluate_run,
     f1_at,
     geometry_report,
+    mean_pool,
     ndcg,
     pool_descriptors,
     pr_auc,
@@ -24,6 +25,7 @@ from oracles import (
     pool_loop,
     prauc_brute,
     rank_loop,
+    seq_mean,
 )
 
 
@@ -358,6 +360,56 @@ def test_pool_descriptors_rejects_non_finite_features(bad):
     feats[2, 1] = bad
     with pytest.raises(ValueError, match=r"features\[2\] has non-finite"):
         pool_descriptors(feats, np.array([1, 1, 2, 2]), np.array([1, 1, 2, 2]))
+
+
+# ``mean_pool`` is ``pool_descriptors`` of one object's views
+
+
+def test_mean_pool_two_views():
+    np.testing.assert_allclose(mean_pool([np.array([1.0, 0.0]), np.array([3.0, 0.0])]),
+                               [2.0, 0.0])
+
+
+def test_mean_pool_single_view_identity():
+    v = np.array([0.4, -1.2, 7.0])
+    np.testing.assert_array_equal(mean_pool([v]), v)
+
+
+def test_mean_pool_symmetric_cancellation():
+    v = np.array([2.0, -3.0])
+    np.testing.assert_allclose(mean_pool([v, -v]), [0.0, 0.0], atol=1e-15)
+
+
+def test_mean_pool_empty_rejected():
+    with pytest.raises(ValueError, match="need non-empty"):
+        mean_pool([])
+
+
+def test_mean_pool_mixed_dims_rejected():
+    with pytest.raises(ValueError, match="inhomogeneous shape"):
+        mean_pool([np.ones(2), np.ones(3)])
+
+
+def test_mean_pool_accumulation_tolerance():
+    # descriptor must equal the sequential mean of its views very tightly
+    rng = np.random.default_rng(3)
+    views = [rng.standard_normal(8) * 10 for _ in range(50)]
+    np.testing.assert_allclose(mean_pool(views), seq_mean(views), atol=1e-12 * len(views))
+
+
+def test_mean_pool_minimizes_summed_squared_distance():
+    # grid oracle: scan candidate descriptors on a 2-D lattice around the
+    # views; none may beat the pooled mean
+    views = [np.array([0.5, 1.0]), np.array([2.0, -1.0]), np.array([-1.0, 0.25])]
+    pooled = mean_pool(views)
+
+    def objective(d):
+        return sum(float(np.sum((v - d) ** 2)) for v in views)
+
+    best = objective(pooled)
+    for gx in np.linspace(-2.0, 2.5, 41):
+        for gy in np.linspace(-1.5, 1.5, 41):
+            assert objective(np.array([gx, gy])) >= best - 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Check that two source trees write the same files and print the same text.
 
-Runs a fixed set of ``cipbench`` commands and the five demos with the
-package under each given ``src`` directory, each tree in its own
-interpreter and its own work directory, and compares every file written
-and every command's printed output (stdout, stderr and exit code).  Python
+Runs a fixed set of ``cipbench`` commands and every demo with the package
+under each given ``src`` directory, each tree in its own interpreter and
+its own work directory, and compares every file written and every
+command's printed output (stdout, stderr and exit code).  Python
 warnings are silenced, because they print each tree's own file paths and
 line numbers.  One verdict per file:
 
@@ -50,8 +50,6 @@ COMMANDS = {
                       "--out", "export/pooled.csv", "--pooled", *PIPELINE],
     "sweep": ["sweep", "--lambdas", "0.1,1,10", "--ds", "2,1", "--set", "loss=cip", "--out", "sweep"],
 }
-DEMOS = ("divergence_modes", "loss_playground", "retrieval_metrics_tour",
-         "sensitivity_sweep", "train_six_classes")
 CLI = "import sys; from cipbench.cli import main; sys.exit(main(sys.argv[1:]))"
 
 # numbers and words are the runs of text between these separators
@@ -63,8 +61,8 @@ def run_tree(src: Path, work: Path) -> None:
     working directory; each one's printed output goes to ``<name>.out``."""
     env = {**os.environ, "PYTHONPATH": str(src), "PYTHONWARNINGS": "ignore"}
     jobs = [(f"{name}.out", [sys.executable, "-c", CLI, *argv]) for name, argv in COMMANDS.items()]
-    jobs += [(f"demos/{name}.out", [sys.executable, str(src.parent / "demos" / f"{name}.py")])
-             for name in DEMOS]
+    jobs += [(f"demos/{demo.stem}.out", [sys.executable, str(demo)])
+             for demo in sorted((src.parent / "demos").glob("*.py"))]
     (work / "demos").mkdir(parents=True)
     for out, argv in jobs:
         proc = subprocess.run(argv, cwd=work, env=env, capture_output=True, text=True)
