@@ -14,7 +14,8 @@ citations):
 ``pool_descriptors`` sums every object's views with one ``np.add.at``;
 ``rank`` sorts and ``evaluate_run`` scores one block of query rows at a
 time, so neither holds more than O(block x queries) values beside the
-(queries x gallery) rankings and relevance.
+(queries x gallery) rankings and relevance.  ``rank`` sorts each block once
+and re-sorts only the runs of tied distances.
 """
 
 from __future__ import annotations
@@ -122,10 +123,14 @@ def rank(descriptors: np.ndarray, labels: np.ndarray) -> RetrievalRun:
     descriptors cannot be ranked; they are excluded with a warning and
     recorded in ``excluded``.
 
-    Queries go in blocks of ``_BLOCK_ROWS`` rows.  The default sort leaves
-    equal distances adjacent but in any order, so in a row that holds a tie
-    each run of equal distances gets a run number, and sorting the row's
-    (run number, index) keys orders each run's indices without moving it.
+    Queries go in blocks of ``_BLOCK_ROWS`` rows, and each block is sorted
+    once, by one ``argsort`` into a contiguous (block, Q) order that every
+    gather reads.  A query's own column, at distance inf, sorts last and is
+    dropped only when the outputs are written.  The default sort leaves equal
+    distances adjacent but in any order, so the positions inside runs of
+    equal distances are collected, each run gets a number, and sorting just
+    those (run number, index) keys orders each run's indices in place.
+    Beside the two (Q, Q - 1) outputs the working set is O(block x Q).
     """
     descriptors = np.asarray(descriptors, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -147,23 +152,40 @@ def rank(descriptors: np.ndarray, labels: np.ndarray) -> RetrievalRun:
     q = keep.size
     rankings = np.empty((q, q - 1), dtype=keep.dtype)
     relevance = np.empty((q, q - 1), dtype=bool)
+    ranked = np.empty((min(_BLOCK_ROWS, q), q))
+    # the labels reuse the distances' buffer once the ties are repaired
+    ranked_labels = ranked.view(kept_labels.dtype)
     for lo in range(0, q, _BLOCK_ROWS):
         hi = min(lo + _BLOCK_ROWS, q)
+        rows = hi - lo
         dist = unit[lo:hi] @ unit.T
         np.subtract(1.0, dist, out=dist)
         np.fill_diagonal(dist[:, lo:], np.inf)  # each query sorts itself last, then drops it
-        order = np.argsort(dist, axis=1)[:, :-1]
-        ranked = np.take_along_axis(dist, order, axis=1)
-        steps = ranked[:, 1:] != ranked[:, :-1]
-        tied = np.flatnonzero(~steps.all(axis=1))
-        if tied.size:
-            run = np.zeros((tied.size, q - 1), dtype=np.int64)
-            np.cumsum(steps[tied], axis=1, out=run[:, 1:])
-            keys = run * q + order[tied]
-            keys.sort(axis=1)
-            order[tied] = keys % q
-        np.equal(kept_labels[order], kept_labels[lo:hi, None], out=relevance[lo:hi])
-        rankings[lo:hi] = keep[order]
+        full = np.argsort(dist, axis=1)
+        # every index is in range; mode "clip" spares the copy that out= costs
+        # under the default mode "raise"
+        for r in range(rows):
+            np.take(dist[r], full[r], out=ranked[r], mode="clip")
+        tie = ranked[:rows, 1:] == ranked[:rows, :-1]  # never true at the last, inf, column
+        if tie.any():
+            # every position in a run of equal distances, and its run's number
+            starts = np.zeros((rows, q), dtype=bool)
+            starts[:, :-1] = tie
+            starts[:, 1:] &= ~tie
+            follows = np.zeros((rows, q), dtype=bool)
+            follows[:, 1:] = tie
+            at = np.flatnonzero(starts | follows)
+            run = np.cumsum(starts.ravel()[at])
+            flat = full.ravel()
+            keys = run * q + flat[at]
+            keys.sort()
+            flat[at] = keys % q
+        np.take(kept_labels, full, out=ranked_labels[:rows], mode="clip")
+        np.equal(ranked_labels[:rows, :-1], kept_labels[lo:hi, None], out=relevance[lo:hi])
+        if excluded:
+            np.take(keep, full[:, :-1], out=rankings[lo:hi], mode="clip")
+        else:
+            rankings[lo:hi] = full[:, :-1]  # keep is 0..q-1
     return RetrievalRun(
         query_indices=keep.copy(),
         query_labels=kept_labels,
@@ -352,6 +374,8 @@ def evaluate_run(
 ) -> EvalSummary:
     """Score every query and aggregate both micro and macro reports."""
     relevance = np.asarray(run.relevance)
+    if relevance.ndim != 2 or len(relevance) == 0:
+        raise ValueError("need a (Q, L) relevance matrix with at least one query row")
     # a row's scores depend on that row alone, so row blocks keep the bits
     blocks = [_row_metrics(relevance[lo:lo + _BLOCK_ROWS] != 0, f1_cutoff, ndcg_cutoff)
               for lo in range(0, len(relevance), _BLOCK_ROWS)]
@@ -431,8 +455,8 @@ def geometry_report(features: np.ndarray, labels, bank: CenterlineBank) -> Geome
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    if features.ndim != 2 or labels.shape != (features.shape[0],):
-        raise ValueError("need (N, n) features with aligned labels")
+    if features.ndim != 2 or features.size == 0 or labels.shape != (features.shape[0],):
+        raise ValueError("need non-empty (N, n) features with aligned labels")
     k = bank.num_classes
     if labels.min() < 1 or labels.max() > k:
         raise ValueError(f"labels must lie in [1, {k}]")

@@ -1,10 +1,12 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 
 from cipbench.losses import CenterlineBank
 from cipbench.retrieval import (
+    RetrievalRun,
     aggregate,
     average_precision,
     evaluate_run,
@@ -144,6 +146,88 @@ def test_rank_equals_per_query_loop_with_zero_norm_rows():
     assert run.excluded == [3, 63, 64, 66, 127, 130, 131]
     with pytest.warns(UserWarning, match="zero-norm"):
         _assert_rank_matches_loop(descs, labels)
+
+
+# Every component is 0, +-1 or +-1/2 after normalizing, so every distance
+# is exact and the oracle's one full matmul agrees bit for bit with rank's
+# 64-row blocks.  From e0 the palette rows lie at 0 (e0), 1/2 (two rows),
+# 1 (e1, e2), 3/2 and 2 (-e0).
+TIE_PALETTE = np.array([[1.0, 0, 0, 0], [1, 1, 1, 1], [1, -1, 1, -1], [0, 1, 0, 0],
+                        [0, 0, 1, 0], [-1, 1, -1, 1], [-1, 0, 0, 0]])
+E0_RUNS = ([0], [1, 2], [3, 4], [5], [6])  # palette rows by distance from e0, nearest first
+# zero-norm rows on both sides of input rows 64 and 128
+ZEROED = {"no_exclusions": [], "zero_norm_rows": [3, 63, 64, 100, 129]}
+
+
+def _rank_quietly(descs, labels):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return rank(descs, labels)
+
+
+def _palette_descriptors(zeroed):
+    # 150 rows, ~21 shuffled copies of each palette row: three blocks, and
+    # every row of every block is made of tie runs
+    kinds = np.random.default_rng(7).permutation(np.arange(150) % len(TIE_PALETTE))
+    descs = TIE_PALETTE[kinds]
+    descs[zeroed] = 0.0
+    return descs, kinds
+
+
+@pytest.mark.parametrize("zeroed", ZEROED.values(), ids=ZEROED.keys())
+def test_rank_repairs_adjacent_tie_runs_in_every_block(zeroed):
+    descs, kinds = _palette_descriptors(zeroed)
+    labels = kinds % 3 + 1
+    run = _rank_quietly(descs, labels)
+    keep, rankings, relevance = rank_loop(descs, labels)
+    assert np.array_equal(run.query_indices, keep)
+    assert np.array_equal(run.rankings, rankings)
+    assert np.array_equal(run.relevance, relevance)
+    # an e0 query's row is back-to-back runs (a, a, ..., b, b, ...): its
+    # other e0 copies tie at the first ranked positions, the -e0 copies at
+    # the last, and two palette rows share each run at 1/2 and at 1
+    nonzero = np.linalg.norm(descs, axis=1) > 0
+    e0_rows = np.flatnonzero(kinds[keep] == 0)
+    assert set(e0_rows // 64) == {0, 1, 2}
+    for row in e0_rows:
+        query = keep[row]
+        runs = [np.flatnonzero(np.isin(kinds, group) & nonzero) for group in E0_RUNS]
+        assert min(r.size for r in runs) >= 3
+        np.testing.assert_array_equal(run.rankings[row],
+                                      np.concatenate([r[r != query] for r in runs]))
+
+
+@pytest.mark.parametrize("zeroed", ZEROED.values(), ids=ZEROED.keys())
+def test_rank_orders_a_group_of_three_identical_descriptors_in_every_row(zeroed):
+    # the seed-9 eval-large shape: one group of 3 identical descriptors, here
+    # one in each block, puts a tie in every row.  The group lies on an axis,
+    # so each distance to it is one product, exact in any matmul.
+    rng = np.random.default_rng(8)
+    descs = rng.standard_normal((150, 4))
+    group = [11, 70, 140]
+    descs[group] = [2.0, 0.0, 0.0, 0.0]
+    descs[zeroed] = 0.0
+    labels = rng.integers(1, 4, 150)
+    run = _rank_quietly(descs, labels)
+    keep, rankings, relevance = rank_loop(descs, labels)
+    assert np.array_equal(run.rankings, rankings)
+    assert np.array_equal(run.relevance, relevance)
+    for query, ranked in zip(run.query_indices, run.rankings):
+        others = [g for g in group if g != query]
+        at = np.flatnonzero(np.isin(ranked, others))
+        np.testing.assert_array_equal(ranked[at], others)  # ascending index
+        np.testing.assert_array_equal(np.diff(at), np.ones(len(at) - 1))  # one run
+        if query in group:
+            np.testing.assert_array_equal(at, [0, 1])  # the tie leads the row
+
+
+@pytest.mark.parametrize("zeroed", ZEROED.values(), ids=ZEROED.keys())
+def test_rank_outputs_own_c_contiguous_arrays(zeroed):
+    descs, kinds = _palette_descriptors(zeroed)
+    run = _rank_quietly(descs, kinds % 3 + 1)
+    for out, dtype in ((run.rankings, np.intp), (run.relevance, np.bool_)):
+        assert out.dtype == dtype
+        assert out.flags.c_contiguous and out.flags.owndata and out.base is None
 
 
 def test_rank_rejects_non_finite_descriptors():
@@ -291,6 +375,15 @@ def test_evaluate_run_perfect_embedding():
     assert summary.micro.map == 1.0
     assert summary.macro.map == 1.0
     assert summary.micro.ndcg == 1.0
+
+
+def test_evaluate_run_rejects_a_run_without_query_rows():
+    empty = RetrievalRun(query_indices=np.empty(0, dtype=np.intp),
+                         query_labels=np.empty(0, dtype=np.int64),
+                         rankings=np.empty((0, 0), dtype=np.intp),
+                         relevance=np.empty((0, 0), dtype=bool))
+    with pytest.raises(ValueError, match="at least one query row"):
+        evaluate_run(empty)
 
 
 def _unbalanced_run():
@@ -447,6 +540,12 @@ def test_geometry_random_smoke():
     assert np.isfinite(geo.centerline_cosines).all()
     assert np.isfinite(geo.max_cross_inner)
     assert np.all(np.abs(geo.centerline_cosines) <= 1.0 + 1e-12)
+
+
+def test_geometry_rejects_empty_features():
+    bank = CenterlineBank(np.eye(2))
+    with pytest.raises(ValueError, match="need non-empty"):
+        geometry_report(np.empty((0, 2)), np.empty(0, dtype=np.int64), bank)
 
 
 def test_geometry_serialization(tmp_path):
