@@ -168,14 +168,13 @@ def rank(descriptors: np.ndarray, labels: np.ndarray) -> RetrievalRun:
             np.take(dist[r], full[r], out=ranked[r], mode="clip")
         tie = ranked[:rows, 1:] == ranked[:rows, :-1]  # never true at the last, inf, column
         if tie.any():
-            # every position in a run of equal distances, and its run's number
-            starts = np.zeros((rows, q), dtype=bool)
-            starts[:, :-1] = tie
-            starts[:, 1:] &= ~tie
+            # every position in a run of equal distances, and its run's number:
+            # a run starts at a position that ties with the next one but not
+            # with the one before (no row's first position follows a tie)
             follows = np.zeros((rows, q), dtype=bool)
             follows[:, 1:] = tie
-            at = np.flatnonzero(starts | follows)
-            run = np.cumsum(starts.ravel()[at])
+            at = np.flatnonzero(follows | np.roll(follows, -1))
+            run = np.cumsum(~follows.ravel()[at])
             flat = full.ravel()
             keys = run * q + flat[at]
             keys.sort()
