@@ -14,8 +14,9 @@ citations):
 ``pool_descriptors`` sums every object's views with one ``np.add.at``;
 ``rank`` sorts and ``evaluate_run`` scores one block of query rows at a
 time, so neither holds more than O(block x queries) values beside the
-(queries x gallery) rankings and relevance.  ``rank`` sorts each block once
-and re-sorts only the runs of tied distances.
+(queries x gallery) rankings and relevance.  ``rank`` sorts each block once,
+in place, as packed (distance, index) keys, and re-sorts only the runs of
+keys that share a distance prefix.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ __all__ = [
 
 # query rows that ``rank`` sorts and ``evaluate_run`` scores at a time
 _BLOCK_ROWS = 64
+_SIGN_BIT = np.uint64(1 << 63)
 
 
 @dataclass
@@ -124,13 +126,23 @@ def rank(descriptors: np.ndarray, labels: np.ndarray) -> RetrievalRun:
     recorded in ``excluded``.
 
     Queries go in blocks of ``_BLOCK_ROWS`` rows, and each block is sorted
-    once, by one ``argsort`` into a contiguous (block, Q) order that every
-    gather reads.  A query's own column, at distance inf, sorts last and is
-    dropped only when the outputs are written.  The default sort leaves equal
-    distances adjacent but in any order, so the positions inside runs of
-    equal distances are collected, each run gets a number, and sorting just
-    those (run number, index) keys orders each run's indices in place.
-    Beside the two (Q, Q - 1) outputs the working set is O(block x Q).
+    once, in place, as packed ``uint64`` keys.  A key holds a distance's
+    bits made order-preserving (a negative distance has every bit flipped,
+    any other only its sign bit), with the low ``(Q - 1).bit_length()`` bits
+    replaced by the gallery column.  The sorted keys' low bits are the
+    block's order, with exact ties in ascending column order.  Neighbours
+    that share a key's distance prefix but not the distance can be out of
+    order, so only the positions in runs of shared prefixes are re-sorted,
+    by (run number, distance), with a stable sort.  A query's own column, at
+    distance inf, sorts last and is dropped only when the outputs are
+    written.  Beside the two (Q, Q - 1) outputs the working set is
+    O(block x Q).
+
+    The keys order the distances as ``<`` does because
+    ``np.subtract(1.0, x)`` never yields -0.0 (which would sort apart from
+    0.0), the descriptors are finite (so no distance is NaN), and the inf
+    diagonal's prefix, all exponent bits set, differs from every finite
+    distance's.
     """
     descriptors = np.asarray(descriptors, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -152,35 +164,51 @@ def rank(descriptors: np.ndarray, labels: np.ndarray) -> RetrievalRun:
     q = keep.size
     rankings = np.empty((q, q - 1), dtype=keep.dtype)
     relevance = np.empty((q, q - 1), dtype=bool)
-    ranked = np.empty((min(_BLOCK_ROWS, q), q))
-    # the labels reuse the distances' buffer once the ties are repaired
-    ranked_labels = ranked.view(kept_labels.dtype)
+    # the low bits of a packed key hold its column index
+    mask = np.uint64((1 << (q - 1).bit_length()) - 1)
+    columns = np.arange(q, dtype=np.uint64)
+    keys = np.empty((min(_BLOCK_ROWS, q), q), dtype=np.uint64)
+    steps = np.empty((min(_BLOCK_ROWS, q), q - 1), dtype=np.uint64)
     for lo in range(0, q, _BLOCK_ROWS):
         hi = min(lo + _BLOCK_ROWS, q)
         rows = hi - lo
         dist = unit[lo:hi] @ unit.T
         np.subtract(1.0, dist, out=dist)
         np.fill_diagonal(dist[:, lo:], np.inf)  # each query sorts itself last, then drops it
-        full = np.argsort(dist, axis=1)
-        # every index is in range; mode "clip" spares the copy that out= costs
-        # under the default mode "raise"
-        for r in range(rows):
-            np.take(dist[r], full[r], out=ranked[r], mode="clip")
-        tie = ranked[:rows, 1:] == ranked[:rows, :-1]  # never true at the last, inf, column
-        if tie.any():
-            # every position in a run of equal distances, and its run's number:
-            # a run starts at a position that ties with the next one but not
-            # with the one before (no row's first position follows a tie)
+        # order-preserving bits: flip every bit of a negative distance and
+        # only the sign bit of the rest
+        key = keys[:rows]
+        np.right_shift(dist.view(np.int64), 63, out=key.view(np.int64))
+        np.bitwise_or(key, _SIGN_BIT, out=key)
+        np.bitwise_xor(key, dist.view(np.uint64), out=key)
+        np.bitwise_and(key, ~mask, out=key)
+        np.bitwise_or(key, columns, out=key)
+        key.sort(axis=1)
+        # neighbours that share the distance prefix are in index order, which
+        # is their distance order only if their distances are equal
+        step = steps[:rows]
+        np.bitwise_xor(key[:, 1:], key[:, :-1], out=step)
+        np.bitwise_and(key, mask, out=key)
+        full = key.view(np.int64)  # the block's order: gallery columns, best first
+        if step.min() <= mask:  # never at the last, inf, column
+            # every position in a run of shared prefixes, and its run's number:
+            # a run starts at a position that shares it with the next one but
+            # not with the one before (no row's first position follows one)
             follows = np.zeros((rows, q), dtype=bool)
-            follows[:, 1:] = tie
+            np.less_equal(step, mask, out=follows[:, 1:])
             at = np.flatnonzero(follows | np.roll(follows, -1))
             run = np.cumsum(~follows.ravel()[at])
             flat = full.ravel()
-            keys = run * q + flat[at]
-            keys.sort()
-            flat[at] = keys % q
-        np.take(kept_labels, full, out=ranked_labels[:rows], mode="clip")
-        np.equal(ranked_labels[:rows, :-1], kept_labels[lo:hi, None], out=relevance[lo:hi])
+            index = flat[at]
+            # a stable sort: equal distances keep their ascending index order
+            by = np.lexsort((dist.ravel()[at - at % q + index], run))
+            flat[at] = index[by]
+        # the labels reuse the distances' buffer once the runs are repaired
+        ranked_labels = dist.view(kept_labels.dtype)
+        # every index is in range; mode "clip" spares the copy that out= costs
+        # under the default mode "raise"
+        np.take(kept_labels, full, out=ranked_labels, mode="clip")
+        np.equal(ranked_labels[:, :-1], kept_labels[lo:hi, None], out=relevance[lo:hi])
         if excluded:
             np.take(keep, full[:, :-1], out=rankings[lo:hi], mode="clip")
         else:
@@ -456,6 +484,8 @@ def geometry_report(features: np.ndarray, labels, bank: CenterlineBank) -> Geome
     labels = np.asarray(labels, dtype=np.int64)
     if features.ndim != 2 or features.size == 0 or labels.shape != (features.shape[0],):
         raise ValueError("need non-empty (N, n) features with aligned labels")
+    if features.shape[1] != bank.dim:
+        raise ValueError(f"features have width {features.shape[1]}, the centerline bank {bank.dim}")
     k = bank.num_classes
     if labels.min() < 1 or labels.max() > k:
         raise ValueError(f"labels must lie in [1, {k}]")

@@ -216,7 +216,14 @@ def pool_loop(features, object_ids, labels):
 
 def rank_loop(descriptors, labels):
     """(query indices, rankings, relevance): one stable sort per query over
-    the other nonzero descriptors, which are in ascending index order."""
+    the other nonzero descriptors, which are in ascending index order.
+
+    The distances come from one full ``1 - unit @ unit.T``, which BLAS can
+    round differently from ``rank``'s row-block products: two distances
+    that tie in one can differ in the last bit in the other, and then the
+    two orders differ.  Compare with ``rank`` only on inputs whose every
+    distance is exact; ``block_distances`` gives ``rank``'s own values.
+    """
     descriptors = np.asarray(descriptors, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     norms = np.linalg.norm(descriptors, axis=1)
@@ -230,6 +237,20 @@ def rank_loop(descriptors, labels):
         rankings.append(gallery)
         rels.append(labels[gallery] == labels[keep[qi]])
     return keep, np.array(rankings), np.array(rels)
+
+
+def block_distances(descriptors, block_rows):
+    """(query indices, (Q, Q) cosine distances) of the nonzero descriptors,
+    each run of ``block_rows`` query rows from its own
+    ``1 - unit[lo:hi] @ unit.T`` product, so every value has the bits that
+    ``rank`` sorts when ``block_rows`` is its block size.  The diagonal
+    holds each descriptor's distance to itself."""
+    descriptors = np.asarray(descriptors, dtype=np.float64)
+    norms = np.linalg.norm(descriptors, axis=1)
+    keep = np.flatnonzero(norms > 0.0)
+    unit = descriptors[keep] / norms[keep, None]
+    blocks = [1.0 - unit[lo:lo + block_rows] @ unit.T for lo in range(0, keep.size, block_rows)]
+    return keep, np.concatenate(blocks)
 
 
 def _query_metrics(rel, f1_cutoff, ndcg_cutoff):

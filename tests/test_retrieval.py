@@ -6,6 +6,7 @@ import pytest
 
 from cipbench.losses import CenterlineBank
 from cipbench.retrieval import (
+    _BLOCK_ROWS,
     RetrievalRun,
     aggregate,
     average_precision,
@@ -21,6 +22,7 @@ from cipbench.retrieval import (
 
 from oracles import (
     ap_brute,
+    block_distances,
     evaluate_loop,
     f1_brute,
     ndcg_brute,
@@ -228,6 +230,122 @@ def test_rank_outputs_own_c_contiguous_arrays(zeroed):
     for out, dtype in ((run.rankings, np.intp), (run.relevance, np.bool_)):
         assert out.dtype == dtype
         assert out.flags.c_contiguous and out.flags.owndata and out.base is None
+
+
+def _assert_ordered_by_block_distances(run, descs, labels):
+    """Each row holds every other kept descriptor once, by ascending block
+    distance, equal distances by ascending index; relevance follows."""
+    keep, dist = block_distances(descs, _BLOCK_ROWS)
+    q = keep.size
+    assert np.array_equal(run.query_indices, keep)
+    columns = np.searchsorted(keep, run.rankings)
+    assert np.array_equal(keep[columns], run.rankings)
+    others = np.tile(np.arange(q), (q, 1))[~np.eye(q, dtype=bool)].reshape(q, q - 1)
+    assert np.array_equal(np.sort(columns, axis=1), others)
+    ranked = np.take_along_axis(dist, columns, axis=1)
+    assert (ranked[:, :-1] <= ranked[:, 1:]).all()
+    equal = ranked[:, :-1] == ranked[:, 1:]
+    assert (columns[:, :-1] < columns[:, 1:])[equal].all()
+    assert np.array_equal(run.relevance, labels[run.rankings] == labels[keep][:, None])
+    return keep, dist
+
+
+def _perturbed_copies(rng, groups, size):
+    # groups of `size` rows: a descriptor, then copies of it moved by ~1e-15.
+    # From any other descriptor they lie a few ulps apart, inside one
+    # packed-key prefix.
+    descs = np.repeat(rng.standard_normal((groups, 4)), size, axis=0)
+    moved = np.arange(groups * size) % size > 0
+    descs[moved] += 1e-15 * rng.standard_normal((np.count_nonzero(moved), 4))
+    return descs
+
+
+def _assert_near_ties(dist, rows):
+    # distances that differ, but by less than 1e-13, sit side by side
+    ranked = np.sort(dist[rows], axis=1)
+    gap = np.diff(ranked, axis=1)
+    assert ((gap > 0) & (gap < 1e-13)).any(axis=1).all()
+
+
+@pytest.mark.parametrize("zeroed", ZEROED.values(), ids=ZEROED.keys())
+def test_rank_orders_near_ties_by_their_block_distances(zeroed):
+    rng = np.random.default_rng(10)
+    descs = _perturbed_copies(rng, 150, 2)
+    descs[zeroed] = 0.0
+    labels = rng.integers(1, 4, 300)
+    run = _rank_quietly(descs, labels)
+    keep, dist = _assert_ordered_by_block_distances(run, descs, labels)
+    _assert_near_ties(dist, np.arange(keep.size))
+
+
+# Exactly representable rows: every norm rounds to 1, and every product of
+# two of them has at most two nonzero terms, each exact, so each distance has
+# the same bits in any product.  t = 2^-26 and u = 2^-53, the spacing below 1.
+_T, _U = 2.0**-26, 2.0**-53
+BIT_PALETTE = np.array([
+    [1.0, 0, 0, 0],  # e0
+    [_U, 1, 0, 0], [2 * _U, 1, 0, 0], [3 * _U, 1, 0, 0],  # p1-p3: 1 - k u from e0
+    [1, _U, 0, 0], [1, 2 * _U, 0, 0], [1, 3 * _U, 0, 0],  # x1-x3: 1 - (j + k) u from pj
+    [_T, 1, 0, 0],  # w: 1 + 2^-52 with itself, so its copies lie at -2^-52
+    [0, 0, 1, 0],  # e2
+    [-1, 0, 0, 0],  # -e0
+])
+BIT_WIDTH_Q = (2, 3, 64, 65, 128, 129, 257)
+
+
+def _bit_palette_descriptors(q, zero_rows):
+    # the first rows in palette order, so at q = 3 the query e0 sees p2
+    # nearer than p1 but at a higher index; the rest shuffled
+    kinds = np.arange(q) % len(BIT_PALETTE)
+    kinds[len(BIT_PALETTE):] = np.random.default_rng(q).permutation(kinds[len(BIT_PALETTE):])
+    if not zero_rows:
+        return BIT_PALETTE[kinds]
+    # zero-norm rows first, in the middle and last; q rows stay ranked
+    descs = np.zeros((q + 3, 4))
+    ranked = np.ones(q + 3, dtype=bool)
+    ranked[[0, (q + 3) // 2, q + 2]] = False
+    descs[ranked] = BIT_PALETTE[kinds]
+    return descs
+
+
+@pytest.mark.parametrize("zero_rows", [False, True], ids=["no_exclusions", "zero_norm_rows"])
+@pytest.mark.parametrize("q", BIT_WIDTH_Q)
+def test_rank_packs_indices_at_every_bit_width(q, zero_rows):
+    descs = _bit_palette_descriptors(q, zero_rows)
+    labels = np.arange(len(descs)) % 3 + 1
+    run = _rank_quietly(descs, labels)
+    assert run.rankings.shape == (q, q - 1)
+    _assert_ordered_by_block_distances(run, descs, labels)
+    keep, rankings, relevance = rank_loop(descs, labels)
+    assert np.array_equal(run.rankings, rankings)
+    assert np.array_equal(run.relevance, relevance)
+    if q == 3:  # e0, p1, p2: p2 is nearer to e0 by one ulp
+        np.testing.assert_array_equal(run.rankings[0], keep[[2, 1]])
+
+
+@pytest.mark.parametrize("zeroed", ZEROED.values(), ids=ZEROED.keys())
+def test_rank_orders_distances_that_round_below_zero(zeroed):
+    # copies of w = (2^-26, 1, 0, 0) have a computed norm of 1 and an exact
+    # inner product of 1 + 2^-52, so 1 - cos is -2^-52 in any product.  They
+    # sit among groups of five perturbed copies, whose near-ties every row
+    # must repair and whose products round to 1 + 2^-52 or, depending on the
+    # BLAS's order of summation, 1 + 2^-51 (two negative distances in a row)
+    rng = np.random.default_rng(11)
+    descs = _perturbed_copies(rng, 30, 5)
+    copies = [5, 64, 65, 140]
+    descs[copies] = [_T, 1.0, 0.0, 0.0]
+    descs[zeroed] = 0.0
+    labels = rng.integers(1, 4, 150)
+    run = _rank_quietly(descs, labels)
+    keep, dist = _assert_ordered_by_block_distances(run, descs, labels)
+    kept_copies = np.flatnonzero(np.isin(keep, copies))
+    assert kept_copies.size >= 3
+    for row in kept_copies:
+        others = [c for c in keep[kept_copies] if c != keep[row]]
+        assert (dist[row, np.isin(keep, others)] == -(2.0**-52)).all()
+        np.testing.assert_array_equal(run.rankings[row, :len(others)], others)
+        assert (dist[row][np.isin(keep, run.rankings[row, len(others):])] >= 0.0).all()
+    _assert_near_ties(dist, np.flatnonzero(~np.isin(keep, copies)))
 
 
 def test_rank_rejects_non_finite_descriptors():
@@ -546,6 +664,12 @@ def test_geometry_rejects_empty_features():
     bank = CenterlineBank(np.eye(2))
     with pytest.raises(ValueError, match="need non-empty"):
         geometry_report(np.empty((0, 2)), np.empty(0, dtype=np.int64), bank)
+
+
+def test_geometry_rejects_features_of_another_width():
+    bank = CenterlineBank(np.eye(2, 3))
+    with pytest.raises(ValueError, match="features have width 4, the centerline bank 3"):
+        geometry_report(np.ones((3, 4)), np.array([1, 2, 1]), bank)
 
 
 def test_geometry_serialization(tmp_path):
