@@ -9,7 +9,8 @@ attached to the raised error.  Training uses the rows outside
 ``Dataset.test_mask``; ``evaluate_map`` scores ``Dataset.eval_mask``.
 ``train`` validates its inputs once at entry; each step then runs the
 loss kernels (``losses.accumulate_terms``) and the backward pass straight
-into views of one flat gradient buffer in ``theta``'s layout.
+into views of one flat gradient buffer in ``theta``'s layout.  The
+momentum buffer stays local to ``train``, since nothing resumes training.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .losses import (
 )
 from .losses import LabeledBatch, loss_report  # noqa: F401  bench/workloads.py trace slots
 from .retrieval import evaluate_run, pool_descriptors, rank
-from .vectors import as_floats, check_fields
+from .vectors import check_fields
 
 __all__ = [
     "Checkpoint",
@@ -56,7 +57,7 @@ COLLAPSE_CHECK_EPOCH = 6
 STALL_CHECK_EPOCH = 12
 CENTERLINE_GROWTH_RATIO = 3.0
 
-CHECKPOINT_FORMAT_VERSION = 4
+CHECKPOINT_FORMAT_VERSION = 5
 
 HISTORY_FIELDS = ("epoch", "lr", *TERM_NAMES, "total", "map")
 
@@ -152,14 +153,12 @@ class TrainResult:
     """Trained state.  ``theta`` holds every trainable value; ``params``,
     ``classifier`` and ``bank`` are views of it (see ``_bind_views``), and
     the shapes of ``params``' views are the encoder's layout
-    (``params.layer_dims``).  ``velocity`` is the momentum buffer, in
-    ``theta``'s layout."""
+    (``params.layer_dims``)."""
 
     theta: np.ndarray
     params: enc.MlpParams
     bank: CenterlineBank
     classifier: LinearClassifier | None
-    velocity: np.ndarray
     history: list[dict]
     epochs_run: int
 
@@ -300,7 +299,7 @@ def train(dataset: Dataset, cfg: TrainConfig) -> TrainResult:
 
     def snapshot(epochs_run: int) -> TrainResult:
         copy = theta.copy()
-        return TrainResult(copy, *_bind_views(copy, dims, num_classes, softmax), velocity.copy(),
+        return TrainResult(copy, *_bind_views(copy, dims, num_classes, softmax),
                            [dict(h) for h in history], epochs_run)
 
     last_good = snapshot(0)
@@ -374,18 +373,17 @@ class Checkpoint(TrainResult):
 
 # JSON type of each entry after ``format_version``, in file order
 _CHECKPOINT_ENTRIES = {"layer_dims": list, "num_classes": int, "classifier": bool,
-                       "theta": list, "velocity": list, "meta": dict}
+                       "theta": list, "meta": dict}
 
 
 def save_checkpoint(result: TrainResult, path, meta: dict | None = None) -> None:
-    """Write the layout, then ``theta`` and ``velocity`` as flat lists."""
+    """Write the layout, then ``theta`` as a flat list."""
     doc = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "layer_dims": list(result.params.layer_dims),
         "num_classes": result.bank.num_classes,
         "classifier": result.classifier is not None,
         "theta": result.theta.tolist(),
-        "velocity": result.velocity.tolist(),
         "meta": {"epochs_run": result.epochs_run, **(meta or {})},
     }
     Path(path).write_text(json.dumps(doc))
@@ -414,13 +412,16 @@ def _checkpoint_from_dict(doc) -> Checkpoint:
     if not all(type(d) is int for d in doc["layer_dims"]):
         raise ValueError("checkpoint 'layer_dims' entry is not a list of integers")
     dims = enc.check_layer_dims(doc["layer_dims"])
-    theta, velocity = (as_floats(doc[key], key) for key in ("theta", "velocity"))
+    if doc["num_classes"] < 2:
+        raise ValueError(f"checkpoint 'num_classes' entry must be at least 2, "
+                         f"got {doc['num_classes']}")
+    if not all(type(x) in (int, float) for x in doc["theta"]):
+        raise ValueError("theta is not an array of numbers")
+    theta = np.array(doc["theta"], dtype=np.float64)
     if not np.isfinite(theta).all():
         raise ValueError("theta contains non-finite values")
     views = _bind_views(theta, dims, doc["num_classes"], doc["classifier"])
-    if velocity.shape != theta.shape:
-        raise ValueError(f"velocity has shape {velocity.shape}, theta has {theta.shape}")
-    return Checkpoint(theta, *views, velocity, [], doc["meta"].get("epochs_run", 0), doc["meta"])
+    return Checkpoint(theta, *views, [], doc["meta"].get("epochs_run", 0), doc["meta"])
 
 
 def history_to_csv(history: list[dict], path) -> None:

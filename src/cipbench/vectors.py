@@ -1,8 +1,8 @@
 """Dense vector primitives shared by the losses, trainer and evaluation code.
 
 All arithmetic is IEEE float64.  A feature vector is a plain 1-D numpy
-array.  ``as_vector`` checks one vector's shape and finiteness and
-``as_floats`` coerces a decoded JSON array; each names its input.
+array.  ``as_vector`` checks one vector's shape and finiteness and names
+its input.
 """
 
 from __future__ import annotations
@@ -10,7 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "as_floats",
     "as_vector",
     "check_fields",
 ]
@@ -37,15 +36,3 @@ def as_vector(x, name: str = "vector") -> np.ndarray:
     if not np.isfinite(v).all():
         raise ValueError(f"{name} has non-finite components")
     return v
-
-
-def as_floats(x, name: str) -> np.ndarray:
-    """Coerce ``x``, such as a decoded JSON entry, to a float64 array of any
-    shape, or raise a one-line ValueError naming it.  A boolean element of
-    a list is not a number."""
-    try:
-        if isinstance(x, list) and any(type(e) is bool for e in x):
-            raise ValueError
-        return np.asarray(x, dtype=np.float64)
-    except (TypeError, ValueError):
-        raise ValueError(f"{name} is not an array of numbers") from None

@@ -294,9 +294,9 @@ def test_eval_perfect_embedding_fixture(tmp_path):
     ckpt = tmp_path / "identity.json"
     eye = np.eye(3).ravel().tolist()
     ckpt.write_text(json.dumps({
-        "format_version": 4, "layer_dims": [3, 3], "num_classes": 3, "classifier": False,
+        "format_version": 5, "layer_dims": [3, 3], "num_classes": 3, "classifier": False,
         # encoder weights, encoder biases, centerlines
-        "theta": [*eye, 0.0, 0.0, 0.0, *eye], "velocity": [0.0] * 21, "meta": {},
+        "theta": [*eye, 0.0, 0.0, 0.0, *eye], "meta": {},
     }))
     out = tmp_path / "eval"
     code = main(["eval", "--checkpoint", str(ckpt), "--dataset", str(out_d / "dataset.csv"),
@@ -326,7 +326,9 @@ def test_eval_checkpoint_without_centerlines_exits_2(tmp_path, trained, capsys):
     ("not_an_object", "checkpoint is not a JSON object"),
     ("format_2", "unsupported checkpoint format version: 2"),
     ("format_3", "unsupported checkpoint format version: 3"),
+    ("format_4", "unsupported checkpoint format version: 4"),
     ("meta_not_an_object", "checkpoint 'meta' entry is not of type dict"),
+    ("num_classes_negative", "checkpoint 'num_classes' entry must be at least 2, got -1"),
 ])
 def test_eval_malformed_checkpoint_exits_2(tmp_path, trained, capsys, case, message):
     csv_path, ckpt = trained
@@ -338,6 +340,15 @@ def test_eval_malformed_checkpoint_exits_2(tmp_path, trained, capsys, case, mess
         doc["format_version"] = 3
         doc["encoder"] = {"layer_dims": doc.pop("layer_dims"), "hidden_activations": ["relu"],
                           "final_activation": "identity"}
+    elif case == "format_4":
+        # format 4 also stored the momentum buffer, in theta's layout
+        doc["format_version"] = 4
+        doc["velocity"] = [0.0] * len(doc["theta"])
+    elif case == "num_classes_negative":
+        # a theta as long as the layout of -1 classes: each class has a
+        # 4-wide classifier row, a bias and a 4-wide centerline
+        doc["num_classes"] = -1
+        doc["theta"] = doc["theta"][:-5 * 9]
     elif case == "format_2":
         doc = {"format_version": 2, "encoder": {}, "centerlines": [], "classifier": None,
                "velocity": [], "meta": {}}
@@ -633,8 +644,7 @@ def test_help_lists_config_defaults(capsys, command):
 # ---------------------------------------------------------------------------
 
 WRONG_TYPES = [{}, [1], 5, "x", None]
-CHECKPOINT_KEYS = ("format_version", "layer_dims", "num_classes", "classifier", "theta",
-                   "velocity", "meta")
+CHECKPOINT_KEYS = ("format_version", "layer_dims", "num_classes", "classifier", "theta", "meta")
 CHECKPOINT_ENTRIES = [("checkpoint", key) for key in CHECKPOINT_KEYS]
 SIDECAR_ENTRIES = [
     *(("sidecar", key) for key in ("format_version", "input_dim", "spec", "split")),
@@ -705,16 +715,24 @@ BOOLEAN_CASES = [
     ("checkpoint", ("num_classes",), "checkpoint 'num_classes' entry is not of type int"),
     ("checkpoint", ("layer_dims", 1), "checkpoint 'layer_dims' entry is not a list of integers"),
     ("checkpoint", ("theta", 0), "theta is not an array of numbers"),
-    ("checkpoint", ("velocity", 0), "velocity is not an array of numbers"),
+]
+# (file, key path, message, the value written there): each boolean case, and
+# a JSON string and a JSON null in theta, which numpy would parse or read as NaN
+NOT_A_NUMBER_CASES = [(*case, True) for case in BOOLEAN_CASES] + [
+    ("checkpoint", ("theta", 0), "theta is not an array of numbers", value)
+    for value in ("0.5", None)
 ]
 
 
-@pytest.mark.parametrize("kind, keys, message", BOOLEAN_CASES,
-                         ids=["/".join(map(str, (kind, *keys))) for kind, keys, _ in BOOLEAN_CASES])
+@pytest.mark.parametrize("kind, keys, message, value", NOT_A_NUMBER_CASES,
+                         ids=["/".join(map(str, (kind, *keys))) + ("" if value is True
+                                                                   else f"/{json.dumps(value)}")
+                              for kind, keys, _, value in NOT_A_NUMBER_CASES])
 def test_json_boolean_is_not_a_number(tmp_path, trained_once, dataset_copy, capsys, kind, keys,
-                                      message):
+                                      message, value):
     # Python decodes JSON true as a bool, which is an int; the sidecar and
-    # checkpoint readers refuse it with the message for a wrongly typed entry
+    # checkpoint readers refuse it, and a string or null in theta, with the
+    # message for a wrongly typed entry
     _, ckpt = trained_once
     if kind == "sidecar":
         source = edited = dataset_copy.with_suffix(".json")
@@ -727,7 +745,7 @@ def test_json_boolean_is_not_a_number(tmp_path, trained_once, dataset_copy, caps
     for key in keys[:-1]:
         parent = parent[key]
     assert type(parent[keys[-1]]) in (int, float)
-    parent[keys[-1]] = True
+    parent[keys[-1]] = value
     edited.write_text(json.dumps(doc))
     code = main([*argv, "--out", str(tmp_path / "out"), *fast_args()])
     assert code == 2

@@ -360,8 +360,6 @@ def test_checkpoint_round_trip(tmp_path):
         np.testing.assert_array_equal(wa, wb)
     np.testing.assert_array_equal(res.bank.centers, loaded.bank.centers)
     np.testing.assert_array_equal(res.classifier.weights, loaded.classifier.weights)
-    # optimizer state travels with the checkpoint
-    np.testing.assert_array_equal(res.velocity, loaded.velocity)
     assert loaded.meta["seed"] == 0
     assert loaded.meta["epochs_run"] == 4
     # the loaded views share one buffer, as the trained ones do
@@ -382,7 +380,7 @@ def test_checkpoint_version_check(tmp_path):
     import json
 
     doc = json.loads(path.read_text())
-    for version in (42, 3, 2):
+    for version in (42, 4, 3, 2):
         doc["format_version"] = version
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=f"unsupported checkpoint format version: {version}"):
@@ -395,13 +393,13 @@ def test_checkpoint_views_share_one_buffer():
                res.classifier.bias, res.bank.centers)
     base = res.bank.centers.base
     assert base is res.theta and all(t.base is base for t in tensors)
-    assert base.size == res.velocity.size == sum(t.size for t in tensors)
+    assert base.size == sum(t.size for t in tensors)
 
 
 def _corrupt(doc, case):
     if case == "layer_dims":
         del doc[case]
-    elif case in ("theta", "velocity"):
+    elif case == "theta":
         doc[case] = doc[case][:-1]
     elif case == "classifier":
         doc["classifier"] = False
@@ -414,7 +412,6 @@ def _corrupt(doc, case):
 @pytest.mark.parametrize("case, message", [
     ("layer_dims", "no 'layer_dims' entry"),
     ("theta", "theta has shape"),
-    ("velocity", "velocity has"),
     # a classifier flag that disagrees with theta leaves values over
     ("classifier", "theta has shape"),
     ("non_finite", "theta contains non-finite values"),

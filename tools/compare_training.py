@@ -6,8 +6,8 @@ one by one: the bytes of the encoder, classifier and centerlines and the
 epoch history of a finished run; the signal, epoch, history and last
 healthy snapshot of a diverged one.  Each finished run and each last
 healthy snapshot is also saved as a checkpoint and loaded back, and the
-loaded encoder, classifier, centerlines and velocity bytes are compared
-too.  Exits 1 when any run differs.
+loaded encoder, classifier and centerline bytes are compared too.  Exits
+1 when any run differs.
 
     python3 tools/compare_training.py OLD_CHECKOUT/src NEW_CHECKOUT/src
 
@@ -57,12 +57,11 @@ def _tensor_bytes(state) -> bytes:
 
 
 def _digest(result, loaded) -> str:
-    """Hash of a run's tensors and history, then of the tensors and velocity
-    of ``loaded``, the run saved as a checkpoint and loaded back."""
+    """Hash of a run's tensors and history, then of the tensors of
+    ``loaded``, the run saved as a checkpoint and loaded back."""
     h = hashlib.sha256(_tensor_bytes(result))
     h.update(repr(result.history).encode())
     h.update(_tensor_bytes(loaded))
-    h.update(loaded.velocity.tobytes())
     return h.hexdigest()
 
 
