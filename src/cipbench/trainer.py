@@ -417,7 +417,10 @@ def _checkpoint_from_dict(doc) -> Checkpoint:
                          f"got {doc['num_classes']}")
     if not all(type(x) in (int, float) for x in doc["theta"]):
         raise ValueError("theta is not an array of numbers")
-    theta = np.array(doc["theta"], dtype=np.float64)
+    try:
+        theta = np.array(doc["theta"], dtype=np.float64)
+    except OverflowError:  # an integer past the float64 range
+        raise ValueError("theta contains non-finite values") from None
     if not np.isfinite(theta).all():
         raise ValueError("theta contains non-finite values")
     views = _bind_views(theta, dims, doc["num_classes"], doc["classifier"])

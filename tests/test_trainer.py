@@ -405,6 +405,8 @@ def _corrupt(doc, case):
         doc["classifier"] = False
     elif case == "non_finite":
         doc["theta"][0] = float("nan")
+    elif case == "integer_past_float64":
+        doc["theta"][0] = 10**400
     else:
         doc["meta"] = [1]
 
@@ -415,6 +417,7 @@ def _corrupt(doc, case):
     # a classifier flag that disagrees with theta leaves values over
     ("classifier", "theta has shape"),
     ("non_finite", "theta contains non-finite values"),
+    ("integer_past_float64", "theta contains non-finite values"),
     ("meta", "'meta' entry is not of type dict"),
 ])
 def test_checkpoint_schema_check(tmp_path, case, message):
