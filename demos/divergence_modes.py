@@ -28,7 +28,7 @@ def attempt(name):
         print(f"{name:12s}: completed all epochs")
     except DivergenceError as e:
         print(f"{name:12s}: {e.signal} at epoch {e.epoch} -- {e}")
-        print(f"{'':12s}  last healthy snapshot: epoch {e.last_good.epochs_run}")
+        print(f"{'':12s}  last healthy snapshot: epoch {len(e.last_good.history)}")
 
 
 attempt("cluster")      # pull only

@@ -160,14 +160,13 @@ def cmd_train(args) -> int:
         result = train(dataset, train_cfg)
     except DivergenceError as e:
         print(f"training diverged ({e.signal}): {e}", file=sys.stderr)
-        if e.last_good is not None:
-            save_checkpoint(e.last_good, out / "checkpoint.last_good.json",
-                            meta={"diverged": True, "signal": e.signal, "seed": cfg.seed})
+        save_checkpoint(e.last_good, out / "checkpoint.last_good.json",
+                        meta={"diverged": True, "signal": e.signal, "seed": cfg.seed})
         history_to_csv(e.history, out / "history.csv")
         return EXIT_RUNTIME
     save_checkpoint(result, out / "checkpoint.json", meta={"seed": cfg.seed, "loss": cfg.loss})
     history_to_csv(result.history, out / "history.csv")
-    print(f"trained {result.epochs_run} epochs; checkpoint at {out / 'checkpoint.json'}")
+    print(f"trained {len(result.history)} epochs; checkpoint at {out / 'checkpoint.json'}")
     return EXIT_OK
 
 

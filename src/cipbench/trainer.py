@@ -4,8 +4,10 @@ The reference path is single-threaded and fully deterministic given the
 seed: encoder init, centerline init and every epoch's permutation all flow
 from one generator.  Divergence (non-finite values, centerline norm
 blow-up, or centerline collapse onto a single direction / toward zero) is
-detected every epoch and aborts training with the last healthy snapshot
-attached to the raised error.  Training uses the rows outside
+detected every epoch and aborts training with the last healthy state
+attached to the raised error: ``train`` keeps one copy of ``theta``,
+refreshed after each epoch that passes the check, and builds that state
+only when it raises.  Training uses the rows outside
 ``Dataset.test_mask``; ``evaluate_map`` scores ``Dataset.eval_mask``.
 ``train`` validates its inputs once at entry; each step then runs the
 loss kernels (``losses.accumulate_terms``) and the backward pass straight
@@ -63,9 +65,11 @@ HISTORY_FIELDS = ("epoch", "lr", *TERM_NAMES, "total", "map")
 
 
 class DivergenceError(RuntimeError):
-    """Training left the healthy regime; carries a diagnostic + last-good state."""
+    """Training left the healthy regime at ``epoch``; carries a diagnostic, the
+    history up to the failure, and ``last_good``, the state after ``epoch``
+    healthy epochs with those ``epoch`` history rows."""
 
-    def __init__(self, message: str, signal: str, epoch: int, last_good: "TrainResult | None", history):
+    def __init__(self, message: str, signal: str, epoch: int, last_good: "TrainResult", history):
         super().__init__(message)
         self.signal = signal
         self.epoch = epoch
@@ -153,14 +157,13 @@ class TrainResult:
     """Trained state.  ``theta`` holds every trainable value; ``params``,
     ``classifier`` and ``bank`` are views of it (see ``_bind_views``), and
     the shapes of ``params``' views are the encoder's layout
-    (``params.layer_dims``)."""
+    (``params.layer_dims``).  ``history`` has one row per epoch run."""
 
     theta: np.ndarray
     params: enc.MlpParams
     bank: CenterlineBank
     classifier: LinearClassifier | None
     history: list[dict]
-    epochs_run: int
 
 
 def _shapes(dims: tuple[int, ...], num_classes: int, softmax: bool) -> list[tuple[int, ...]]:
@@ -261,7 +264,7 @@ def train(dataset: Dataset, cfg: TrainConfig) -> TrainResult:
     """Run the full schedule; returns the trained state plus epoch history.
 
     Raises DivergenceError when the detector fires; the error carries the
-    last healthy snapshot so callers can still persist a checkpoint.  A
+    last healthy state so callers can still persist a checkpoint.  A
     dataset that ``Dataset.check_trainable`` refuses, or with
     ``eval_every`` set one that cannot be scored, is a ValueError before
     the first epoch.
@@ -296,13 +299,12 @@ def train(dataset: Dataset, cfg: TrainConfig) -> TrainResult:
     decay = np.where(on_centers, 0.0, cfg.weight_decay)
     init_norm = float(np.linalg.norm(bank.centers, axis=1).mean())
     history: list[dict] = []
+    good = theta.copy()  # theta after the last epoch that passed the detector
 
-    def snapshot(epochs_run: int) -> TrainResult:
-        copy = theta.copy()
-        return TrainResult(copy, *_bind_views(copy, dims, num_classes, softmax),
-                           [dict(h) for h in history], epochs_run)
-
-    last_good = snapshot(0)
+    def diverged(message: str, signal: str = "non_finite") -> DivergenceError:
+        last_good = TrainResult(good, *_bind_views(good, dims, num_classes, softmax),
+                                history[:epoch])
+        return DivergenceError(message, signal, epoch, last_good, history)
 
     for epoch in range(cfg.epochs):
         lr = lr_at(epoch, cfg)
@@ -315,27 +317,19 @@ def train(dataset: Dataset, cfg: TrainConfig) -> TrainResult:
         for batch_idx in batches:
             feats, cache = enc.forward_batch(params, inputs[batch_idx])
             if not np.isfinite(feats).all():
-                raise DivergenceError(
-                    f"non-finite embeddings at epoch {epoch}",
-                    "non_finite", epoch, last_good, history,
-                )
+                raise diverged(f"non-finite embeddings at epoch {epoch}")
             fgrads = np.zeros_like(feats)
             grad_bank.centers.fill(0.0)
             total, per_term = accumulate_terms(feats, labels0[batch_idx], bank.centers, cfg.loss,
                                                classifier, fgrads, grad_bank.centers,
                                                grad_classifier)
             if not np.isfinite(total):
-                raise DivergenceError(
-                    f"non-finite loss at epoch {epoch}",
-                    "non_finite", epoch, last_good, history,
-                )
+                raise diverged(f"non-finite loss at epoch {epoch}")
             enc.backward_batch(params, cache, fgrads, out=grad_params)
             try:
                 sgd_step(theta, velocity, grad, rates, cfg.momentum, decay)
             except ValueError as e:
-                raise DivergenceError(
-                    f"aborting epoch {epoch}: {e}", "non_finite", epoch, last_good, history
-                ) from None
+                raise diverged(f"aborting epoch {epoch}: {e}") from None
             for name in term_sums:
                 term_sums[name] += per_term[name]
             total_sum += total
@@ -350,13 +344,10 @@ def train(dataset: Dataset, cfg: TrainConfig) -> TrainResult:
         verdict = _detect_divergence(theta, bank.centers, epoch, cfg, init_norm)
         if verdict is not None:
             signal, detail = verdict
-            raise DivergenceError(
-                f"divergence detected at epoch {epoch}: {detail}",
-                signal, epoch, last_good, history,
-            )
-        last_good = snapshot(epoch + 1)
+            raise diverged(f"divergence detected at epoch {epoch}: {detail}", signal)
+        np.copyto(good, theta)
 
-    return last_good
+    return TrainResult(theta, params, bank, classifier, history)
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +357,8 @@ def train(dataset: Dataset, cfg: TrainConfig) -> TrainResult:
 
 @dataclass
 class Checkpoint(TrainResult):
-    """A checkpoint file's ``TrainResult`` (with an empty history) plus its ``meta``."""
+    """A checkpoint file's ``TrainResult`` (with an empty history) plus its
+    ``meta``, carried as the file gives it."""
 
     meta: dict
 
@@ -377,14 +369,15 @@ _CHECKPOINT_ENTRIES = {"layer_dims": list, "num_classes": int, "classifier": boo
 
 
 def save_checkpoint(result: TrainResult, path, meta: dict | None = None) -> None:
-    """Write the layout, then ``theta`` as a flat list."""
+    """Write the layout, then ``theta`` as a flat list; ``meta`` records the
+    epochs run as the history length, then the given entries."""
     doc = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "layer_dims": list(result.params.layer_dims),
         "num_classes": result.bank.num_classes,
         "classifier": result.classifier is not None,
         "theta": result.theta.tolist(),
-        "meta": {"epochs_run": result.epochs_run, **(meta or {})},
+        "meta": {"epochs_run": len(result.history), **(meta or {})},
     }
     Path(path).write_text(json.dumps(doc))
 
@@ -424,7 +417,7 @@ def _checkpoint_from_dict(doc) -> Checkpoint:
     if not np.isfinite(theta).all():
         raise ValueError("theta contains non-finite values")
     views = _bind_views(theta, dims, doc["num_classes"], doc["classifier"])
-    return Checkpoint(theta, *views, [], doc["meta"].get("epochs_run", 0), doc["meta"])
+    return Checkpoint(theta, *views, [], doc["meta"])
 
 
 def history_to_csv(history: list[dict], path) -> None:

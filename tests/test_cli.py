@@ -17,7 +17,7 @@ from cipbench.data import SyntheticSpec, load_dataset
 from cipbench.encoder import forward_batch
 from cipbench.losses import LossConfig
 from cipbench.retrieval import pool_descriptors
-from cipbench.trainer import TrainConfig, load_checkpoint
+from cipbench.trainer import TrainConfig, load_checkpoint, save_checkpoint
 
 # a tiny but trainable configuration so CLI tests stay fast
 FAST = [
@@ -361,6 +361,22 @@ def test_eval_malformed_checkpoint_exits_2(tmp_path, trained, capsys, case, mess
                  "--out", str(tmp_path / "e"), *fast_args()])
     assert code == 2
     assert capsys.readouterr().err == f"error: {ckpt}: {message}\n"
+
+
+def test_eval_carries_checkpoint_meta_as_given(tmp_path, trained):
+    # meta is a record: loading neither reads nor checks what it holds
+    csv_path, ckpt = trained
+    doc = json.loads(ckpt.read_text())
+    doc["meta"] = {"epochs_run": "x", "note": [1, None]}
+    ckpt.write_text(json.dumps(doc))
+    assert main(["eval", "--checkpoint", str(ckpt), "--dataset", str(csv_path),
+                 "--out", str(tmp_path / "e"), *fast_args()]) == 0
+    loaded = load_checkpoint(ckpt)
+    assert loaded.meta == {"epochs_run": "x", "note": [1, None]}
+    assert not hasattr(loaded, "epochs_run")
+    again = tmp_path / "again.json"
+    save_checkpoint(loaded, again, meta=loaded.meta)
+    assert again.read_bytes() == ckpt.read_bytes()
 
 
 def test_eval_missing_checkpoint_exits_1(tmp_path, trained):

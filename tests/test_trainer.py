@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from cipbench.losses import CenterlineBank, LabeledBatch, LossConfig, LossReport
 from cipbench.trainer import (
     DivergenceError,
     TrainConfig,
+    TrainResult,
     _bind_views,
     _detect_divergence,
     history_to_csv,
@@ -191,8 +194,9 @@ TERM_FUNCTIONS = ("pull_term", "push_term", "push_batch_term", "softmax_ce", "ce
 @pytest.mark.parametrize("loss", ["cip+softmax", "cip+center", "softmax+center"])
 def test_train_validates_once_and_builds_no_per_step_objects(monkeypatch, loss):
     # train checks its inputs at entry; a step builds no LabeledBatch and no
-    # LossReport, and calls each enabled term function once
-    built = {"LabeledBatch": 0, "LossReport": 0}
+    # LossReport, and calls each enabled term function once; a call builds
+    # one TrainResult, its return value
+    built = {"LabeledBatch": 0, "LossReport": 0, "TrainResult": 0}
     calls = dict.fromkeys(("sgd_step", *TERM_FUNCTIONS), 0)
 
     def counted(counts, name, original):
@@ -203,12 +207,13 @@ def test_train_validates_once_and_builds_no_per_step_objects(monkeypatch, loss):
 
     monkeypatch.setattr(LabeledBatch, "__post_init__", counted(built, "LabeledBatch", LabeledBatch.__post_init__))
     monkeypatch.setattr(LossReport, "__init__", counted(built, "LossReport", LossReport.__init__))
+    monkeypatch.setattr(TrainResult, "__init__", counted(built, "TrainResult", TrainResult.__init__))
     monkeypatch.setattr(trainer, "sgd_step", counted(calls, "sgd_step", trainer.sgd_step))
     for name in TERM_FUNCTIONS:
         monkeypatch.setattr(losses, name, counted(calls, name, getattr(losses, name)))
     res = train(bench_dataset(), quick_config(loss=LossConfig.from_name(loss)))
-    assert res.epochs_run == 4
-    assert built == {"LabeledBatch": 0, "LossReport": 0}
+    assert len(res.history) == 4
+    assert built == {"LabeledBatch": 0, "LossReport": 0, "TrainResult": 1}
     steps = calls.pop("sgd_step")
     assert steps == 4 * 8  # 128 training rows in batches of 16
     enabled = {"cip+softmax": {"pull_term", "push_term", "softmax_ce"},
@@ -218,7 +223,7 @@ def test_train_validates_once_and_builds_no_per_step_objects(monkeypatch, loss):
     # the counters do see a construction
     loss_report(LabeledBatch(np.ones((1, 2)), np.array([1])), CenterlineBank(np.eye(2)),
                 LossConfig.from_name("cip"))
-    assert built == {"LabeledBatch": 1, "LossReport": 1}
+    assert built == {"LabeledBatch": 1, "LossReport": 1, "TrainResult": 1}
 
 
 def test_train_eval_every_records_map():
@@ -239,7 +244,7 @@ def test_train_eval_every_on_an_unscorable_dataset_fails_before_training(monkeyp
 def test_train_uses_train_split_only():
     ds = split(bench_dataset(), 0.5, 0)
     res = train(ds, quick_config())
-    assert res.epochs_run == 4
+    assert len(res.history) == 4
 
 
 def test_centerline_without_gradient_is_unchanged():
@@ -322,6 +327,29 @@ def test_momentum_heavy_run_diverges():
     assert err.value.last_good is not None
 
 
+@pytest.mark.parametrize("loss_name, train_kw, loss_kw, signal, message", [
+    ("cluster", {}, {}, "centerline_collapse", "divergence detected at epoch 6: "),
+    ("ortho", {}, {}, "centerline_stall", "divergence detected at epoch 12: "),
+    ("cip+softmax", {"momentum": 0.9}, {}, "centerline_blowup", "divergence detected at epoch 1: "),
+    # a per-step exit, before the epoch's history row is written
+    ("cip", {"batch_size": 25, "lr0": 0.005, "momentum": 0.5, "centerline_collapse_cosine": 2.0},
+     {"lam": 10.0, "d": 0.5}, "non_finite", "non-finite embeddings at epoch 6"),
+], ids=["collapse", "stall", "blowup", "non_finite_step"])
+def test_last_good_is_the_run_stopped_at_the_failing_epoch(loss_name, train_kw, loss_kw,
+                                                           signal, message):
+    # last_good holds the state and the history rows of a run of e.epoch epochs
+    ds = split(generate(SyntheticSpec(seed=0)), 0.5, 0)
+    cfg = TrainConfig(**train_kw, loss=LossConfig.from_name(loss_name, **loss_kw))
+    with pytest.raises(DivergenceError) as err:
+        train(ds, cfg)
+    e = err.value
+    assert e.signal == signal and str(e).startswith(message)
+    assert e.last_good.history == e.history[:e.epoch]
+    short = train(ds, dataclasses.replace(cfg, epochs=e.epoch))
+    assert short.theta.tobytes() == e.last_good.theta.tobytes()
+    assert short.history == e.last_good.history
+
+
 @pytest.mark.parametrize("tensor", ["encoder bias", "classifier weights", "classifier bias"])
 def test_non_finite_check_covers_every_trainable_value(tensor):
     # the epoch-end check reads the whole flat buffer, so a NaN outside the
@@ -340,7 +368,7 @@ def test_non_finite_check_covers_every_trainable_value(tensor):
 
 def test_healthy_cip_run_completes():
     res = train(bench10(), bench10_config("cip", epochs=8))
-    assert res.epochs_run == 8
+    assert len(res.history) == 8
     assert np.isfinite(res.history[-1]["total"])
 
 

@@ -2,12 +2,12 @@
 
 Trains one grid of configurations with the ``cipbench`` package under each
 given ``src`` directory, each in its own interpreter, and compares the runs
-one by one: the bytes of the encoder, classifier and centerlines and the
-epoch history of a finished run; the signal, epoch, history and last
-healthy snapshot of a diverged one.  Each finished run and each last
-healthy snapshot is also saved as a checkpoint and loaded back, and the
-loaded encoder, classifier and centerline bytes are compared too.  Exits
-1 when any run differs.
+one by one: the bytes of ``theta`` (the encoder, classifier and
+centerlines, whose views share that one buffer) and the epoch history of
+a finished run; the signal, epoch, history and last healthy state of a
+diverged one.  Each finished run and each last healthy state is also
+saved as a checkpoint and loaded back, and the loaded ``theta`` bytes are
+compared too.  Exits 1 when any run differs.
 
     python3 tools/compare_training.py OLD_CHECKOUT/src NEW_CHECKOUT/src
 
@@ -49,19 +49,13 @@ OPTIMIZERS = {
 }
 
 
-def _tensor_bytes(state) -> bytes:
-    arrays = [*state.params.weights, *state.params.biases, state.bank.centers]
-    if state.classifier is not None:
-        arrays += [state.classifier.weights, state.classifier.bias]
-    return b"".join(arr.tobytes() for arr in arrays)
-
-
 def _digest(result, loaded) -> str:
-    """Hash of a run's tensors and history, then of the tensors of
-    ``loaded``, the run saved as a checkpoint and loaded back."""
-    h = hashlib.sha256(_tensor_bytes(result))
+    """Hash of a run's ``theta`` and history, then of the ``theta`` of
+    ``loaded``, the run saved as a checkpoint and loaded back.  ``theta`` is
+    the one buffer that the encoder, classifier and centerline views share."""
+    h = hashlib.sha256(result.theta.tobytes())
     h.update(repr(result.history).encode())
-    h.update(_tensor_bytes(loaded))
+    h.update(loaded.theta.tobytes())
     return h.hexdigest()
 
 
