@@ -30,9 +30,11 @@ result = train(dataset, TrainConfig(
     hidden_dims=(32,), embedding_dim=16, init_std=0.3,
 ))
 
-test = dataset.subset("test")
-features, _ = encoder.forward_batch(result.params, test.inputs)
-descriptors, labels, _ = pool_descriptors(features, test.object_ids, test.labels)
+mask = dataset.eval_mask()  # the test rows
+inputs, object_ids, view_labels = (dataset.inputs[mask], dataset.object_ids[mask],
+                                   dataset.labels[mask])
+features, _ = encoder.forward_batch(result.params, inputs)
+descriptors, labels, _ = pool_descriptors(features, object_ids, view_labels)
 summary = evaluate_run(rank(descriptors, labels))
 
 print(f"\ntrained embedding, {summary.total_queries} leave-one-out queries "
@@ -41,6 +43,6 @@ print("  micro:", {k: round(v, 4) for k, v in summary.micro.to_dict().items() if
 print("  macro:", {k: round(v, 4) for k, v in summary.macro.to_dict().items() if k != "aggregation"})
 
 # Raw inputs as a reference point: the embedding should do better.
-raw_desc, raw_labels, _ = pool_descriptors(test.inputs, test.object_ids, test.labels)
+raw_desc, raw_labels, _ = pool_descriptors(inputs, object_ids, view_labels)
 raw = evaluate_run(rank(raw_desc, raw_labels))
 print(f"  raw-input MAP for comparison: {raw.micro.map:.4f}")

@@ -286,7 +286,7 @@ def load_dataset(csv_path) -> Dataset:
         text = csv_path.read_text()
     except UnicodeDecodeError as e:
         raise ValueError(f"{csv_path}: {e}") from None
-    lines = [ln for ln in text.splitlines()]
+    lines = text.splitlines()
     if not lines:
         raise ValueError(f"{csv_path}: empty file")
     header = lines[0].split(",")

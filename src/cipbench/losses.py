@@ -377,7 +377,7 @@ def loss_report(
             raise ValueError("centerline term enabled but no bank supplied")
         if batch.dim != bank.dim:
             raise ValueError(f"feature dim {batch.dim} != centerline dim {bank.dim}")
-        if batch.size and (batch.labels.min() < 1 or batch.labels.max() > bank.num_classes):
+        if batch.size and batch.labels.max() > bank.num_classes:
             raise ValueError(f"labels must lie in [1, {bank.num_classes}], got range "
                              f"[{batch.labels.min()}, {batch.labels.max()}]")
     if cfg.use_softmax:

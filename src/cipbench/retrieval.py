@@ -36,7 +36,6 @@ __all__ = [
     "GeometryReport",
     "MetricsReport",
     "RetrievalRun",
-    "aggregate",
     "average_precision",
     "evaluate_run",
     "f1_at",
@@ -347,32 +346,6 @@ class MetricsReport:
         return asdict(self)
 
 
-def aggregate(per_query_metrics: dict, labels, mode: str) -> MetricsReport:
-    """Micro (mean over queries) or macro (mean of per-class means) rollup."""
-    if mode not in ("micro", "macro"):
-        raise ValueError(f"aggregation mode must be micro or macro, got {mode!r}")
-    labels = np.asarray(labels)
-    values = {k: np.asarray(v, dtype=np.float64) for k, v in per_query_metrics.items()}
-    for k, v in values.items():
-        if v.shape != labels.shape:
-            raise ValueError(f"metric {k!r} not aligned with labels")
-    if labels.size == 0:
-        raise ValueError("nothing to aggregate")
-
-    def roll(v: np.ndarray) -> float:
-        if mode == "micro":
-            return float(np.mean(v))
-        return float(np.mean([np.mean(v[labels == c]) for c in np.unique(labels)]))
-
-    return MetricsReport(
-        map=roll(values["map"]),
-        pr_auc=roll(values["pr_auc"]),
-        f1=roll(values["f1"]),
-        ndcg=roll(values["ndcg"]),
-        aggregation=mode,
-    )
-
-
 @dataclass
 class EvalSummary:
     micro: MetricsReport
@@ -399,7 +372,12 @@ def evaluate_run(
     f1_cutoff: int | None = None,
     ndcg_cutoff: int | None = None,
 ) -> EvalSummary:
-    """Score every query and aggregate both micro and macro reports."""
+    """Score every query and roll the scored ones up twice.
+
+    A query with no relevant gallery item is skipped.  Micro is the mean of
+    each metric over the scored queries; macro is the mean of its per-class
+    means over the scored queries.
+    """
     relevance = np.asarray(run.relevance)
     if relevance.ndim != 2 or len(relevance) == 0:
         raise ValueError("need a (Q, L) relevance matrix with at least one query row")
@@ -412,9 +390,12 @@ def evaluate_run(
         raise ValueError("no query had any relevant gallery item")
     per = {name: values[kept] for name, values in scores.items()}
     kept_labels = np.asarray(run.query_labels)[kept]
+    masks = [kept_labels == c for c in np.unique(kept_labels)]
     return EvalSummary(
-        micro=aggregate(per, kept_labels, "micro"),
-        macro=aggregate(per, kept_labels, "macro"),
+        micro=MetricsReport(**{k: float(np.mean(v)) for k, v in per.items()},
+                            aggregation="micro"),
+        macro=MetricsReport(**{k: float(np.mean([np.mean(v[m]) for m in masks]))
+                               for k, v in per.items()}, aggregation="macro"),
         total_queries=run.num_queries,
         skipped_queries=int(np.count_nonzero(~kept)),
     )

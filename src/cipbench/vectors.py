@@ -1,8 +1,9 @@
-"""Dense vector primitives shared by the losses, trainer and evaluation code.
+"""Settings-field checks and one vector check.
 
-All arithmetic is IEEE float64.  A feature vector is a plain 1-D numpy
-array.  ``as_vector`` checks one vector's shape and finiteness and names
-its input.
+``check_fields`` checks the settings fields of ``data``, ``losses`` and
+``trainer``; ``KEY_OF_FIELD`` names a field's config key for them and for
+``config``.  ``as_vector`` checks one float64 vector's shape and finiteness
+and names its input, for ``losses.normalized_weight_gradient``.
 """
 
 from __future__ import annotations

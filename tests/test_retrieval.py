@@ -8,7 +8,6 @@ from cipbench.losses import CenterlineBank
 from cipbench.retrieval import (
     _BLOCK_ROWS,
     RetrievalRun,
-    aggregate,
     average_precision,
     evaluate_run,
     f1_at,
@@ -445,37 +444,6 @@ def test_map_invariant_within_equal_relevance_runs():
 # ---------------------------------------------------------------------------
 
 
-def test_aggregate_micro_vs_macro():
-    metrics = {"map": [1.0, 1.0, 0.0], "pr_auc": [1.0, 1.0, 0.0],
-               "f1": [1.0, 1.0, 0.0], "ndcg": [1.0, 1.0, 0.0]}
-    labels = [1, 1, 2]
-    micro = aggregate(metrics, labels, "micro")
-    macro = aggregate(metrics, labels, "macro")
-    assert micro.map == pytest.approx(2.0 / 3.0, rel=1e-12)
-    assert macro.map == pytest.approx(0.5, rel=1e-12)
-
-
-def test_aggregate_single_class_micro_equals_macro():
-    metrics = {"map": [0.4, 0.8], "pr_auc": [0.4, 0.8], "f1": [0.4, 0.8], "ndcg": [0.4, 0.8]}
-    micro = aggregate(metrics, [1, 1], "micro")
-    macro = aggregate(metrics, [1, 1], "macro")
-    assert micro.map == macro.map == pytest.approx(0.6, rel=1e-12)
-
-
-def test_aggregate_balanced_classes_micro_equals_macro():
-    full = {"map": [0.2, 0.4, 0.6, 0.8], "pr_auc": [0.2, 0.4, 0.6, 0.8],
-            "f1": [0.2, 0.4, 0.6, 0.8], "ndcg": [0.2, 0.4, 0.6, 0.8]}
-    labels = [1, 1, 2, 2]
-    assert aggregate(full, labels, "micro").map == pytest.approx(
-        aggregate(full, labels, "macro").map, rel=1e-12
-    )
-
-
-def test_aggregate_rejects_unknown_mode():
-    with pytest.raises(ValueError, match="micro or macro"):
-        aggregate({"map": [1.0], "pr_auc": [1.0], "f1": [1.0], "ndcg": [1.0]}, [1], "median")
-
-
 def test_evaluate_run_counts_skipped_queries():
     # one singleton class: its query has no relevant gallery items
     descs = np.array([[1.0, 0.0], [0.9, 0.2], [0.0, 1.0]])
@@ -522,6 +490,7 @@ def test_evaluate_run_equals_per_query_loop(f1_cutoff, ndcg_cutoff):
     summary = evaluate_run(run, f1_cutoff, ndcg_cutoff)
     micro, macro, skipped = evaluate_loop(run.relevance, run.query_labels, f1_cutoff, ndcg_cutoff)
     assert (summary.total_queries, summary.skipped_queries) == (153, 1) and skipped == 1
+    assert summary.macro.map != summary.micro.map  # the classes are unbalanced
     for report, want in ((summary.micro, micro), (summary.macro, macro)):
         # MAP and F1 sum in the loop's order; PR-AUC and NDCG may round differently
         assert report.map == want["map"]
