@@ -10,7 +10,6 @@ from cipbench.losses import (
     LabeledBatch,
     LossConfig,
     loss_report,
-    normalized_weight_gradient,
 )
 
 np.set_printoptions(precision=4, suppress=True)
@@ -57,5 +56,7 @@ print("\nnormalized-weight gradient norm as |w| shrinks (f fixed):")
 f = np.array([0.0, 1.0])
 for scale in (1.0, 0.1, 0.01):
     w = np.array([scale, 0.0])
-    print(f"  |w|={scale:5.2f}  ->  |grad| = {np.linalg.norm(normalized_weight_gradient(w, f)):.1f}")
+    nw = np.linalg.norm(w)
+    g = f / nw - (w @ f) * w / nw**3
+    print(f"  |w|={scale:5.2f}  ->  |grad| = {np.linalg.norm(g):.1f}")
 print("(the plain inner-product gradient is just f, no matter how small w is)")

@@ -257,7 +257,7 @@ def cmd_sweep(args) -> int:
               ([lam, d, int(ok), total, m] for lam, d, ok, total, m in rows))
 
     for d in ds:
-        maps = [m for lam_, d_, ok, _, m in rows if d_ == d and ok and np.isfinite(m)]
+        maps = [m for lam_, d_, ok, _, m in rows if d_ == d and ok]
         if maps:
             print(f"d={d}: MAP range [{min(maps):.4f}, {max(maps):.4f}], spread {max(maps) - min(maps):.4f}")
         else:

@@ -23,8 +23,9 @@ batch losses are sums over the batch, so gradient scale grows with batch
 size by design.  The term functions take the 0-based labels.  The pull
 value is evaluated with the same clipping as its gradient, keeping reported
 loss curves consistent with the updates actually applied.  The literal
-unclipped forms and per-sample reference gradients live in
-``tests/oracles.py``, where the tests check these functions against them.
+unclipped forms, the per-sample reference gradients and the
+normalized-weight gradient that the inner-product losses avoid live in
+``tests/oracles.py``, where the tests check against them.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .vectors import as_vector, check_fields
+from .vectors import check_fields
 
 __all__ = [
     "CenterlineBank",
@@ -44,7 +45,6 @@ __all__ = [
     "accumulate_terms",
     "center_loss",
     "loss_report",
-    "normalized_weight_gradient",
     "pull_term",
     "push_batch_term",
     "push_term",
@@ -330,23 +330,6 @@ def accumulate_terms(feats, labels0, centers, cfg: LossConfig, classifier, fgrad
         per_term["center"] = center_loss(feats, labels0, centers, cfg.center_weight, fgrads, cgrads)
         total += cfg.center_weight * per_term["center"]
     return total, per_term
-
-
-def normalized_weight_gradient(w, f) -> np.ndarray:
-    """Gradient of (w.f)/|w| w.r.t. w: f/|w| - (w.f) w / |w|^3.
-
-    Demonstrates why weight normalization is avoided: the result scales as
-    1/|w|, so small weights blow the update up (the plain inner-product
-    gradient is just f, independent of |w|).
-    """
-    w = as_vector(w, "w")
-    f = as_vector(f, "f")
-    if w.shape != f.shape:
-        raise ValueError(f"dimension mismatch: {w.shape[0]} vs {f.shape[0]}")
-    nw = float(np.linalg.norm(w))
-    if nw == 0.0:
-        raise ValueError("normalized-weight gradient undefined for zero w")
-    return f / nw - float(np.dot(w, f)) * w / nw**3
 
 
 # ---------------------------------------------------------------------------

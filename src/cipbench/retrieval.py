@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -429,17 +429,12 @@ class GeometryReport:
         return float(np.mean(self.own_cosine_mean))
 
     def to_dict(self) -> dict:
-        return {
-            "centerline_cosines": self.centerline_cosines.tolist(),
-            "own_cosine_mean": self.own_cosine_mean.tolist(),
-            "own_cosine_min": self.own_cosine_min.tolist(),
-            "max_cross_inner": self.max_cross_inner,
-            "norm_mean": self.norm_mean.tolist(),
-            "norm_min": self.norm_min.tolist(),
-            "norm_max": self.norm_max.tolist(),
-            "max_pairwise_centerline_cosine": self.max_pairwise_centerline_cosine,
-            "mean_own_cosine": self.mean_own_cosine,
-        }
+        """The fields in order, arrays as lists, then the two summaries."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in out.items()}
+        out["max_pairwise_centerline_cosine"] = self.max_pairwise_centerline_cosine
+        out["mean_own_cosine"] = self.mean_own_cosine
+        return out
 
     def save_json(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2))

@@ -3,6 +3,8 @@
 Everything here is written as plain sequential Python and numpy (explicit
 loops over samples and classes, left-to-right accumulation) on purpose:
 these functions must not share any code path with the library they check.
+The file also holds reference math that no library path needs, namely
+criterion 7's normalized-weight gradient.
 """
 
 from __future__ import annotations
@@ -71,6 +73,20 @@ def cluster_forward_unclipped(features, labels, centers, d):
     for f, y in zip(features, labels):
         acc += 1.0 / (seq_dot(f, centers[y - 1]) + d)
     return acc
+
+
+def normalized_weight_gradient(w, f):
+    """Gradient of (w.f)/|w| w.r.t. w: f/|w| - (w.f) w / |w|^3.
+
+    It scales as 1/|w|, so small weights blow the update up; the plain
+    inner-product gradient is just f, independent of |w|.
+    """
+    w = np.asarray(w, dtype=np.float64)
+    f = np.asarray(f, dtype=np.float64)
+    nw = float(np.linalg.norm(w))
+    if nw == 0.0:
+        raise ValueError("normalized-weight gradient undefined for zero w")
+    return f / nw - float(np.dot(w, f)) * w / nw**3
 
 
 def cluster_grad_feature(f, c, d):

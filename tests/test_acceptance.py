@@ -22,7 +22,6 @@ from cipbench.losses import (
     LinearClassifier,
     LossConfig,
     loss_report,
-    normalized_weight_gradient,
 )
 from cipbench.retrieval import (
     average_precision,
@@ -39,6 +38,7 @@ from oracles import (
     cluster_grad_feature_origin,
     f1_brute,
     ndcg_brute,
+    normalized_weight_gradient,
     prauc_brute,
     rel_err,
 )

@@ -8,7 +8,6 @@ from cipbench.losses import (
     LossConfig,
     center_loss,
     loss_report,
-    normalized_weight_gradient,
     pull_term,
     push_batch_term,
     push_term,
@@ -21,6 +20,7 @@ from oracles import (
     cluster_grad_centerline,
     cluster_grad_feature,
     cluster_grad_feature_origin,
+    normalized_weight_gradient,
     ortho_batch_grad_feature,
     ortho_grad_centerline,
     ortho_grad_feature,
