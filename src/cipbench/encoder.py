@@ -6,6 +6,12 @@ makes finite-difference verification straightforward.  The encoder only
 stands in for a backbone, so its activations are fixed: relu hidden layers
 and a linear embedding layer, whose output may occupy every orthant.  Its
 arrays are its layout: layer widths are read from the weight shapes.
+
+``forward_layers`` and ``backward_layers`` are the layer loops over the
+``(weights, biases)`` lists, one each way, and run no checks;
+``trainer.train`` calls them on every batch.  ``forward_batch`` and
+``backward_batch`` are the checked entries over them, as
+``losses.loss_report`` is for the loss terms.
 """
 
 from __future__ import annotations
@@ -17,8 +23,10 @@ import numpy as np
 __all__ = [
     "MlpParams",
     "backward_batch",
+    "backward_layers",
     "check_layer_dims",
     "forward_batch",
+    "forward_layers",
     "init_params",
 ]
 
@@ -51,6 +59,38 @@ def init_params(layer_dims, rng=None, std: float = 0.01) -> MlpParams:
     return MlpParams(weights, [np.zeros(d) for d in dims[1:]])
 
 
+def forward_layers(weights, biases, x: np.ndarray) -> list[np.ndarray]:
+    """The outputs of every layer, ``[x, h_1, ..., embeddings]``, for (M, D)
+    float64 inputs ``x``.  Runs no checks."""
+    outputs = [x]
+    last = len(weights) - 1
+    for l, (w, b) in enumerate(zip(weights, biases)):
+        x = x @ w.T
+        x += b
+        if l != last:
+            np.maximum(x, 0.0, out=x)
+        outputs.append(x)
+    return outputs
+
+
+def backward_layers(weights, outputs: list[np.ndarray], g: np.ndarray, grad_weights,
+                    grad_biases) -> np.ndarray:
+    """Write the gradients of <g, embeddings> into the arrays of
+    ``grad_weights`` and ``grad_biases``; return the layer-0 pre-activation
+    gradient ``dz``, whose product ``dz @ weights[0]`` is the input gradient.
+
+    ``outputs`` is ``forward_layers``' list and ``g`` is (M, n).  Runs no
+    checks, and never writes into ``g``.
+    """
+    for l in range(len(weights) - 1, -1, -1):
+        np.matmul(g.T, outputs[l], out=grad_weights[l])
+        np.add.reduce(g, axis=0, out=grad_biases[l])
+        if l:
+            g = g @ weights[l]
+            g *= outputs[l] > 0.0  # relu(z) > 0 exactly where z > 0
+    return g
+
+
 def forward_batch(params: MlpParams, inputs: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """Map (M, D) inputs to (M, n) embeddings.  Also returns what backward
     needs, the outputs of every layer: ``[inputs, h_1, ..., embeddings]``."""
@@ -58,11 +98,7 @@ def forward_batch(params: MlpParams, inputs: np.ndarray) -> tuple[np.ndarray, li
     dim = params.layer_dims[0]
     if x.ndim != 2 or x.shape[1] != dim:
         raise ValueError(f"inputs must be (M, {dim}), got shape {x.shape}")
-    outputs = [x]
-    last = len(params.weights) - 1
-    for l, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = outputs[-1] @ w.T + b
-        outputs.append(z if l == last else np.maximum(z, 0.0))
+    outputs = forward_layers(params.weights, params.biases, x)
     return outputs[-1], outputs
 
 
@@ -85,11 +121,5 @@ def backward_batch(
     if out is None:
         out = MlpParams([np.empty_like(w) for w in params.weights],
                         [np.empty_like(b) for b in params.biases])
-    last = len(params.weights) - 1
-    for l in range(last, -1, -1):
-        # relu(z) > 0 exactly where z > 0
-        dz = g if l == last else g * (outputs[l + 1] > 0.0)
-        np.matmul(dz.T, outputs[l], out=out.weights[l])
-        np.add.reduce(dz, axis=0, out=out.biases[l])
-        g = dz @ params.weights[l]
-    return out, g
+    dz = backward_layers(params.weights, outputs, g, out.weights, out.biases)
+    return out, dz @ params.weights[0]

@@ -5,7 +5,9 @@ large inner product with its own class centerline) with a push term
 (features are penalised for positive inner products with other classes'
 centerlines, or with other-class features in the batch variant).  Each
 term is one array function that runs no checks and adds its gradients into
-the caller's arrays; ``accumulate_terms`` runs the enabled ones, and
+the caller's arrays, summing per class with ``group_sums``, one
+``np.bincount`` with the bits of ``np.add.at`` into zeros;
+``accumulate_terms`` runs the enabled ones, and
 ``trainer.train`` calls it on every batch after validating its inputs once
 at entry.  ``loss_report`` is the checked, object-level entry: it validates
 a ``LabeledBatch`` against the bank and classifier, then runs
@@ -44,6 +46,7 @@ __all__ = [
     "LossReport",
     "accumulate_terms",
     "center_loss",
+    "group_sums",
     "loss_report",
     "pull_term",
     "push_batch_term",
@@ -210,6 +213,16 @@ class LossReport:
 # ---------------------------------------------------------------------------
 
 
+def group_sums(index, rows, num_groups) -> np.ndarray:
+    """(num_groups, n) sums of the (M, n) ``rows`` by group ``index[i]`` in
+    [0, num_groups): one ``np.bincount`` over the flat cells, which adds
+    each group's rows in row order onto 0.0, the bits of ``np.add.at``
+    into zeros.  A group with no rows sums to 0.0."""
+    n = rows.shape[1]
+    cells = (index[:, None] * n + np.arange(n)).ravel()
+    return np.bincount(cells, rows.ravel(), num_groups * n).reshape(num_groups, n)
+
+
 def pull_term(feats, labels0, centers, d, fgrads, cgrads) -> float:
     """Pull term sum_i 1 / ((f_i . c_{y_i})_+ + d) with its clipped gradients.
 
@@ -217,12 +230,16 @@ def pull_term(feats, labels0, centers, d, fgrads, cgrads) -> float:
     gradients is -c_{y_i} / ((f_i . c_{y_i})_+ + d)^2, bounded by |c|/d^2;
     centerline k receives the sum of -f_j / ((f_j . c_k)_+ + d)^2 over its
     members j.  The value is clipped the same way as the gradients.
+
+    Each class's sum is added in row order onto 0.0 and then added into
+    ``cgrads``: where ``cgrads`` holds zeros, as in ``accumulate_terms``,
+    the bits are those of ``np.subtract.at(cgrads, labels0, ...)``.
     """
     own = centers[labels0]
     denom = np.maximum(np.einsum("ij,ij->i", feats, own), 0.0) + d
     scale = (1.0 / denom**2)[:, None]
     fgrads -= own * scale
-    np.subtract.at(cgrads, labels0, feats * scale)
+    cgrads += group_sums(labels0, feats * -scale, centers.shape[0])
     return float(np.add.reduce(1.0 / denom))
 
 
@@ -266,14 +283,16 @@ def softmax_ce(feats, labels0, classifier, weight, fgrads, clf_grads) -> float:
     arrays of ``clf_grads``, a ``LinearClassifier`` of the head's shapes:
     no other term has any.
     """
-    m = feats.shape[0]
-    logits = feats @ classifier.weights.T + classifier.bias
-    shifted = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
+    m, k = feats.shape[0], classifier.weights.shape[0]
+    shifted = feats @ classifier.weights.T
+    shifted += classifier.bias
+    shifted -= np.maximum.reduce(shifted, axis=1, keepdims=True)
     logz = np.log(np.add.reduce(np.exp(shifted), axis=1))
-    rows = np.arange(m)
-    loss = float(np.add.reduce(logz - shifted[rows, labels0]) / m)
-    dlogits = np.exp(shifted - logz[:, None])
-    dlogits[rows, labels0] -= 1.0
+    own = np.arange(0, m * k, k) + labels0  # flat index of each row's own class
+    loss = float(np.add.reduce(logz - shifted.ravel()[own]) / m)
+    shifted -= logz[:, None]
+    dlogits = np.exp(shifted, out=shifted)
+    dlogits.ravel()[own] -= 1.0
     dlogits /= m
     fgrads += weight * (dlogits @ classifier.weights)
     np.multiply(weight, dlogits.T @ feats, out=clf_grads.weights)
@@ -286,13 +305,14 @@ def center_loss(feats, labels0, centers, weight, fgrads, cgrads) -> float:
 
     Feature gradients are the exact derivative f - c; center gradients use
     the conventional damped mean update sum(c - f_j) / (1 + count) per
-    class rather than the raw sum.
+    class rather than the raw sum; each class's sum is added in row order
+    onto 0.0, the bits of ``np.add.at`` into zeros.
     """
+    num_classes = centers.shape[0]
     diff = feats - centers[labels0]
     loss = 0.5 * float(np.add.reduce(diff * diff, axis=None))
-    damped = np.zeros_like(centers)
-    np.add.at(damped, labels0, -diff)
-    damped /= (1.0 + np.bincount(labels0, minlength=centers.shape[0]))[:, None]
+    damped = group_sums(labels0, np.negative(diff), num_classes)
+    damped /= (1.0 + np.bincount(labels0, minlength=num_classes))[:, None]
     fgrads += weight * diff
     cgrads += weight * damped
     return loss

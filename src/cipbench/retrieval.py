@@ -11,12 +11,12 @@ citations):
 * NDCG uses binary gains rel_i / log2(i + 1);
 * F1 cutoff defaults to the number of relevant items for the query.
 
-``pool_descriptors`` sums every object's views with one ``np.add.at``;
-``rank`` sorts and ``evaluate_run`` scores one block of query rows at a
-time, so neither holds more than O(block x queries) values beside the
-(queries x gallery) rankings and relevance.  ``rank`` sorts each block once,
-in place, as packed (distance, index) keys, and re-sorts only the runs of
-keys that share a distance prefix.
+``pool_descriptors`` sums every object's views with one ``np.bincount``
+(``losses.group_sums``); ``rank`` sorts and ``evaluate_run`` scores one
+block of query rows at a time, so neither holds more than O(block x
+queries) values beside the (queries x gallery) rankings and relevance.
+``rank`` sorts each block once, in place, as packed (distance, index) keys,
+and re-sorts only the runs of keys that share a distance prefix.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import write_csv
-from .losses import CenterlineBank
+from .losses import CenterlineBank, group_sums
 
 __all__ = [
     "EvalSummary",
@@ -80,8 +80,8 @@ def pool_descriptors(features: np.ndarray, object_ids: np.ndarray, labels: np.nd
 
     Returns (descriptors, object_labels, unique_object_ids), ordered by
     first appearance of each object; an object's label is its first view's.
-    Each object's views are added in row order onto 0.0, as
-    ``mean(axis=0)`` adds them, so a descriptor has the same bits as the
+    ``losses.group_sums`` adds each object's views in row order onto 0.0,
+    as ``mean(axis=0)`` adds them, so a descriptor has the same bits as the
     ``mean(axis=0)`` of its views.
     """
     features = np.asarray(features, dtype=np.float64)
@@ -99,10 +99,9 @@ def pool_descriptors(features: np.ndarray, object_ids: np.ndarray, labels: np.nd
     slot = np.empty_like(by_first)
     slot[by_first] = np.arange(by_first.size)
     slot = slot[inverse]
-    sums = np.zeros((uniq.size, features.shape[1]))
-    np.add.at(sums, slot, features)
-    counts = np.bincount(slot, minlength=uniq.size)
-    return sums / counts[:, None], labels[first[by_first]].astype(np.int64), uniq[by_first]
+    descriptors = group_sums(slot, features, uniq.size)
+    descriptors /= np.bincount(slot, minlength=uniq.size)[:, None]
+    return descriptors, labels[first[by_first]].astype(np.int64), uniq[by_first]
 
 
 def mean_pool(views) -> np.ndarray:

@@ -10,9 +10,11 @@ refreshed after each epoch that passes the check, and builds that state
 only when it raises.  Training uses the rows outside
 ``Dataset.test_mask``; ``evaluate_map`` scores ``Dataset.eval_mask``.
 ``train`` validates its inputs once at entry; each step then runs the
-loss kernels (``losses.accumulate_terms``) and the backward pass straight
-into views of one flat gradient buffer in ``theta``'s layout.  The
-momentum buffer stays local to ``train``, since nothing resumes training.
+unchecked encoder loops (``encoder.forward_layers`` and
+``backward_layers``) and loss kernels (``losses.accumulate_terms``),
+writing the gradients straight into views of one flat gradient buffer in
+``theta``'s layout, and reuses one feature-gradient buffer.  The momentum
+buffer stays local to ``train``, since nothing resumes training.
 """
 
 from __future__ import annotations
@@ -145,10 +147,13 @@ def sgd_step(param: np.ndarray, velocity: np.ndarray, grad: np.ndarray,
 
     ``lr`` and ``weight_decay`` are scalars or per-element arrays.
     """
-    if not np.isfinite(grad).all():
+    if not np.logical_and.reduce(np.isfinite(grad), axis=None):
         raise ValueError("non-finite gradient")
+    step = weight_decay * param
+    step += grad
+    step *= lr
     velocity *= momentum
-    velocity -= lr * (grad + weight_decay * param)
+    velocity -= step
     param += velocity
 
 
@@ -290,6 +295,7 @@ def train(dataset: Dataset, cfg: TrainConfig) -> TrainResult:
     # each step writes its gradient into views of one buffer in theta's layout
     grad = np.zeros_like(theta)
     grad_params, grad_bank, grad_classifier = _bind_views(grad, dims, num_classes, softmax)
+    fgrads_full = np.empty((cfg.batch_size, cfg.embedding_dim))
     init = enc.init_params(dims, rng, cfg.init_std)
     for view, value in zip((*params.weights, *params.biases), (*init.weights, *init.biases)):
         view[...] = value
@@ -315,17 +321,20 @@ def train(dataset: Dataset, cfg: TrainConfig) -> TrainResult:
         batches = iterate_batches(n, cfg.batch_size, rng)
 
         for batch_idx in batches:
-            feats, cache = enc.forward_batch(params, inputs[batch_idx])
-            if not np.isfinite(feats).all():
+            outputs = enc.forward_layers(params.weights, params.biases, inputs[batch_idx])
+            feats = outputs[-1]
+            if not np.logical_and.reduce(np.isfinite(feats), axis=None):
                 raise diverged(f"non-finite embeddings at epoch {epoch}")
-            fgrads = np.zeros_like(feats)
+            fgrads = fgrads_full[: batch_idx.size]
+            fgrads.fill(0.0)
             grad_bank.centers.fill(0.0)
             total, per_term = accumulate_terms(feats, labels0[batch_idx], bank.centers, cfg.loss,
                                                classifier, fgrads, grad_bank.centers,
                                                grad_classifier)
-            if not np.isfinite(total):
+            if not math.isfinite(total):
                 raise diverged(f"non-finite loss at epoch {epoch}")
-            enc.backward_batch(params, cache, fgrads, out=grad_params)
+            enc.backward_layers(params.weights, outputs, fgrads, grad_params.weights,
+                                grad_params.biases)
             try:
                 sgd_step(theta, velocity, grad, rates, cfg.momentum, decay)
             except ValueError as e:

@@ -215,6 +215,16 @@ def f1_brute(rel, cutoff=None):
 # ---------------------------------------------------------------------------
 
 
+def scatter_at(ufunc, num_rows, index, values):
+    """``ufunc.at`` into a (num_rows, n) array of zeros: row ``index[i]`` is
+    combined with ``values[i]`` in row order.  The library's per-class and
+    per-object sums (one ``np.bincount`` each) must reproduce it."""
+    values = np.asarray(values, dtype=np.float64)
+    out = np.zeros((num_rows, values.shape[1]))
+    ufunc.at(out, index, values)
+    return out
+
+
 def pool_loop(features, object_ids, labels):
     """One mask and one ``mean(axis=0)`` per object, in first-appearance order."""
     features = np.asarray(features, dtype=np.float64)

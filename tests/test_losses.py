@@ -25,6 +25,7 @@ from oracles import (
     ortho_grad_centerline,
     ortho_grad_feature,
     rel_err,
+    scatter_at,
 )
 
 
@@ -668,3 +669,48 @@ def test_term_functions_add_into_the_callers_arrays():
         if name == "softmax":
             np.testing.assert_array_equal(head.weights, report.classifier_grads[0])
             np.testing.assert_array_equal(head.bias, report.classifier_grads[1])
+
+
+# ---------------------------------------------------------------------------
+# per-class scatters: bit for bit the ``ufunc.at`` the terms once ran
+# ---------------------------------------------------------------------------
+
+SCATTER_LABELS = {
+    "repeated": [2, 0, 2, 2, 1, 0, 2],
+    "class_absent": [0, 2, 0, 2, 2, 0],
+    "one_class": [1, 1, 1, 1],
+    "single_row": [2],
+}
+
+
+def scatter_case(labels0):
+    # four classes (class 3 is never drawn), rows spanning seven decades and
+    # a signed-zero column, so a reordered sum would show in the bits
+    rng = np.random.default_rng(len(labels0))
+    labels0 = np.array(labels0)
+    feats = rng.standard_normal((labels0.size, 5)) * 10.0 ** rng.integers(-3, 4, (labels0.size, 1))
+    feats[:, 3] = np.where(np.arange(labels0.size) % 2, -0.0, 0.0)
+    return feats, labels0, rng.standard_normal((4, 5))
+
+
+@pytest.mark.parametrize("labels0", SCATTER_LABELS.values(), ids=SCATTER_LABELS.keys())
+def test_pull_term_centerline_scatter_is_subtract_at_bit_for_bit(labels0):
+    feats, labels0, centers = scatter_case(labels0)
+    d = 0.5
+    fgrads, cgrads = np.zeros_like(feats), np.zeros_like(centers)
+    pull_term(feats, labels0, centers, d, fgrads, cgrads)
+    denom = np.maximum(np.einsum("ij,ij->i", feats, centers[labels0]), 0.0) + d
+    want = scatter_at(np.subtract, 4, labels0, feats * (1.0 / denom**2)[:, None])
+    assert cgrads.tobytes() == want.tobytes()
+    assert not cgrads[3].any()
+
+
+@pytest.mark.parametrize("labels0", SCATTER_LABELS.values(), ids=SCATTER_LABELS.keys())
+def test_center_loss_centerline_scatter_is_add_at_bit_for_bit(labels0):
+    feats, labels0, centers = scatter_case(labels0)
+    fgrads, cgrads = np.zeros_like(feats), np.zeros_like(centers)
+    center_loss(feats, labels0, centers, 0.3, fgrads, cgrads)
+    damped = scatter_at(np.add, 4, labels0, -(feats - centers[labels0]))
+    damped /= (1.0 + np.bincount(labels0, minlength=4))[:, None]
+    assert cgrads.tobytes() == (0.3 * damped).tobytes()
+    assert not cgrads[3].any()

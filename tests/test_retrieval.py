@@ -28,6 +28,7 @@ from oracles import (
     pool_loop,
     prauc_brute,
     rank_loop,
+    scatter_at,
     seq_mean,
 )
 
@@ -532,6 +533,22 @@ def test_pool_descriptors_equals_per_object_loop_bit_for_bit():
     for a, b in zip(got, want):
         assert a.dtype == b.dtype and a.shape == b.shape
         assert a.tobytes() == b.tobytes()
+
+
+def test_pool_descriptors_sums_are_add_at_bit_for_bit():
+    # unsorted object ids, five of them with one view: each object's sum is
+    # ``np.add.at`` into zeros over its first-appearance slot
+    rng = np.random.default_rng(8)
+    oids = rng.permutation(np.repeat([40, 3, 17, 8, 25, 11, 30, 2], [1, 6, 1, 3, 1, 1, 9, 1]))
+    feats = rng.standard_normal((oids.size, 4)) * 10.0 ** rng.integers(-3, 4, (oids.size, 1))
+    descs, _, order = pool_descriptors(feats, oids, oids % 3 + 1)
+    first_seen = list(dict.fromkeys(oids.tolist()))
+    assert order.tolist() == first_seen
+    slot = np.array([first_seen.index(o) for o in oids.tolist()])
+    counts = np.bincount(slot)
+    assert (counts == 1).sum() == 5
+    want = scatter_at(np.add, len(first_seen), slot, feats) / counts[:, None]
+    assert descs.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from cipbench import losses, trainer
+from cipbench import encoder, losses, trainer
 from cipbench.data import Dataset, SyntheticSpec, generate, split
 from cipbench.losses import CenterlineBank, LabeledBatch, LossConfig, LossReport, loss_report
 from cipbench.trainer import (
@@ -224,6 +224,71 @@ def test_train_validates_once_and_builds_no_per_step_objects(monkeypatch, loss):
     loss_report(LabeledBatch(np.ones((1, 2)), np.array([1])), CenterlineBank(np.eye(2)),
                 LossConfig.from_name("cip"))
     assert built == {"LabeledBatch": 1, "LossReport": 1, "TrainResult": 1}
+
+
+def test_train_steps_run_the_encoder_loops_not_the_checked_entries(monkeypatch):
+    # a step calls neither forward_batch nor backward_batch nor layer_dims;
+    # the only calls left are evaluate_map's forward_batch and its layer_dims
+    calls = dict.fromkeys(("forward_batch", "backward_batch", "layer_dims"), 0)
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(encoder, "forward_batch", counted("forward_batch", encoder.forward_batch))
+    monkeypatch.setattr(encoder, "backward_batch", counted("backward_batch", encoder.backward_batch))
+    monkeypatch.setattr(encoder.MlpParams, "layer_dims",
+                        property(counted("layer_dims", encoder.MlpParams.layer_dims.fget)))
+    ds = split(bench_dataset(), 0.5, 0)
+    train(ds, quick_config())
+    assert calls == {"forward_batch": 0, "backward_batch": 0, "layer_dims": 0}
+    train(ds, quick_config(eval_every=2))
+    assert calls == {"forward_batch": 2, "backward_batch": 0, "layer_dims": 2}
+
+
+def _nan_embeddings(forward_layers):
+    def poisoned(*args):
+        outputs = forward_layers(*args)
+        outputs[-1][0, 0] = np.nan
+        return outputs
+    return poisoned
+
+
+def _inf_loss(pull_term):
+    return lambda *args: pull_term(*args) + np.inf
+
+
+def _nan_center_grads(pull_term):
+    def poisoned(*args):
+        value = pull_term(*args)
+        args[5][0, 0] = np.nan  # cgrads
+        return value
+    return poisoned
+
+
+@pytest.mark.parametrize("owner, name, poison, message", [
+    (encoder, "forward_layers", _nan_embeddings, "non-finite embeddings at epoch 2"),
+    (losses, "pull_term", _inf_loss, "non-finite loss at epoch 2"),
+    (losses, "pull_term", _nan_center_grads, "aborting epoch 2: non-finite gradient"),
+], ids=["embeddings", "loss", "gradient"])
+def test_per_step_non_finite_checks_keep_their_message_and_epoch(monkeypatch, owner, name,
+                                                                  poison, message):
+    # the 21st step (8 per epoch) goes bad: each check names epoch 2
+    original = getattr(owner, name)
+    poisoned, step = poison(original), [0]
+
+    def on_step_21(*args):
+        step[0] += 1
+        return (poisoned if step[0] == 21 else original)(*args)
+
+    monkeypatch.setattr(owner, name, on_step_21)
+    with pytest.raises(DivergenceError) as err:
+        train(bench_dataset(), quick_config())
+    e = err.value
+    assert (str(e), e.signal, e.epoch) == (message, "non_finite", 2)
+    assert len(e.history) == 2 and e.last_good.history == e.history
 
 
 def test_train_eval_every_records_map():
