@@ -53,8 +53,7 @@ def _auto(parse):
 
 
 # parser of each field annotation, applied to the raw string form
-_PARSERS = {int: int, float: _parse_finite, str: str, tuple[int, ...]: _parse_int_tuple,
-            float | None: _auto(_parse_finite)}
+_PARSERS = {int: int, float: _parse_finite, str: str, tuple[int, ...]: _parse_int_tuple}
 
 # fields no key sets directly: the ``loss`` key names the terms to enable
 _SET_BY_LOSS_NAME = {"loss", *(f"use_{term}" for term in TERM_NAMES)}

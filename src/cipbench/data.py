@@ -315,6 +315,12 @@ def load_dataset(csv_path) -> Dataset:
         except ValueError as e:
             raise ValueError(f"{csv_path}:{lineno}: malformed value ({e})") from None
 
+    try:
+        columns = [np.array(c, dtype=np.int64) for c in (labels, oids, vids)]
+    except OverflowError:
+        rows = [n for n, line in enumerate(lines[1:], start=2) if line.strip()]
+        wide = [not all(-2**63 <= v < 2**63 for v in ids) for ids in zip(oids, labels, vids)]
+        raise ValueError(f"{csv_path}:{rows[wide.index(True)]}: integer out of the int64 range") from None
     inputs = np.array(inputs)
     finite = np.isfinite(inputs).all(axis=1)
     if not finite.all():
@@ -322,7 +328,7 @@ def load_dataset(csv_path) -> Dataset:
         raise ValueError(f"{csv_path}:{rows[int(np.argmin(finite))]}: non-finite coordinate")
 
     try:
-        dataset = Dataset(inputs, np.array(labels), np.array(oids), np.array(vids))
+        dataset = Dataset(inputs, *columns)
     except ValueError as e:
         raise ValueError(f"{csv_path}: {e}") from None
     sidecar_file = _sidecar_path(csv_path)
@@ -330,7 +336,7 @@ def load_dataset(csv_path) -> Dataset:
         try:
             dataset.split, dataset.spec = _read_sidecar(sidecar_file, dim)
             dataset._check_split()
-        except ValueError as e:
+        except (ValueError, RecursionError) as e:  # RecursionError: JSON nested too deeply
             raise ValueError(f"{sidecar_file}: {e}") from None
     return dataset
 

@@ -102,15 +102,13 @@ def forward_batch(params: MlpParams, inputs: np.ndarray) -> tuple[np.ndarray, li
     return outputs[-1], outputs
 
 
-def backward_batch(
-    params: MlpParams, outputs: list[np.ndarray], grad_out: np.ndarray, out: MlpParams | None = None
-) -> tuple[MlpParams, np.ndarray]:
+def backward_batch(params: MlpParams, outputs: list[np.ndarray],
+                   grad_out: np.ndarray) -> tuple[MlpParams, np.ndarray]:
     """Exact gradients of <grad_out, forward_batch(inputs)> w.r.t. params and inputs.
 
     ``outputs`` is forward_batch's cache and ``grad_out`` is (M, n), one
     upstream gradient row per cached sample.  The parameter gradients come
-    back as an ``MlpParams``: ``out``, whose arrays they are written into,
-    when it is given.
+    back as a fresh ``MlpParams``.
     """
     widths = [o.shape[1:] for o in outputs]
     if widths != [(d,) for d in params.layer_dims]:
@@ -118,8 +116,7 @@ def backward_batch(
     g = np.asarray(grad_out, dtype=np.float64)
     if g.shape != outputs[-1].shape:
         raise ValueError(f"grad_out shape {g.shape} does not match cached forward")
-    if out is None:
-        out = MlpParams([np.empty_like(w) for w in params.weights],
-                        [np.empty_like(b) for b in params.biases])
-    dz = backward_layers(params.weights, outputs, g, out.weights, out.biases)
-    return out, dz @ params.weights[0]
+    grads = MlpParams([np.empty_like(w) for w in params.weights],
+                      [np.empty_like(b) for b in params.biases])
+    dz = backward_layers(params.weights, outputs, g, grads.weights, grads.biases)
+    return grads, dz @ params.weights[0]

@@ -85,8 +85,8 @@ class TrainConfig:
 
     The learning rate starts at ``lr0`` and is divided once by
     ``lr_drop_factor`` at ``lr_drop_epoch``.  Centerlines follow the same
-    schedule unless ``centerline_lr`` pins a constant rate; they never
-    receive weight decay (decay would shrink them against the pull term).
+    schedule; they never receive weight decay (decay would shrink them
+    against the pull term).
     Activations and divergence thresholds are fixed; only the collapse cosine
     is a field, which ``cipbench sweep`` sets to 2.0 to turn that check off.
     The defaults are the standard benchmark's, which the CLI derives from.
@@ -99,7 +99,6 @@ class TrainConfig:
     lr_drop_factor: float = 5.0
     momentum: float = 0.0
     weight_decay: float = 2e-4
-    centerline_lr: float | None = None  # None -> follow the lr schedule
     seed: int = 0
     loss: LossConfig = field(default_factory=LossConfig)
     # encoder
@@ -121,8 +120,6 @@ class TrainConfig:
             ("lr_drop_factor", self.lr_drop_factor > 0, "positive"),
             ("momentum", self.momentum >= 0, "non-negative"),
             ("weight_decay", self.weight_decay >= 0, "non-negative"),
-            ("centerline_lr", self.centerline_lr is None or self.centerline_lr > 0,
-             "positive when set"),
             ("seed", self.seed >= 0, "non-negative"),
             ("hidden_dims", all(h >= 1 for h in self.hidden_dims), "positive widths"),
             ("embedding_dim", self.embedding_dim >= 1, "positive"),
@@ -314,8 +311,6 @@ def train(dataset: Dataset, cfg: TrainConfig) -> TrainResult:
 
     for epoch in range(cfg.epochs):
         lr = lr_at(epoch, cfg)
-        center_lr = cfg.centerline_lr if cfg.centerline_lr is not None else lr
-        rates = np.where(on_centers, center_lr, lr)
         term_sums = dict.fromkeys(TERM_NAMES, 0.0)
         total_sum = 0.0
         batches = iterate_batches(n, cfg.batch_size, rng)
@@ -336,7 +331,7 @@ def train(dataset: Dataset, cfg: TrainConfig) -> TrainResult:
             enc.backward_layers(params.weights, outputs, fgrads, grad_params.weights,
                                 grad_params.biases)
             try:
-                sgd_step(theta, velocity, grad, rates, cfg.momentum, decay)
+                sgd_step(theta, velocity, grad, lr, cfg.momentum, decay)
             except ValueError as e:
                 raise diverged(f"aborting epoch {epoch}: {e}") from None
             for name in term_sums:
@@ -396,7 +391,7 @@ def load_checkpoint(path) -> Checkpoint:
     that starts with the file's path."""
     try:
         return _checkpoint_from_dict(json.loads(Path(path).read_text()))
-    except ValueError as e:
+    except (ValueError, RecursionError) as e:  # RecursionError: JSON nested too deeply
         raise ValueError(f"{path}: {e}") from None
 
 

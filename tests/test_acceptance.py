@@ -294,6 +294,7 @@ def test_criterion_4_loss_ordering():
     cip_sm_wins = 0
     cip_wins = 0
     rows = []
+    max_cosines = []  # cip+softmax's max pairwise centerline cosine per seed
     for seed in range(10):
         ds = benchmark_dataset(seed)
         maps = {}
@@ -306,13 +307,22 @@ def test_criterion_4_loss_ordering():
         ):
             result = train(ds, benchmark_config(seed, loss))
             maps[name] = evaluate_map(result.params, ds)
+            if name == "cip+softmax":
+                mask = ds.eval_mask()
+                feats, _ = enc.forward_batch(result.params, ds.inputs[mask])
+                geo = geometry_report(feats, ds.labels[mask], result.bank)
+                max_cosines.append(geo.max_pairwise_centerline_cosine)
         cip_sm_wins += maps["cip+softmax"] > maps["softmax"]
         cip_wins += maps["cip"] > maps["center+softmax"]
         rows.append({k: round(v, 3) for k, v in maps.items()})
+    orthogonal = sum(c <= 0.11 for c in max_cosines)
     print(f"  per-seed MAPs: {rows}")
     print(f"  orderings: cip+softmax>softmax {cip_sm_wins}/10, cip>center+softmax {cip_wins}/10")
+    print(f"  cip+softmax max pairwise centerline cosine per seed: "
+          f"{[round(c, 3) for c in max_cosines]}, <= 0.11 on {orthogonal}/10")
     assert cip_sm_wins >= 9
     assert cip_wins >= 8
+    assert orthogonal == 10
     _stamp("4 (loss ordering)", t0, 600.0)
 
 

@@ -207,6 +207,24 @@ def test_train_non_finite_csv_is_a_data_error(tmp_path, capsys):
     assert err == f"error: {csv_path}:3: non-finite coordinate\n"
 
 
+@pytest.mark.parametrize("column, value", [(0, 2**63), (1, 10**23), (2, -(10**23))],
+                         ids=["object_id", "label", "view_index"])
+def test_train_integer_past_int64_is_a_data_error(tmp_path, capsys, column, value):
+    # an integer cell that does not fit in int64 names its line, as a
+    # non-finite coordinate does, instead of overflowing or wrapping
+    csv_path = run_generate(tmp_path)
+    lines = csv_path.read_text().splitlines()
+    cells = lines[3].split(",")
+    cells[column] = str(value)
+    lines[3] = ",".join(cells)
+    csv_path.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "run"
+    code = main(["train", "--dataset", str(csv_path), "--out", str(out), *fast_args()])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {csv_path}:4: integer out of the int64 range\n"
+    assert not out.exists()
+
+
 def test_train_non_utf8_csv_names_the_file(tmp_path, capsys):
     csv_path = tmp_path / "dataset.csv"
     csv_path.write_bytes(b"object_id,label,view_index,x0\n1,1,1,\xff\n")
@@ -773,6 +791,10 @@ def test_json_boolean_is_not_a_number(tmp_path, trained_once, dataset_copy, caps
 # ---------------------------------------------------------------------------
 
 
+# nested past Python's recursion limit, where json.loads raises RecursionError
+DEEP_JSON = "[" * 200_000 + "]" * 200_000
+
+
 @pytest.mark.parametrize("case, code, message", [
     ("set_without_equals", 1, "override 'epochs' must look like key=value"),
     ("config_is_a_directory", 1, "cannot read config file: "),
@@ -781,6 +803,8 @@ def test_json_boolean_is_not_a_number(tmp_path, trained_once, dataset_copy, caps
     ("split_tag_val", 2, "unknown split tags: ['val']"),
     ("sidecar_not_json", 2, "Expecting value"),
     ("fractional_layer_dim", 2, "checkpoint 'layer_dims' entry is not a list of integers"),
+    ("sidecar_nested_too_deeply", 2, "maximum recursion depth exceeded"),
+    ("checkpoint_nested_too_deeply", 2, "maximum recursion depth exceeded"),
 ])
 def test_malformed_input_is_one_error_line(tmp_path, trained_once, dataset_copy, capsys, case,
                                            code, message):
@@ -805,11 +829,18 @@ def test_malformed_input_is_one_error_line(tmp_path, trained_once, dataset_copy,
     elif case == "sidecar_not_json":
         sidecar.write_text("not json\n")
         bad = sidecar
+    elif case == "sidecar_nested_too_deeply":
+        doc = json.loads(sidecar.read_text())
+        sidecar.write_text(json.dumps({**doc, "split": "deep"}).replace('"deep"', DEEP_JSON))
+        bad = sidecar
     else:
         bad = tmp_path / "checkpoint.json"
-        doc = json.loads(ckpt.read_text())
-        doc["layer_dims"] = [24.5, 32, 16]
-        bad.write_text(json.dumps(doc))
+        if case == "fractional_layer_dim":
+            doc = json.loads(ckpt.read_text())
+            doc["layer_dims"] = [24.5, 32, 16]
+            bad.write_text(json.dumps(doc))
+        else:
+            bad.write_text(DEEP_JSON)
         argv = ["eval", "--checkpoint", str(bad), "--dataset", str(dataset_copy)]
     got = main([*argv, "--out", str(tmp_path / "out"), *fast_args()])
     err = capsys.readouterr().err
@@ -865,17 +896,19 @@ def test_out_of_range_value_is_a_config_error(tmp_path, trained_once, capsys, co
     assert not out.exists()
 
 
-# keys that were settings until checkpoint format 4, with their last defaults
+# keys that were settings until checkpoint format 4, and the centerline
+# rate that nothing set, with their last defaults
 REMOVED_KEYS = {"final_activation": "identity", "centerline_norm_limit": "25.0",
                 "collapse_check_epoch": "6", "stall_check_epoch": "12",
-                "centerline_growth_ratio": "3.0"}
+                "centerline_growth_ratio": "3.0", "centerline_lr": "auto"}
 
 
 @pytest.mark.parametrize("source", ["set", "config"])
 @pytest.mark.parametrize("key", REMOVED_KEYS)
 def test_removed_key_is_an_unknown_config_key(tmp_path, trained_once, capsys, key, source):
-    # a config.used.cfg written before the activations and divergence
-    # thresholds became fixed names these keys; it is refused, not read
+    # a config.used.cfg written before the activations, divergence
+    # thresholds and centerline rate became fixed names these keys; it is
+    # refused, not read
     csv_path, _ = trained_once
     pair = f"{key}={REMOVED_KEYS[key]}"
     if source == "set":

@@ -165,25 +165,6 @@ def test_backward_batch_sums_per_sample():
         assert rel_err(g, a) < 1e-9
 
 
-def test_backward_batch_writes_into_out():
-    # the trainer's gradient buffer: views of one flat array, filled with junk first
-    params = init_params((3, 5, 2), rng=5, std=0.5)
-    rng = np.random.default_rng(6)
-    _, cache = forward_batch(params, rng.standard_normal((4, 3)))
-    gs = rng.standard_normal((4, 2))
-    flat = np.full(sum(a.size for a in (*params.weights, *params.biases)), np.nan)
-    views, start = [], 0
-    for a in (*params.weights, *params.biases):
-        views.append(flat[start : start + a.size].reshape(a.shape))
-        start += a.size
-    out = MlpParams(views[:2], views[2:])
-    grads, gin = backward_batch(params, cache, gs)
-    filled, gin_out = backward_batch(params, cache, gs, out=out)
-    assert filled is out
-    assert flat.tobytes() == np.concatenate([a.ravel() for a in (*grads.weights, *grads.biases)]).tobytes()
-    assert gin_out.tobytes() == gin.tobytes()
-
-
 def test_backward_cache_mismatch_rejected():
     params_a = init_params((3, 4, 2), rng=7)
     params_b = init_params((3, 5, 2), rng=8)

@@ -3,10 +3,12 @@ digests in ``golden_digests.json``.
 
 Training: every loss mix and optimizer setting of
 ``tools/compare_training.py`` (imported as it is, with ``tools/`` on the
-import path) is trained at seed 0 on the standard benchmark.  A finished
-run hashes its ``theta`` bytes and ``repr`` of its history; a diverged run
-hashes its signal, epoch, history and the ``theta`` bytes of its last
-healthy snapshot.
+import path) is trained at seed 0 on the standard benchmark, and so is the
+run of ``demos/train_six_classes.py`` (6 antipodal classes, a 3-D linear
+embedding, batch 20), whose small widths reach BLAS shapes the grid does
+not.  A finished run hashes its ``theta`` bytes and ``repr`` of its
+history; a diverged run hashes its signal, epoch, history and the
+``theta`` bytes of its last healthy snapshot.
 
 Retrieval: for seeds 0, 1 and 9, a ``cip+softmax`` model trained on the
 standard benchmark embeds a 384-objects-per-class set drawn with the same
@@ -47,22 +49,40 @@ RETRIEVAL_SEEDS = (0, 1, 9)
 LARGE_OBJECTS_PER_CLASS = 384
 
 
+# the dataset and schedule of demos/train_six_classes.py
+SIX_CLASSES = SyntheticSpec(
+    num_classes=6, objects_per_class=50, views_per_object=6, input_dim=3,
+    class_separation=2.0, object_noise_std=0.2, view_noise_std=0.1,
+    prototype_scheme="antipodal", seed=SEED,
+)
+SIX_CLASSES_CONFIG = TrainConfig(
+    batch_size=20, epochs=30, lr0=0.01, lr_drop_epoch=20, lr_drop_factor=5.0,
+    momentum=0.0, weight_decay=2e-4, seed=SEED, loss=LossConfig(lam=1.0, d=2.0),
+    hidden_dims=(), embedding_dim=3, init_std=0.2,
+)
+
+
+def _training_digest(dataset, cfg: TrainConfig) -> dict[str, str]:
+    try:
+        result = train(dataset, cfg)
+    except DivergenceError as e:
+        h = hashlib.sha256(f"{e.signal} {e.epoch}".encode())
+        h.update(repr(e.history).encode())
+        h.update(e.last_good.theta.tobytes())
+        return {"outcome": e.signal, "digest": h.hexdigest()}
+    h = hashlib.sha256(result.theta.tobytes())
+    h.update(repr(result.history).encode())
+    return {"outcome": "trained", "digest": h.hexdigest()}
+
+
 def training_digests() -> dict[str, dict]:
     dataset = split(generate(SyntheticSpec(seed=SEED)), 0.5, SEED)
-    runs = {}
-    for loss, (name, loss_kw) in LOSSES.items():
-        for opt, opt_kw in OPTIMIZERS.items():
-            cfg = TrainConfig(seed=SEED, loss=LossConfig.from_name(name, **loss_kw), **opt_kw)
-            try:
-                result = train(dataset, cfg)
-                h = hashlib.sha256(result.theta.tobytes())
-                h.update(repr(result.history).encode())
-                runs[f"loss={loss} {opt}"] = {"outcome": "trained", "digest": h.hexdigest()}
-            except DivergenceError as e:
-                h = hashlib.sha256(f"{e.signal} {e.epoch}".encode())
-                h.update(repr(e.history).encode())
-                h.update(e.last_good.theta.tobytes())
-                runs[f"loss={loss} {opt}"] = {"outcome": e.signal, "digest": h.hexdigest()}
+    runs = {
+        f"loss={loss} {opt}": _training_digest(dataset, TrainConfig(
+            seed=SEED, loss=LossConfig.from_name(name, **loss_kw), **opt_kw))
+        for loss, (name, loss_kw) in LOSSES.items() for opt, opt_kw in OPTIMIZERS.items()
+    }
+    runs["demos/train_six_classes.py"] = _training_digest(generate(SIX_CLASSES), SIX_CLASSES_CONFIG)
     return runs
 
 

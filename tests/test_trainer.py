@@ -61,8 +61,6 @@ def test_train_config_validation():
         TrainConfig(batch_size=0)
     with pytest.raises(ValueError, match="positive"):
         TrainConfig(lr0=0.0)
-    with pytest.raises(ValueError, match="centerline_lr"):
-        TrainConfig(centerline_lr=-1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,8 @@ The grid is 4 seeds x 9 loss mixes x 3 optimizer settings on the standard
 10-class benchmark (108 runs): the criterion-4 mixes, pull-only and
 push-only (which trip the collapse and stall detectors), the batch push
 variant, center loss alone and pull with center loss, each at zero
-momentum (with evaluation every 10 epochs), at momentum 0.5 with a pinned
-centerline rate, and at momentum 0.9 (which blows up).
+momentum (with evaluation every 10 epochs), at momentum 0.5, and at
+momentum 0.9 (which blows up).
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ LOSSES = {
 }
 OPTIMIZERS = {
     "plain": {"eval_every": 10},
-    "momentum0.5+centerline_lr": {"momentum": 0.5, "centerline_lr": 0.02},
+    "momentum0.5": {"momentum": 0.5},
     "momentum0.9": {"momentum": 0.9},
 }
 
