@@ -89,8 +89,8 @@ DEFAULTS: dict[str, tuple] = {
 _RUN_KEY_RULES = {
     "seed": (lambda v: v >= 0, "non-negative"),
     "train_fraction": (lambda v: 0.0 < v < 1.0, "in (0, 1)"),
-    "f1_cutoff": (lambda v: v is None or v >= 1, "positive or auto"),
-    "ndcg_cutoff": (lambda v: v is None or v >= 1, "positive or auto"),
+    "f1_cutoff": (lambda v: v is None or 1 <= v < 2**63, "in [1, 2**63 - 1] or auto"),
+    "ndcg_cutoff": (lambda v: v is None or 1 <= v < 2**63, "in [1, 2**63 - 1] or auto"),
 }
 
 

@@ -292,7 +292,7 @@ def train(dataset: Dataset, cfg: TrainConfig) -> TrainResult:
     # each step writes its gradient into views of one buffer in theta's layout
     grad = np.zeros_like(theta)
     grad_params, grad_bank, grad_classifier = _bind_views(grad, dims, num_classes, softmax)
-    fgrads_full = np.empty((cfg.batch_size, cfg.embedding_dim))
+    fgrads_full = np.empty((min(cfg.batch_size, n), cfg.embedding_dim))  # the largest batch
     init = enc.init_params(dims, rng, cfg.init_std)
     for view, value in zip((*params.weights, *params.biases), (*init.weights, *init.biases)):
         view[...] = value

@@ -283,6 +283,21 @@ def test_eval_writes_metrics_and_geometry(tmp_path, trained):
     assert float(metrics_csv[1].split(",")[1]) == pytest.approx(doc["micro"]["map"], rel=1e-9)
 
 
+def test_eval_takes_cutoffs_up_to_the_int64_maximum(tmp_path, trained_once):
+    # a cutoff past every row scores as the row's length for NDCG and as
+    # itself for F1's precision
+    csv_path, ckpt = trained_once
+    metrics = {}
+    for f1, depth in (("9223372036854775807", "9223372036854775807"), ("auto", "auto")):
+        out = tmp_path / f1
+        assert main(["eval", "--checkpoint", str(ckpt), "--dataset", str(csv_path), "--out",
+                     str(out), *fast_args(f"f1_cutoff={f1}", f"ndcg_cutoff={depth}")]) == 0
+        metrics[f1] = json.loads((out / "metrics.json").read_text())["micro"]
+    big, auto = metrics.values()
+    assert (big["map"], big["pr_auc"], big["ndcg"]) == (auto["map"], auto["pr_auc"], auto["ndcg"])
+    assert 0.0 < big["f1"] < 1e-15
+
+
 def test_eval_csv_cells_equal_the_json_values(tmp_path, trained):
     # metrics.csv and geometry.csv carry the JSON files' values in the same
     # shortest round-trip text, not rounded copies
@@ -864,6 +879,8 @@ def test_malformed_input_is_one_error_line(tmp_path, trained_once, dataset_copy,
     ("train", "lr0=0"),
     ("eval", "f1_cutoff=0"),
     ("eval", "ndcg_cutoff=-3"),
+    ("eval", "f1_cutoff=99999999999999999999999"),
+    ("eval", "ndcg_cutoff=9223372036854775808"),
     ("generate", "num_classes=0"),
     ("generate", "views_per_object=0"),
     ("generate", "object_noise_std=-1"),

@@ -1,9 +1,12 @@
 import itertools
+import sys
+import threading
 import warnings
 
 import numpy as np
 import pytest
 
+from cipbench import retrieval
 from cipbench.losses import CenterlineBank
 from cipbench.retrieval import (
     _BLOCK_ROWS,
@@ -354,6 +357,133 @@ def test_rank_rejects_non_finite_descriptors():
 
 
 # ---------------------------------------------------------------------------
+# worker threads
+# ---------------------------------------------------------------------------
+
+
+def _random_descriptors(q, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((q, 5)), rng.integers(1, 4, q)
+
+
+def _palette_case(zeroed):
+    descs, kinds = _palette_descriptors(zeroed)
+    return descs, kinds % 3 + 1
+
+
+THREAD_CASES = {
+    "q40": lambda: _random_descriptors(40, 12),  # one block
+    "q150": lambda: _random_descriptors(150, 13),  # three blocks, the last of 22 rows
+    # 16 blocks: long enough for threads to overlap, so buffers that two
+    # threads shared would show
+    "q1000": lambda: _random_descriptors(1000, 16),
+    "ties_in_every_block": lambda: _palette_case(ZEROED["no_exclusions"]),
+    "ties_and_zero_norm_rows": lambda: _palette_case(ZEROED["zero_norm_rows"]),
+}
+
+
+def _outputs(descs, labels):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run = rank(descs, labels)
+    assert len(caught) == (1 if run.excluded else 0)  # one zero-norm warning, from the caller
+    return (run.query_indices.tobytes(), run.rankings.tobytes(), run.relevance.tobytes(),
+            run.excluded, repr(evaluate_run(run).to_dict()),
+            repr(evaluate_run(run, f1_cutoff=5, ndcg_cutoff=7).to_dict()))
+
+
+class _CountedThread(threading.Thread):
+    started = 0
+
+    def start(self):
+        type(self).started += 1
+        super().start()
+
+
+@pytest.mark.parametrize("case", THREAD_CASES.values(), ids=THREAD_CASES.keys())
+def test_rank_and_evaluate_run_have_the_same_bytes_on_1_2_and_3_threads(monkeypatch, case):
+    descs, labels = case()
+    monkeypatch.setattr(retrieval, "_MIN_SHARED_BLOCKS", 1)
+    monkeypatch.setattr(retrieval.threading, "Thread", _CountedThread)
+    outputs = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(retrieval, "_WORKERS", workers)
+        _CountedThread.started = 0
+        before = threading.active_count()
+        outputs.append(_outputs(descs, labels))
+        assert threading.active_count() == before  # every worker was joined
+        # the caller is one of the threads, and no call starts more than its
+        # blocks need (three calls: rank and two evaluate_run)
+        blocks = -(-np.count_nonzero(np.linalg.norm(descs, axis=1)) // _BLOCK_ROWS)
+        assert _CountedThread.started == 3 * (min(workers, blocks) - 1)
+    assert outputs[1] == outputs[0]
+    assert outputs[2] == outputs[0]
+
+
+def test_more_threads_than_cpus_switching_often_run_every_block_once(monkeypatch):
+    # a block handed out twice or never would leave wrong or unwritten rows
+    descs, labels = THREAD_CASES["q1000"]()
+    monkeypatch.setattr(retrieval, "_WORKERS", 1)
+    want = _outputs(descs, labels)
+    monkeypatch.setattr(retrieval, "_MIN_SHARED_BLOCKS", 1)
+    monkeypatch.setattr(retrieval, "_WORKERS", 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = _outputs(descs, labels)
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
+
+
+def test_a_call_with_few_blocks_starts_no_thread(monkeypatch):
+    descs, labels = _random_descriptors(_BLOCK_ROWS * (retrieval._MIN_SHARED_BLOCKS - 1), 14)
+    monkeypatch.setattr(retrieval, "_WORKERS", 2)
+    monkeypatch.setattr(retrieval.threading, "Thread", _CountedThread)
+    _CountedThread.started = 0
+    evaluate_run(rank(descs, labels))
+    assert _CountedThread.started == 0
+
+
+class _BlockFault(Exception):
+    pass
+
+
+def _failing_blocks(monkeypatch, fails):
+    """Make every block ``fails(lo)`` picks raise _BlockFault(lo)."""
+    share = retrieval._share_blocks
+
+    def faulty(rows, body, buffers=tuple):
+        def block(lo, hi, *scratch):
+            if fails(lo):
+                raise _BlockFault(lo)
+            body(lo, hi, *scratch)
+        share(rows, block, buffers)
+
+    monkeypatch.setattr(retrieval, "_share_blocks", faulty)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("fails, raised", [(lambda lo: lo == _BLOCK_ROWS, (_BLOCK_ROWS,)),
+                                           (lambda lo: True, None)],
+                         ids=["second_block", "every_block"])
+def test_an_exception_in_a_block_reaches_the_caller_after_every_join(monkeypatch, workers,
+                                                                     fails, raised):
+    descs, labels = _random_descriptors(3 * _BLOCK_ROWS + 5, 15)
+    run = rank(descs, labels)
+    monkeypatch.setattr(retrieval, "_MIN_SHARED_BLOCKS", 1)
+    monkeypatch.setattr(retrieval, "_WORKERS", workers)
+    _failing_blocks(monkeypatch, fails)
+    before = threading.active_count()
+    for call in (lambda: rank(descs, labels), lambda: evaluate_run(run)):
+        with pytest.raises(_BlockFault) as info:
+            call()
+        assert threading.active_count() == before
+        if raised is not None:
+            assert info.value.args == raised
+
+
+# ---------------------------------------------------------------------------
 # metric examples
 # ---------------------------------------------------------------------------
 
@@ -503,6 +633,26 @@ def test_evaluate_run_equals_per_query_loop(f1_cutoff, ndcg_cutoff):
 def test_evaluate_run_rejects_cutoff_below_one():
     with pytest.raises(ValueError, match="cutoff"):
         evaluate_run(_unbalanced_run(), f1_cutoff=0)
+
+
+@pytest.mark.parametrize("cutoff", [2**63, 10**23])
+def test_cutoffs_past_int64_are_one_value_error(cutoff):
+    run = _unbalanced_run()
+    for call in (lambda: f1_at([1, 0, 1], cutoff=cutoff), lambda: ndcg([1, 0, 1], cutoff=cutoff),
+                 lambda: evaluate_run(run, f1_cutoff=cutoff),
+                 lambda: evaluate_run(run, ndcg_cutoff=cutoff)):
+        with pytest.raises(ValueError, match=r"cutoff must be in \[1, 2\*\*63 - 1\]") as info:
+            call()
+        assert "\n" not in str(info.value)
+
+
+def test_the_int64_maximum_cutoff_scores_past_every_rank():
+    big = 2**63 - 1
+    # F1's precision divides by the cutoff as a float64, 2**63
+    assert f1_at([1, 0, 1], cutoff=big) == 2 * 2.0**-62 / (2.0**-62 + 1.0)
+    assert ndcg([1, 0, 1], cutoff=big) == ndcg([1, 0, 1])
+    run = _unbalanced_run()
+    assert evaluate_run(run, ndcg_cutoff=big) == evaluate_run(run)
 
 
 # ---------------------------------------------------------------------------

@@ -175,6 +175,17 @@ def test_train_is_deterministic():
     np.testing.assert_array_equal(a.bank.centers, b.bank.centers)
 
 
+def test_train_with_a_batch_larger_than_the_data_is_the_one_batch_run():
+    # a batch_size past the training rows means one batch per epoch; the
+    # step buffers are sized by the rows, not by batch_size
+    ds = split(bench_dataset(objects_per_class=4), 0.5, 0)
+    n = int(np.count_nonzero(~ds.test_mask()))
+    big = train(ds, quick_config(batch_size=2**62, epochs=1))
+    whole = train(ds, quick_config(batch_size=n, epochs=1))
+    assert big.theta.tobytes() == whole.theta.tobytes()
+    assert big.history == whole.history
+
+
 def test_train_history_has_all_terms():
     ds = bench_dataset()
     res = train(ds, quick_config(loss=LossConfig.from_name("cip+softmax")))
