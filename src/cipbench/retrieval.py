@@ -12,14 +12,16 @@ citations):
 * F1 cutoff defaults to the number of relevant items for the query.
 
 ``pool_descriptors`` sums every object's views with one ``np.bincount``
-(``losses.group_sums``); ``rank`` sorts and ``evaluate_run`` scores one
-block of query rows at a time.  A call with enough blocks runs them on one
-thread per CPU the process may use.  Each block writes only its own rows,
-so the outputs have the same bits on any thread count, and neither
-function holds more than O(threads x block x queries) values beside the
-(queries x gallery) rankings and relevance.
+(``losses.group_sums``); ``rank`` sorts 64 and ``evaluate_run`` scores 128
+query rows at a time.  A call with more than 1472 query rows runs its
+blocks on one thread per CPU the process may use.  Each block writes only
+its own rows, so the outputs have the same bits on any thread count, and
+neither function holds more than O(threads x block x queries) values
+beside the (queries x gallery) rankings and relevance.
 ``rank`` sorts each block once, in place, as packed (distance, index) keys,
 and re-sorts only the runs of keys that share a distance prefix.
+``evaluate_run`` reads each block once, for the flat indices of its
+relevant items, and scores it from those alone.
 """
 
 from __future__ import annotations
@@ -56,34 +58,39 @@ __all__ = [
 # ranking
 # ---------------------------------------------------------------------------
 
-# query rows that ``rank`` sorts and ``evaluate_run`` scores at a time
+# query rows that ``rank`` sorts at a time
 _BLOCK_ROWS = 64
+# query rows that ``evaluate_run`` scores at a time
+_SCORE_ROWS = 128
 _SIGN_BIT = np.uint64(1 << 63)
 # threads that share one call's blocks: one per CPU this process may use
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-# a call with fewer blocks runs on the calling thread alone: its numpy calls
-# are too short for a second thread to overlap them (on a 2-vCPU VM a second
+# a call with fewer 64-row blocks (at most 1472 query rows) runs on the
+# calling thread alone, whatever its own block size: its numpy calls are too
+# short for a second thread to overlap them (on a 2-vCPU VM a second
 # thread made rank 1.7x slower at 2 blocks, gained nothing at 10-15 and cut
 # rank by ~45 % from 25 on)
 _MIN_SHARED_BLOCKS = 24
 
 
-def _share_blocks(rows: int, body, buffers=tuple) -> None:
-    """Call ``body(lo, hi, *buffers())`` on every ``_BLOCK_ROWS``-row block
+def _share_blocks(rows: int, body, buffers=tuple, block_rows: int = _BLOCK_ROWS) -> None:
+    """Call ``body(lo, hi, *buffers())`` on every ``block_rows``-row block
     of ``rows`` query rows.
 
-    With at least ``_MIN_SHARED_BLOCKS`` blocks, the calling thread and up
-    to ``_WORKERS - 1`` threads started here take the blocks in ascending
-    order, one at a time; with fewer, the calling thread takes them all.
+    When ``rows`` make at least ``_MIN_SHARED_BLOCKS`` blocks of
+    ``_BLOCK_ROWS`` rows, whatever ``block_rows`` is, the calling thread
+    and up to ``_WORKERS - 1`` threads started here take the blocks in
+    ascending order, one at a time; with fewer, the calling thread takes
+    them all.
     Each thread calls ``buffers`` once, and every worker is joined before
     this returns.  The first exception any block raises stops the hand-out
     and is re-raised here.  ``body`` writes only its own block's rows, so
     the outputs do not depend on which thread ran a block.
     """
-    blocks = -(-rows // _BLOCK_ROWS)
-    threads = min(_WORKERS, blocks) if blocks >= _MIN_SHARED_BLOCKS else 1
-    starts = iter(range(0, rows, _BLOCK_ROWS))
+    shared = -(-rows // _BLOCK_ROWS) >= _MIN_SHARED_BLOCKS
+    threads = min(_WORKERS, -(-rows // block_rows)) if shared else 1
+    starts = iter(range(0, rows, block_rows))
     lock = threading.Lock()
     errors = []
 
@@ -95,7 +102,7 @@ def _share_blocks(rows: int, body, buffers=tuple) -> None:
                     lo = None if errors else next(starts, None)
                 if lo is None:
                     return
-                body(lo, min(lo + _BLOCK_ROWS, rows), *scratch)
+                body(lo, min(lo + block_rows, rows), *scratch)
         except BaseException as e:  # re-raised by the calling thread
             with lock:
                 errors.append(e)
@@ -293,21 +300,43 @@ def _check_cutoff(cutoff: int | None) -> None:
         raise ValueError(f"cutoff must be in [1, 2**63 - 1], got {cutoff}")
 
 
-def _row_metrics(relevance: np.ndarray, f1_cutoff: int | None = None,
-                 ndcg_cutoff: int | None = None) -> dict:
+def _gain_tables(length: int, ndcg_cutoff: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """NDCG's binary gain at each 0-based rank of a length-``length`` list,
+    and the ideal DCG of 0, 1, ..., ``length`` relevant items.
+
+    The gain is 1 / log2(i + 2) at a rank i above the cutoff and 0 from it
+    on.  Adding 0.0 leaves a DCG's bits as they are, so a DCG summed over
+    every relevant rank equals the one summed over the ranks above the
+    cutoff, and no rank needs a mask.
+    """
+    depth = length if ndcg_cutoff is None else min(ndcg_cutoff, length)
+    gain = np.zeros(length)
+    gain[:depth] = 1.0 / np.log2(np.arange(2, depth + 2))
+    return gain, np.concatenate([[0.0], np.cumsum(gain)])
+
+
+def _row_metrics(relevance: np.ndarray, f1_cutoff: int | None, gain: np.ndarray,
+                 ideal_dcg: np.ndarray) -> dict:
     """AP, PR-AUC, F1 and NDCG of every row of a (Q, L) bool relevance matrix.
 
-    Only the relevant ranks are visited: a row's k-th relevant item, at
-    rank i, has k hits in the top i.  ``relevant`` holds each row's count of
-    relevant items; a row with none scores NaN AP and PR-AUC and 0 F1 and
-    NDCG.  The callers check the cutoffs.
+    ``gain`` and ``ideal_dcg`` are ``_gain_tables(L, ndcg_cutoff)``.  The
+    matrix is read once, for the flat index of each relevant item; every
+    later step works on those indices, one value per relevant item, or on
+    one value per row.  A row's items are one run of the indices, found by
+    a binary search per row, and its k-th relevant item, at rank i, has k
+    hits in the top i.  ``relevant`` holds each row's count of relevant
+    items; a row with none scores NaN AP and PR-AUC and 0 F1 and NDCG.  The
+    callers check the cutoffs.
     """
     nq, length = relevance.shape
-    # each row's relevant ranks, ascending (0-based)
-    row, pos = np.divmod(np.flatnonzero(relevance), length)
-    total = np.count_nonzero(relevance, axis=1)
-    start = np.cumsum(total) - total
-    hits = (np.arange(row.size) - start[row] + 1).astype(np.float64)
+    flat = np.flatnonzero(relevance)
+    row_start = np.arange(nq + 1) * length  # the flat index of each row's rank 0
+    bounds = np.searchsorted(flat, row_start)
+    start, total = bounds[:-1], np.diff(bounds)
+    row = np.repeat(np.arange(nq), total)
+    pos = flat - np.repeat(row_start[:-1], total)  # each row's relevant ranks, ascending
+    hits = np.arange(1, flat.size + 1.0)
+    hits -= np.repeat(start, total)
     precision = hits / (pos + 1)
 
     ap = np.full(nq, np.nan)
@@ -319,25 +348,33 @@ def _row_metrics(relevance: np.ndarray, f1_cutoff: int | None = None,
 
     # trapezoids between consecutive rank-sampled (recall, precision)
     # points; recall only moves at relevant ranks, from (0, 1) at rank 0
-    row_total = total[row]
-    recall_step = hits / row_total - (hits - 1.0) / row_total
-    before = (hits - 1.0) / np.maximum(pos, 1)
-    before[pos == 0] = 1.0
-    area = np.bincount(row, recall_step * (before + precision) / 2.0, minlength=nq)
-    pr_auc = np.where(total > 0, area, np.nan)
+    recall = hits / np.repeat(total.astype(np.float64), total)
+    # a recall step is k / total - (k - 1) / total, and (k - 1) / total is
+    # the bits of the recall before it in the row, or 0.0 at the row's first
+    area = np.empty_like(recall)
+    np.subtract(recall[1:], recall[:-1], out=area[1:])
+    heads = start[total > 0]
+    area[heads] = recall[heads]
+    before = hits - 1.0
+    np.divide(before, np.maximum(pos, 1), out=before)
+    before[heads[pos[heads] == 0]] = 1.0  # (0, 1) opens a row whose first item is relevant
+    before += precision
+    area *= before
+    area /= 2.0
+    pr_auc = np.where(total > 0, np.bincount(row, area, minlength=nq), np.nan)
 
     cut = np.minimum(length, np.maximum(total, 1)) if f1_cutoff is None else np.full(nq, f1_cutoff)
-    found = np.bincount(row[pos < cut[row]], minlength=nq).astype(np.float64)
+    # a row's relevant items above its cutoff are those before the flat
+    # index of its rank min(cutoff, L)
+    found = np.searchsorted(flat, row_start[:-1] + np.minimum(cut, length)) - start
+    found = found.astype(np.float64)
     prec_at = found / cut
     rec_at = np.divide(found, total, out=np.zeros(nq), where=total > 0)
     both = prec_at + rec_at
     f1 = np.divide(2.0 * prec_at * rec_at, both, out=np.zeros(nq), where=both != 0.0)
 
-    depth = length if ndcg_cutoff is None else min(ndcg_cutoff, length)
-    gain = 1.0 / np.log2(np.arange(2, depth + 2))
-    top = pos < depth
-    dcg = np.bincount(row[top], gain[pos[top]], minlength=nq)
-    ideal = np.concatenate([[0.0], np.cumsum(gain)])[np.minimum(total, depth)]
+    dcg = np.bincount(row, gain[pos], minlength=nq)
+    ideal = ideal_dcg[total]
     ndcg = np.divide(dcg, ideal, out=np.zeros(nq), where=ideal > 0.0)
     return {"map": ap, "pr_auc": pr_auc, "f1": f1, "ndcg": ndcg, "relevant": total}
 
@@ -349,7 +386,7 @@ def _one_row(relevance, f1_cutoff: int | None = None, ndcg_cutoff: int | None = 
         raise ValueError("relevance must be a non-empty 1-D array")
     _check_cutoff(f1_cutoff)
     _check_cutoff(ndcg_cutoff)
-    scores = _row_metrics((r != 0)[None, :], f1_cutoff, ndcg_cutoff)
+    scores = _row_metrics((r != 0)[None, :], f1_cutoff, *_gain_tables(r.size, ndcg_cutoff))
     return {name: values[0].item() for name, values in scores.items()}
 
 
@@ -438,27 +475,42 @@ def evaluate_run(
 
     A query with no relevant gallery item is skipped.  Micro is the mean of
     each metric over the scored queries; macro is the mean of its per-class
-    means over the scored queries.
+    means over the scored queries.  ``run.query_labels`` needs one label
+    per relevance row, and a relevance matrix that is not bool counts its
+    nonzero entries as relevant.
+
+    ``_row_metrics`` scores ``_SCORE_ROWS`` rows at a time, on
+    ``_share_blocks``' threads, reading a bool matrix in place.  The NDCG
+    gain tables are built once per call.  Beside the relevance matrix (and
+    its bool copy when it is not bool), a thread holds about a dozen arrays
+    of one value per relevant item of its block.
     """
     relevance = np.asarray(run.relevance)
     if relevance.ndim != 2 or len(relevance) == 0:
         raise ValueError("need a (Q, L) relevance matrix with at least one query row")
+    labels = np.asarray(run.query_labels)
+    if labels.shape != relevance.shape[:1]:
+        raise ValueError(f"need one query label per relevance row: {len(relevance)} rows, "
+                         f"query_labels of shape {labels.shape}")
     _check_cutoff(f1_cutoff)
     _check_cutoff(ndcg_cutoff)
+    if relevance.dtype != bool:  # the cast and a bool scan beat a scan of wider entries
+        relevance = relevance != 0
+    gains = _gain_tables(relevance.shape[1], ndcg_cutoff)
     # a row's scores depend on that row alone, so row blocks keep the bits;
     # the list keeps the block order whichever thread scored a block
-    blocks = [None] * -(-len(relevance) // _BLOCK_ROWS)
+    blocks = [None] * -(-len(relevance) // _SCORE_ROWS)
 
     def score_block(lo, hi):
-        blocks[lo // _BLOCK_ROWS] = _row_metrics(relevance[lo:hi] != 0, f1_cutoff, ndcg_cutoff)
+        blocks[lo // _SCORE_ROWS] = _row_metrics(relevance[lo:hi], f1_cutoff, *gains)
 
-    _share_blocks(len(relevance), score_block)
+    _share_blocks(len(relevance), score_block, block_rows=_SCORE_ROWS)
     scores = {name: np.concatenate([b[name] for b in blocks]) for name in blocks[0]}
     kept = scores.pop("relevant") > 0  # a query with no relevant item is skipped
     if not kept.any():
         raise ValueError("no query had any relevant gallery item")
     per = {name: values[kept] for name, values in scores.items()}
-    kept_labels = np.asarray(run.query_labels)[kept]
+    kept_labels = labels[kept]
     masks = [kept_labels == c for c in np.unique(kept_labels)]
     return EvalSummary(
         micro=MetricsReport(**{k: float(np.mean(v)) for k, v in per.items()},

@@ -16,7 +16,12 @@ seed, whose pooled descriptors are ranked (Q = 3840; seed 9 holds a tie in
 every row).  Each case hashes the ``rankings`` and ``relevance`` bytes and
 ``repr`` of the ``evaluate_run`` and ``geometry_report`` dicts.  Seed 0 is
 also scored with explicit F1 and NDCG cutoffs, and a small set with
-zero-norm and duplicated descriptors covers the excluded-row path.
+zero-norm and duplicated descriptors covers the excluded-row path.  The
+eval-large cases have 10 equal classes, so every block of query rows has
+one count of relevant items; random descriptors in 40 shuffled classes of
+1 to 89 objects (Q = 1683, so ``evaluate_run`` runs on threads) give each
+block about 20 counts and three queries with no relevant item, scored with
+and without cutoffs.
 
 A refactor that changes one bit of any case fails here with the case's
 name.  Running this module as a script rewrites the golden file from the
@@ -119,6 +124,14 @@ def retrieval_digests() -> dict[str, dict]:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         cases["zero-norm rows"] = _run_digests(rank(descs, labels))
+    # 40 shuffled classes, three of them singletons
+    sizes = np.concatenate([[1, 1, 1], rng.integers(2, 90, 37)])
+    labels = rng.permutation(np.repeat(np.arange(1, 41), sizes))
+    centers = rng.standard_normal((40, 8))
+    run = rank(centers[labels - 1] + 1.2 * rng.standard_normal((labels.size, 8)), labels)
+    cases["40 unequal classes"] = _run_digests(run)
+    cases["40 unequal classes f1_cutoff=10 ndcg_cutoff=100"] = _run_digests(
+        run, f1_cutoff=10, ndcg_cutoff=100)
     return cases
 
 

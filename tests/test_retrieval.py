@@ -10,6 +10,7 @@ from cipbench import retrieval
 from cipbench.losses import CenterlineBank
 from cipbench.retrieval import (
     _BLOCK_ROWS,
+    _SCORE_ROWS,
     RetrievalRun,
     average_precision,
     evaluate_run,
@@ -414,8 +415,9 @@ def test_rank_and_evaluate_run_have_the_same_bytes_on_1_2_and_3_threads(monkeypa
         assert threading.active_count() == before  # every worker was joined
         # the caller is one of the threads, and no call starts more than its
         # blocks need (three calls: rank and two evaluate_run)
-        blocks = -(-np.count_nonzero(np.linalg.norm(descs, axis=1)) // _BLOCK_ROWS)
-        assert _CountedThread.started == 3 * (min(workers, blocks) - 1)
+        rows = np.count_nonzero(np.linalg.norm(descs, axis=1))
+        needed = {size: min(workers, -(-rows // size)) - 1 for size in (_BLOCK_ROWS, _SCORE_ROWS)}
+        assert _CountedThread.started == needed[_BLOCK_ROWS] + 2 * needed[_SCORE_ROWS]
     assert outputs[1] == outputs[0]
     assert outputs[2] == outputs[0]
 
@@ -445,42 +447,63 @@ def test_a_call_with_few_blocks_starts_no_thread(monkeypatch):
     assert _CountedThread.started == 0
 
 
+def _relevance_run(relevance, labels=None):
+    q = len(relevance)
+    return RetrievalRun(query_indices=np.arange(q), rankings=np.zeros(relevance.shape, np.intp),
+                        query_labels=np.ones(q, np.int64) if labels is None else labels,
+                        relevance=relevance)
+
+
+@pytest.mark.parametrize("rows, started", [(_BLOCK_ROWS * (retrieval._MIN_SHARED_BLOCKS - 1), 0),
+                                           (_BLOCK_ROWS * (retrieval._MIN_SHARED_BLOCKS - 1) + 1, 1)])
+def test_evaluate_run_shares_its_blocks_from_ranks_row_count(monkeypatch, rows, started):
+    # evaluate_run scores larger blocks than rank sorts, but starts threads
+    # at the same number of query rows
+    relevance = np.random.default_rng(17).random((rows, 30)) < 0.3
+    monkeypatch.setattr(retrieval, "_WORKERS", 2)
+    monkeypatch.setattr(retrieval.threading, "Thread", _CountedThread)
+    _CountedThread.started = 0
+    evaluate_run(_relevance_run(relevance))
+    assert _CountedThread.started == started
+
+
 class _BlockFault(Exception):
     pass
 
 
 def _failing_blocks(monkeypatch, fails):
-    """Make every block ``fails(lo)`` picks raise _BlockFault(lo)."""
+    """Make every block ``fails(lo, block_rows)`` picks raise _BlockFault(lo)."""
     share = retrieval._share_blocks
 
-    def faulty(rows, body, buffers=tuple):
+    def faulty(rows, body, buffers=tuple, block_rows=_BLOCK_ROWS):
         def block(lo, hi, *scratch):
-            if fails(lo):
+            if fails(lo, block_rows):
                 raise _BlockFault(lo)
             body(lo, hi, *scratch)
-        share(rows, block, buffers)
+        share(rows, block, buffers, block_rows)
 
     monkeypatch.setattr(retrieval, "_share_blocks", faulty)
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
-@pytest.mark.parametrize("fails, raised", [(lambda lo: lo == _BLOCK_ROWS, (_BLOCK_ROWS,)),
-                                           (lambda lo: True, None)],
+@pytest.mark.parametrize("fails, second_only", [(lambda lo, size: lo == size, True),
+                                                (lambda lo, size: True, False)],
                          ids=["second_block", "every_block"])
 def test_an_exception_in_a_block_reaches_the_caller_after_every_join(monkeypatch, workers,
-                                                                     fails, raised):
+                                                                     fails, second_only):
     descs, labels = _random_descriptors(3 * _BLOCK_ROWS + 5, 15)
     run = rank(descs, labels)
     monkeypatch.setattr(retrieval, "_MIN_SHARED_BLOCKS", 1)
     monkeypatch.setattr(retrieval, "_WORKERS", workers)
     _failing_blocks(monkeypatch, fails)
     before = threading.active_count()
-    for call in (lambda: rank(descs, labels), lambda: evaluate_run(run)):
+    for call, size in ((lambda: rank(descs, labels), _BLOCK_ROWS),
+                       (lambda: evaluate_run(run), _SCORE_ROWS)):
         with pytest.raises(_BlockFault) as info:
             call()
         assert threading.active_count() == before
-        if raised is not None:
-            assert info.value.args == raised
+        if second_only:  # the second block of the call's own size
+            assert info.value.args == (size,)
 
 
 # ---------------------------------------------------------------------------
@@ -628,6 +651,29 @@ def test_evaluate_run_equals_per_query_loop(f1_cutoff, ndcg_cutoff):
         assert report.f1 == want["f1"]
         assert report.pr_auc == pytest.approx(want["pr_auc"], rel=1e-12)
         assert report.ndcg == pytest.approx(want["ndcg"], rel=1e-12)
+
+
+@pytest.mark.parametrize("labels", [2, 3, 5])
+def test_evaluate_run_names_both_sizes_when_labels_and_rows_disagree(labels):
+    relevance = np.eye(4, 3, k=-1, dtype=bool)
+    run = _relevance_run(relevance, np.arange(labels))
+    with pytest.raises(ValueError, match=f"4 rows, query_labels of shape \\({labels},\\)") as info:
+        evaluate_run(run)
+    assert "\n" not in str(info.value)
+
+
+@pytest.mark.parametrize("cutoffs", [(None, None), (3, 20)])
+def test_evaluate_run_scores_int_and_float_relevance_as_bool(cutoffs):
+    # 150 rows: two scoring blocks, a skipped row, and every dtype cast once
+    rng = np.random.default_rng(18)
+    relevance = rng.random((150, 40)) < rng.random((150, 1)) * 0.5
+    relevance[7] = False
+    labels = rng.integers(1, 5, 150)
+    want = evaluate_run(_relevance_run(relevance, labels), *cutoffs).to_dict()
+    assert want["skipped_queries"] >= 1
+    for dtype in (np.int64, np.int8, np.float64, np.float32):
+        run = _relevance_run(relevance.astype(dtype), labels)
+        assert evaluate_run(run, *cutoffs).to_dict() == want
 
 
 def test_evaluate_run_rejects_cutoff_below_one():
