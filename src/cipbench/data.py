@@ -9,7 +9,10 @@ split, so files stay diffable and plottable with external tools.
 
 from __future__ import annotations
 
+import io
 import json
+import re
+import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import get_type_hints
@@ -280,10 +283,81 @@ def save_dataset(dataset: Dataset, csv_path) -> None:
 
 
 def load_dataset(csv_path) -> Dataset:
-    """Parse a view CSV (+ sidecar if present); errors carry line numbers."""
+    """Parse a view CSV (+ sidecar if present); errors carry line numbers.
+
+    A body of plain digits, signs, ``.``, ``e``/``E``, commas and ``\\n``
+    (every file ``save_dataset`` writes) is parsed by numpy's C reader,
+    ``_read_plain``.  Any other file, and any such body that reader refuses or
+    reads as non-finite, goes through ``_read_lines``, which decides every
+    error.  Both give the same arrays, so what is accepted does not depend on
+    the path taken.
+    """
     csv_path = Path(csv_path)
+    raw = csv_path.read_bytes()
+    parsed = _read_plain(raw)
+    if parsed is None:
+        parsed = _read_lines(csv_path, raw)
+    dim, inputs, *columns = parsed
     try:
-        text = csv_path.read_text()
+        dataset = Dataset(inputs, *columns)
+    except ValueError as e:
+        raise ValueError(f"{csv_path}: {e}") from None
+    sidecar_file = _sidecar_path(csv_path)
+    if sidecar_file.exists():
+        try:
+            dataset.split, dataset.spec = _read_sidecar(sidecar_file, dim)
+            dataset._check_split()
+        except (ValueError, RecursionError) as e:  # RecursionError: JSON nested too deeply
+            raise ValueError(f"{sidecar_file}: {e}") from None
+    return dataset
+
+
+# the bytes of a body in the form ``save_dataset`` writes; numpy's C reader
+# and Python's int()/float() agree on every field made of them
+_PLAIN_BYTES = b"0123456789.,-+eE\n"
+_ROW_BYTE = re.compile(rb"[^\n]")
+
+
+def _read_plain(raw: bytes):
+    """``(dim, inputs, labels, object_ids, view_index)`` from numpy's C reader,
+    or None when the header is not exactly ``save_dataset``'s, the body holds
+    a byte outside ``_PLAIN_BYTES`` or no row, or the reader raises, warns or
+    reads a non-finite coordinate.  The body streams from ``raw``, so no
+    decoded copy of the file is held."""
+    end = raw.find(b"\n")
+    header = raw[:end]
+    dim = header.count(b",") - 2
+    expected = b",".join([b"object_id", b"label", b"view_index", *(b"x%d" % i for i in range(dim))])
+    if end < 0 or dim < 1 or header != expected:
+        return None
+    # with a plain body, deleting the plain bytes leaves the header's letters
+    # alone; a body of nothing but "\n" holds no row
+    if (raw.translate(None, _PLAIN_BYTES) != header.translate(None, _PLAIN_BYTES)
+            or not _ROW_BYTE.search(raw, end)):
+        return None
+    dtype = np.dtype([("ids", np.int64, (3,)), ("x", np.float64, (dim,))])
+    try:
+        # any refusal, a warning included (some numpy versions warn, then
+        # truncate, an id like "1.0"), leaves the verdict to the line loop
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = np.loadtxt(io.TextIOWrapper(io.BytesIO(raw), encoding="ascii"), dtype=dtype,
+                              delimiter=",", comments=None, skiprows=1, ndmin=1)
+    except Exception:
+        return None
+    inputs = np.ascontiguousarray(rows["x"])
+    if not np.isfinite(inputs).all():
+        return None
+    ids = rows["ids"].T.copy()  # one contiguous row per id column
+    return dim, inputs, ids[1], ids[0], ids[2]
+
+
+def _read_lines(csv_path: Path, raw: bytes):
+    """``(dim, inputs, labels, object_ids, view_index)`` row by row with
+    Python's int()/float(); a malformed file raises one ``ValueError`` that
+    names its line."""
+    try:
+        text = io.TextIOWrapper(io.BytesIO(raw)).read()  # decoded as Path.read_text() does
     except UnicodeDecodeError as e:
         raise ValueError(f"{csv_path}: {e}") from None
     lines = text.splitlines()
@@ -327,18 +401,7 @@ def load_dataset(csv_path) -> Dataset:
         rows = [n for n, line in enumerate(lines[1:], start=2) if line.strip()]
         raise ValueError(f"{csv_path}:{rows[int(np.argmin(finite))]}: non-finite coordinate")
 
-    try:
-        dataset = Dataset(inputs, *columns)
-    except ValueError as e:
-        raise ValueError(f"{csv_path}: {e}") from None
-    sidecar_file = _sidecar_path(csv_path)
-    if sidecar_file.exists():
-        try:
-            dataset.split, dataset.spec = _read_sidecar(sidecar_file, dim)
-            dataset._check_split()
-        except (ValueError, RecursionError) as e:  # RecursionError: JSON nested too deeply
-            raise ValueError(f"{sidecar_file}: {e}") from None
-    return dataset
+    return dim, inputs, *columns
 
 
 # JSON value types accepted for each SyntheticSpec field annotation, matched

@@ -494,6 +494,8 @@ def evaluate_run(
                          f"query_labels of shape {labels.shape}")
     _check_cutoff(f1_cutoff)
     _check_cutoff(ndcg_cutoff)
+    if relevance.shape[1] == 0:  # an empty gallery; scoring it would divide by a zero cutoff
+        raise ValueError("no query had any relevant gallery item")
     if relevance.dtype != bool:  # the cast and a bool scan beat a scan of wider entries
         relevance = relevance != 0
     gains = _gain_tables(relevance.shape[1], ndcg_cutoff)

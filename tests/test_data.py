@@ -1,9 +1,11 @@
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
 
+from cipbench import data
 from cipbench.data import (
     Dataset,
     SyntheticSpec,
@@ -273,7 +275,21 @@ def test_save_is_byte_deterministic(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_truncated_row_reports_line_number(tmp_path):
+def _load_both_ways(path, monkeypatch):
+    """``load_dataset(path)`` for a malformed file: it raises, and raises the
+    same message again with the line loop alone, numpy's C reader switched
+    off."""
+    with pytest.raises(ValueError) as first:
+        load_dataset(path)
+    monkeypatch.setattr(data, "_read_plain", lambda *a: None)
+    try:
+        load_dataset(path)
+    except ValueError as e:
+        assert str(e) == str(first.value)
+        raise
+
+
+def test_truncated_row_reports_line_number(tmp_path, monkeypatch):
     ds = generate(small_spec())
     path = tmp_path / "dataset.csv"
     save_dataset(ds, path)
@@ -281,10 +297,10 @@ def test_truncated_row_reports_line_number(tmp_path):
     lines[3] = lines[3].rsplit(",", 2)[0]  # drop two fields from row 3
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=r":4: expected"):
-        load_dataset(path)
+        _load_both_ways(path, monkeypatch)
 
 
-def test_malformed_value_reports_line_number(tmp_path):
+def test_malformed_value_reports_line_number(tmp_path, monkeypatch):
     ds = generate(small_spec())
     path = tmp_path / "dataset.csv"
     save_dataset(ds, path)
@@ -294,21 +310,21 @@ def test_malformed_value_reports_line_number(tmp_path):
     text[2] = ",".join(parts)
     path.write_text("\n".join(text) + "\n")
     with pytest.raises(ValueError, match=r":3: malformed"):
-        load_dataset(path)
+        _load_both_ways(path, monkeypatch)
 
 
-def test_header_only_file_rejected(tmp_path):
+def test_header_only_file_rejected(tmp_path, monkeypatch):
     path = tmp_path / "empty.csv"
     path.write_text("object_id,label,view_index,x0,x1\n")
     with pytest.raises(ValueError, match="header-only"):
-        load_dataset(path)
+        _load_both_ways(path, monkeypatch)
 
 
-def test_bad_header_rejected(tmp_path):
+def test_bad_header_rejected(tmp_path, monkeypatch):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,c,x0\n1,1,1,0.0\n")
     with pytest.raises(ValueError, match=":1: bad header"):
-        load_dataset(path)
+        _load_both_ways(path, monkeypatch)
 
 
 def test_sidecar_dim_mismatch_rejected(tmp_path):
@@ -366,7 +382,7 @@ def test_inconsistent_labels_name_the_smallest_object():
         )
 
 
-def test_csv_row_errors_name_the_file(tmp_path):
+def test_csv_row_errors_name_the_file(tmp_path, monkeypatch):
     path = tmp_path / "dataset.csv"
     save_dataset(generate(small_spec()), path)
     lines = path.read_text().splitlines()
@@ -375,7 +391,7 @@ def test_csv_row_errors_name_the_file(tmp_path):
         lines[i] = ",".join([oid, "3" if label == "1" else label, rest])
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError) as err:
-        load_dataset(path)
+        _load_both_ways(path, monkeypatch)
     assert str(err.value) == f"{path}: labels must be contiguous in [1, K], got [2, 3]"
 
 
@@ -387,7 +403,7 @@ def test_split_map_must_cover_every_object():
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-def test_non_finite_value_reports_line_number(tmp_path, value):
+def test_non_finite_value_reports_line_number(tmp_path, monkeypatch, value):
     ds = generate(small_spec())
     path = tmp_path / "dataset.csv"
     save_dataset(ds, path)
@@ -397,4 +413,210 @@ def test_non_finite_value_reports_line_number(tmp_path, value):
     text[4] = ",".join(parts)
     path.write_text("\n".join(text) + "\n")
     with pytest.raises(ValueError, match=r":5: non-finite"):
-        load_dataset(path)
+        _load_both_ways(path, monkeypatch)
+
+
+# ---------------------------------------------------------------------------
+# the two CSV readers: numpy's C reader for plain bodies, the line loop for
+# every other file and every error
+# ---------------------------------------------------------------------------
+
+
+def _outcome(load):
+    """``("ok", result)`` or ``("error", message)`` of ``load()``."""
+    try:
+        return "ok", load()
+    except ValueError as e:
+        return "error", str(e)
+
+
+def _cell(line, column, value):
+    """An edit of a CSV's lines that sets one cell."""
+    def edit(lines):
+        cells = lines[line].split(",")
+        cells[column] = value
+        lines[line] = ",".join(cells)
+    return edit
+
+
+def _truncate_first_row(lines):
+    lines[1] = lines[1].rsplit(",", 2)[0]
+
+
+def _comma_after_every_row(lines):
+    lines[1:] = [line + "," for line in lines[1:]]
+
+
+# malformed files not covered by the tests above, mostly made of the plain
+# bytes, so numpy's C reader sees them before the line loop does
+MALFORMED = {
+    "plain malformed value": (_cell(2, 3, "1e"),
+                              ":3: malformed value (could not convert string to float: '1e')"),
+    "plain malformed id": (_cell(5, 0, "1.0"),
+                           ":6: malformed value (invalid literal for int() with base 10: '1.0')"),
+    "1e999": (_cell(4, 7, "1e999"), ":5: non-finite coordinate"),
+    "object_id past int64": (_cell(3, 0, str(2**63)), ":4: integer out of the int64 range"),
+    "label past int64": (_cell(3, 1, str(10**23)), ":4: integer out of the int64 range"),
+    "view_index past int64": (_cell(3, 2, str(-(10**23))), ":4: integer out of the int64 range"),
+    "bad coordinate columns": (lambda lines: lines.__setitem__(0, "object_id,label,view_index,x0,x1,x2,x4,x3"),
+                               ":1: bad coordinate columns in header"),
+    "truncated first row": (_truncate_first_row, ":2: expected 8 fields, got 6"),
+    "comma after every row": (_comma_after_every_row, ":2: expected 8 fields, got 9"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_csv_gets_the_same_message_on_both_paths(tmp_path, monkeypatch, case):
+    edit, message = MALFORMED[case]
+    path = tmp_path / "dataset.csv"
+    save_dataset(split(generate(small_spec()), 0.5, seed=5), path)
+    lines = path.read_text().splitlines()
+    edit(lines)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as err:
+        _load_both_ways(path, monkeypatch)
+    assert str(err.value) == f"{path}{message}"
+
+
+# fields made only of the plain bytes, where numpy's C reader and Python's
+# int()/float() could disagree: signs, leading zeros, bare dots and
+# exponents, floats as ids, subnormals, the int64 edges, long digit runs
+EDGE_FIELDS = [
+    "+1", "007", "-0", "1.0", "1e3", "1.", "1E5", ".5", "5.", "+.5", "-.5e-3", "1e", "e5", "E5", "1e+",
+    ".e1", "1.5e+", "1e5e5", "1..2", "-", "+", "", ".", "-.", "+-1", "--1", "1-", "0e0", "+0.0", "-0.0",
+    "5e-324", "4.9e-324", "2e-324", "1e-400", "2.2250738585072011e-308", "1e+308", "1e999", "-1e999",
+    str(2**63 - 1), str(2**63), str(-(2**63)), str(-(2**63) - 1), "1" * 30, "9" * 400,
+    "0.1000000000000000055511151231257827021181583404541015625", "00000000000000000000001.5",
+    "123456789012345678901234567890.5",
+]
+
+
+@pytest.mark.parametrize("field", EDGE_FIELDS)
+def test_both_readers_accept_and_read_each_plain_field_alike(tmp_path, field):
+    # the C reader accepts a field exactly where the loop does, with the same bits
+    header = "object_id,label,view_index,x0,x1\n"
+    for row in (f"{field},1,1,0.5,0.5", f"1,1,1,0.5,{field}"):
+        path = tmp_path / "dataset.csv"
+        path.write_text(header + "1,1,1,0.25,2.0\n" + row + "\n")
+        raw = path.read_bytes()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            plain = data._read_plain(raw)
+        kind, loop = _outcome(lambda: data._read_lines(path, raw))
+        assert (plain is not None) == (kind == "ok"), row
+        if plain is not None:
+            assert plain[0] == loop[0] == 2
+            for a, b in zip(plain[1:], loop[1:]):
+                assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), row
+
+
+def test_random_doubles_read_back_alike_on_both_paths(tmp_path):
+    # 10^4 finite doubles from random bit patterns, a tenth of them subnormal
+    rng = np.random.default_rng(11)
+    bits = rng.integers(0, np.iinfo(np.uint64).max, (400, 25), np.uint64, endpoint=True)
+    sub = rng.random(bits.shape) < 0.1
+    bits[sub] = bits[sub] & np.uint64(0x800F_FFFF_FFFF_FFFF)  # zero exponent
+    inputs = bits.view(np.float64)
+    inputs[~np.isfinite(inputs)] = 1.0
+    assert np.count_nonzero((inputs != 0) & (np.abs(inputs) < 2.0**-1022)) > 500
+    ids = np.arange(1, 401)
+    path = tmp_path / "dataset.csv"
+    save_dataset(Dataset(inputs, 1 + ids % 4, ids, np.ones(400, np.int64)), path)
+    raw = path.read_bytes()
+    plain = data._read_plain(raw)
+    assert plain is not None
+    loop = data._read_lines(path, raw)
+    assert plain[1].tobytes() == loop[1].tobytes() == inputs.tobytes()
+    for a, b in zip(plain[2:], loop[2:]):
+        assert a.tobytes() == b.tobytes()
+
+
+_PIN_HEADER = "object_id,label,view_index,x0,x1\n"
+_PIN_ROWS = ["1,1,1,0.5,-2.0", "1,1,2,0.25,3.0", "2,2,1,1e-3,4.0", "2,2,2,-0.0,5.5"]
+_PIN_INPUTS = [[0.5, -2.0], [0.25, 3.0], [0.001, 4.0], [-0.0, 5.5]]
+
+
+def _pin_file(rows):
+    return _PIN_HEADER + "".join(row + "\n" for row in rows)
+
+
+def _pin_row(line, row):
+    return _pin_file(_PIN_ROWS[:line] + [row] + _PIN_ROWS[line + 1:])
+
+
+# files unlike the ones save_dataset writes: each loads as the line loop
+# always read it, or fails with its message
+PINNED = {
+    "crlf": (_pin_file(_PIN_ROWS).replace("\n", "\r\n").encode(), _PIN_INPUTS),
+    "blank lines": (_pin_file(["", _PIN_ROWS[0], "", "", *_PIN_ROWS[1:], ""]).encode(), _PIN_INPUTS),
+    "underscore": (_pin_row(1, "1,1,2,1_000,3.0").encode(), [_PIN_INPUTS[0], [1e3, 3.0], *_PIN_INPUTS[2:]]),
+    "space": (_pin_row(1, "1,1,2, 1.5,3.0").encode(), [_PIN_INPUTS[0], [1.5, 3.0], *_PIN_INPUTS[2:]]),
+    "+1 and 007 ids": (_pin_file(["+1,1,1,0.5,-2.0", "001,+1,002,0.25,3.0", *_PIN_ROWS[2:]]).encode(),
+                       _PIN_INPUTS),
+    "bom": (b"\xef\xbb\xbf" + _pin_file(_PIN_ROWS).encode(),
+            ":1: bad header '\\ufeffobject_id,label,view_index,x0,x1'"),
+    "trailing comma": (_pin_row(2, _PIN_ROWS[2] + ",").encode(), ":4: expected 5 fields, got 6"),
+    "extra field": (_pin_row(2, _PIN_ROWS[2] + ",7").encode(), ":4: expected 5 fields, got 6"),
+    "1e999": (_pin_row(2, "2,2,1,1e999,4.0").encode(), ":4: non-finite coordinate"),
+}
+
+
+@pytest.mark.parametrize("case", PINNED)
+def test_files_save_dataset_does_not_write_load_as_the_line_loop_reads_them(tmp_path, case):
+    raw, expected = PINNED[case]
+    path = tmp_path / "dataset.csv"
+    path.write_bytes(raw)
+    if isinstance(expected, str):
+        with pytest.raises(ValueError) as err:
+            load_dataset(path)
+        assert str(err.value) == f"{path}{expected}"
+        return
+    loaded = load_dataset(path)
+    assert np.asarray(expected).tobytes() == loaded.inputs.tobytes()
+    assert loaded.labels.tolist() == loaded.object_ids.tolist() == [1, 1, 2, 2]
+    assert loaded.view_index.tolist() == [1, 2, 1, 2]
+
+
+@pytest.mark.parametrize("dataset", [
+    split(generate(small_spec()), 0.5, seed=5),
+    generate(small_spec(num_classes=1, objects_per_class=1, views_per_object=1, input_dim=1)),
+    Dataset(np.array([[-0.0, 5e-324, 1.7976931348623157e308, -1e-300]]), [1], [2**63 - 1], [-(2**63)]),
+], ids=["split", "one row, one column", "extreme values"])
+def test_a_saved_dataset_never_reaches_the_line_loop(tmp_path, monkeypatch, dataset):
+    # without this, a silent fall back to the slow path would show only in timings
+    path = tmp_path / "dataset.csv"
+    save_dataset(dataset, path)
+
+    def refuse(*args):
+        raise AssertionError("the line loop read a file save_dataset wrote")
+
+    monkeypatch.setattr(data, "_read_lines", refuse)
+    loaded = load_dataset(path)
+    for name in ("inputs", "labels", "object_ids", "view_index"):
+        assert getattr(loaded, name).tobytes() == getattr(dataset, name).tobytes(), name
+    assert loaded.split == dataset.split and loaded.spec == dataset.spec
+
+
+@pytest.mark.parametrize("refusal", [
+    TypeError("the number of columns in `usecols` must match the effective number of fields"),
+    DeprecationWarning("loadtxt(): Parsing an integer via a float is deprecated"),
+], ids=["error", "warning"])
+def test_any_refusal_from_numpy_leaves_the_file_to_the_line_loop(tmp_path, monkeypatch, refusal):
+    # numpy versions differ in what they raise, and some warn and read on
+    path = tmp_path / "dataset.csv"
+    dataset = split(generate(small_spec()), 0.5, seed=5)
+    save_dataset(dataset, path)
+    calls = []
+
+    def loadtxt(*args, dtype, **kwargs):
+        calls.append(dtype)
+        if isinstance(refusal, Warning):
+            warnings.warn(refusal)
+            return np.zeros(1, dtype)  # a wrong read, had the warning been let pass
+        raise refusal
+
+    monkeypatch.setattr(np, "loadtxt", loadtxt)
+    loaded = load_dataset(path)
+    assert len(calls) == 1
+    for name in ("inputs", "labels", "object_ids", "view_index"):
+        assert getattr(loaded, name).tobytes() == getattr(dataset, name).tobytes(), name

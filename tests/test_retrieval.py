@@ -626,6 +626,17 @@ def test_evaluate_run_rejects_a_run_without_query_rows():
         evaluate_run(empty)
 
 
+@pytest.mark.parametrize("rows", [1, 200])
+def test_evaluate_run_rejects_an_empty_gallery_without_a_warning(rows):
+    # a (Q, 0) relevance matrix has no relevant item; scoring it anyway
+    # would warn of 0/0 in the F1 precision before raising
+    run = _relevance_run(np.zeros((rows, 0), dtype=bool))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^no query had any relevant gallery item$"):
+            evaluate_run(run)
+
+
 def _unbalanced_run():
     # three classes of 140, 12 and 1 objects: AP sums 139 precisions (past
     # np.mean's 128-item pairwise block) or 11; the singleton's query has no
