@@ -57,7 +57,7 @@ def _build_parser() -> argparse.ArgumentParser:
             help="override a config key (repeatable)",
         )
 
-    p = sub.add_parser("generate", help="write a synthetic multi-view dataset (CSV + JSON sidecar)")
+    p = sub.add_parser("generate", help="write a synthetic multi-view dataset (CSV, JSON sidecar, rows cache)")
     common(p)
     p.add_argument("--out", help="output directory (default: out_dir config key)")
 

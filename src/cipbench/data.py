@@ -4,12 +4,16 @@ Each class gets a prototype direction; each object is its class prototype
 plus Gaussian object noise; each view is its object vector plus Gaussian
 view noise.  The on-disk format is a single CSV (one row per view) plus a
 JSON sidecar holding the generating spec and the object-level train/test
-split, so files stay diffable and plottable with external tools.
+split, so files stay diffable and plottable with external tools.  A binary
+copy of the CSV's rows, keyed to its bytes, lets a later load skip the
+text parse; the CSV stays the source of truth.
 """
 
 from __future__ import annotations
 
+import hashlib
 import io
+import itertools
 import json
 import re
 import warnings
@@ -255,6 +259,30 @@ def _sidecar_path(csv_path: Path) -> Path:
     return csv_path.with_suffix(".json")
 
 
+def _rows_path(csv_path: Path) -> Path:
+    return csv_path.with_suffix(".rows")
+
+
+def _rows_dtype(dim: int) -> np.dtype:
+    """One CSV row: its three id columns, then its ``dim`` coordinates."""
+    return np.dtype([("ids", np.int64, (3,)), ("x", np.float64, (dim,))])
+
+
+# a rows cache is a SHA-256 key over this tag, the CSV's bytes and the .npy
+# payload that follows the key; another layout gets another tag
+_ROWS_TAG = b"cipbench dataset rows 1\n"
+_KEY_SIZE = 32
+
+
+def _rows_key(parts) -> bytes:
+    """The SHA-256 of ``_ROWS_TAG`` and then each buffer of ``parts``: the
+    CSV's bytes, then the payload's."""
+    key = hashlib.sha256(_ROWS_TAG)
+    for part in parts:
+        key.update(part)
+    return key.digest()
+
+
 def write_csv(path, header, rows) -> None:
     """The package's one CSV writer: each cell is ``str()`` of a Python value
     (for a float, the shortest text that reads back with the same bits, as in
@@ -267,7 +295,8 @@ def write_csv(path, header, rows) -> None:
 
 
 def save_dataset(dataset: Dataset, csv_path) -> None:
-    """Write the view CSV and its JSON sidecar (spec + split)."""
+    """Write the view CSV, its JSON sidecar (spec + split) and, last, the
+    rows cache that lets ``load_dataset`` skip parsing this exact CSV."""
     csv_path = Path(csv_path)
     d = dataset.input_dim
     columns = (dataset.object_ids.tolist(), dataset.labels.tolist(), dataset.view_index.tolist())
@@ -280,21 +309,36 @@ def save_dataset(dataset: Dataset, csv_path) -> None:
         "split": {str(k): v for k, v in dataset.split.items()} if dataset.split else None,
     }
     _sidecar_path(csv_path).write_text(json.dumps(sidecar, indent=2))
+    rows = np.empty(dataset.num_views, _rows_dtype(d))
+    rows["ids"] = np.stack([dataset.object_ids, dataset.labels, dataset.view_index], axis=1)
+    rows["x"] = dataset.inputs
+    header = io.BytesIO()
+    np.lib.format.write_array_header_1_0(header, np.lib.format.header_data_from_array_1_0(rows))
+    payload = (header.getvalue(), rows)  # an .npy file: its header, then the rows' bytes
+    with open(csv_path, "rb") as fh:  # read back in chunks, so no copy of the whole CSV is held
+        key = _rows_key(itertools.chain(iter(lambda: fh.read(1 << 20), b""), payload))
+    with open(_rows_path(csv_path), "wb") as fh:
+        for part in (key, *payload):
+            fh.write(part)
 
 
 def load_dataset(csv_path) -> Dataset:
     """Parse a view CSV (+ sidecar if present); errors carry line numbers.
 
-    A body of plain digits, signs, ``.``, ``e``/``E``, commas and ``\\n``
-    (every file ``save_dataset`` writes) is parsed by numpy's C reader,
-    ``_read_plain``.  Any other file, and any such body that reader refuses or
-    reads as non-finite, goes through ``_read_lines``, which decides every
-    error.  Both give the same arrays, so what is accepted does not depend on
-    the path taken.
+    When the rows cache ``save_dataset`` wrote beside the CSV matches the
+    CSV's bytes, ``_read_cached`` takes the rows from it.  Otherwise a body of
+    plain digits, signs, ``.``, ``e``/``E``, commas and ``\\n`` (every file
+    ``save_dataset`` writes) is parsed by numpy's C reader, ``_read_plain``.
+    Any other file, and any such body that reader refuses or reads as
+    non-finite, goes through ``_read_lines``, which decides every error.  All
+    three give the same arrays, so what is accepted does not depend on the
+    path taken.  Nothing here writes a cache.
     """
     csv_path = Path(csv_path)
     raw = csv_path.read_bytes()
-    parsed = _read_plain(raw)
+    parsed = _read_cached(csv_path, raw)
+    if parsed is None:
+        parsed = _read_plain(raw)
     if parsed is None:
         parsed = _read_lines(csv_path, raw)
     dim, inputs, *columns = parsed
@@ -318,6 +362,36 @@ _PLAIN_BYTES = b"0123456789.,-+eE\n"
 _ROW_BYTE = re.compile(rb"[^\n]")
 
 
+def _read_cached(csv_path: Path, raw: bytes):
+    """``(dim, inputs, labels, object_ids, view_index)`` from the rows cache
+    beside ``csv_path``, or None when it is missing or unreadable, its key is
+    not that of ``raw`` and its own payload, or the payload is not an .npy
+    1.0 file of exactly a non-empty 1-D array of ``_rows_dtype(dim)`` rows,
+    with dim >= 1 and finite coordinates."""
+    try:
+        blob = _rows_path(csv_path).read_bytes()
+    except OSError:
+        return None
+    if _rows_key((raw, memoryview(blob)[_KEY_SIZE:])) != blob[:_KEY_SIZE]:  # also when blob is short
+        return None
+    fh = io.BytesIO(blob)  # shares blob's bytes until written to
+    fh.seek(_KEY_SIZE)
+    try:
+        # numpy's header parser raises more than ValueError (a garbled
+        # header can end in tokenize's TokenError): any refusal is a miss
+        if np.lib.format.read_magic(fh) != (1, 0):
+            return None
+        shape, _, dtype = np.lib.format.read_array_header_1_0(fh)
+        dim, = dtype["x"].shape
+    except Exception:
+        return None
+    start, count = fh.tell(), shape[0] if len(shape) == 1 else 0
+    if not count or dim < 1 or dtype != _rows_dtype(dim) or len(blob) - start != count * dtype.itemsize:
+        return None
+    # the rows stay in blob's bytes: _columns copies them out
+    return _columns(np.frombuffer(blob, dtype, count, start))
+
+
 def _read_plain(raw: bytes):
     """``(dim, inputs, labels, object_ids, view_index)`` from numpy's C reader,
     or None when the header is not exactly ``save_dataset``'s, the body holds
@@ -335,21 +409,26 @@ def _read_plain(raw: bytes):
     if (raw.translate(None, _PLAIN_BYTES) != header.translate(None, _PLAIN_BYTES)
             or not _ROW_BYTE.search(raw, end)):
         return None
-    dtype = np.dtype([("ids", np.int64, (3,)), ("x", np.float64, (dim,))])
     try:
         # any refusal, a warning included (some numpy versions warn, then
         # truncate, an id like "1.0"), leaves the verdict to the line loop
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rows = np.loadtxt(io.TextIOWrapper(io.BytesIO(raw), encoding="ascii"), dtype=dtype,
+            rows = np.loadtxt(io.TextIOWrapper(io.BytesIO(raw), encoding="ascii"), dtype=_rows_dtype(dim),
                               delimiter=",", comments=None, skiprows=1, ndmin=1)
     except Exception:
         return None
-    inputs = np.ascontiguousarray(rows["x"])
+    return _columns(rows)
+
+
+def _columns(rows: np.ndarray):
+    """``(dim, inputs, labels, object_ids, view_index)`` from an array of
+    ``_rows_dtype`` rows, or None when a coordinate is not finite."""
+    inputs = rows["x"].copy()
     if not np.isfinite(inputs).all():
         return None
     ids = rows["ids"].T.copy()  # one contiguous row per id column
-    return dim, inputs, ids[1], ids[0], ids[2]
+    return inputs.shape[1], inputs, ids[1], ids[0], ids[2]
 
 
 def _read_lines(csv_path: Path, raw: bytes):
@@ -369,8 +448,6 @@ def _read_lines(csv_path: Path, raw: bytes):
     dim = len(header) - 3
     if dim < 1 or header[3:] != [f"x{i}" for i in range(dim)]:
         raise ValueError(f"{csv_path}:1: bad coordinate columns in header")
-    if len(lines) == 1:
-        raise ValueError(f"{csv_path}: header-only file, dataset is empty")
 
     inputs, labels, oids, vids = [], [], [], []
     for lineno, line in enumerate(lines[1:], start=2):
@@ -388,6 +465,8 @@ def _read_lines(csv_path: Path, raw: bytes):
             inputs.append([float(p) for p in parts[3:]])
         except ValueError as e:
             raise ValueError(f"{csv_path}:{lineno}: malformed value ({e})") from None
+    if not inputs:  # no line after the header, or blank ones only
+        raise ValueError(f"{csv_path}: header-only file, dataset is empty")
 
     try:
         columns = [np.array(c, dtype=np.int64) for c in (labels, oids, vids)]

@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import json
 import warnings
 
@@ -261,10 +262,12 @@ def test_round_trip_is_bit_exact(tmp_path):
     path = tmp_path / "dataset.csv"
     save_dataset(ds, path)
     assert b"\r" not in path.read_bytes()
-    loaded = load_dataset(path)
-    for name in ("inputs", "labels", "object_ids", "view_index"):
-        a, b = getattr(ds, name), getattr(loaded, name)
-        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    cached = load_dataset(path)
+    path.with_suffix(".rows").unlink()
+    for loaded in (cached, load_dataset(path)):
+        for name in ("inputs", "labels", "object_ids", "view_index"):
+            a, b = getattr(ds, name), getattr(loaded, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
 def test_save_is_byte_deterministic(tmp_path):
@@ -273,6 +276,7 @@ def test_save_is_byte_deterministic(tmp_path):
     save_dataset(ds, p1)
     save_dataset(ds, p2)
     assert p1.read_bytes() == p2.read_bytes()
+    assert p1.with_suffix(".rows").read_bytes() == p2.with_suffix(".rows").read_bytes()
 
 
 def _load_both_ways(path, monkeypatch):
@@ -318,6 +322,15 @@ def test_header_only_file_rejected(tmp_path, monkeypatch):
     path.write_text("object_id,label,view_index,x0,x1\n")
     with pytest.raises(ValueError, match="header-only"):
         _load_both_ways(path, monkeypatch)
+
+
+@pytest.mark.parametrize("body", ["\n\n", "\n \n"], ids=["blank lines", "a space"])
+def test_a_header_over_blank_lines_alone_is_header_only(tmp_path, monkeypatch, body):
+    path = tmp_path / "empty.csv"
+    path.write_text("object_id,label,view_index,x0\n" + body)
+    with pytest.raises(ValueError) as err:
+        _load_both_ways(path, monkeypatch)
+    assert str(err.value) == f"{path}: header-only file, dataset is empty"
 
 
 def test_bad_header_rejected(tmp_path, monkeypatch):
@@ -577,15 +590,21 @@ def test_files_save_dataset_does_not_write_load_as_the_line_loop_reads_them(tmp_
     assert loaded.view_index.tolist() == [1, 2, 1, 2]
 
 
-@pytest.mark.parametrize("dataset", [
-    split(generate(small_spec()), 0.5, seed=5),
-    generate(small_spec(num_classes=1, objects_per_class=1, views_per_object=1, input_dim=1)),
-    Dataset(np.array([[-0.0, 5e-324, 1.7976931348623157e308, -1e-300]]), [1], [2**63 - 1], [-(2**63)]),
-], ids=["split", "one row, one column", "extreme values"])
+SAVED = {
+    "split": split(generate(small_spec()), 0.5, seed=5),
+    "one row, one column": generate(small_spec(num_classes=1, objects_per_class=1, views_per_object=1,
+                                               input_dim=1)),
+    "extreme values": Dataset(np.array([[-0.0, 5e-324, 1.7976931348623157e308, -1e-300]]), [1], [2**63 - 1],
+                              [-(2**63)]),
+}
+
+
+@pytest.mark.parametrize("dataset", SAVED.values(), ids=SAVED.keys())
 def test_a_saved_dataset_never_reaches_the_line_loop(tmp_path, monkeypatch, dataset):
     # without this, a silent fall back to the slow path would show only in timings
     path = tmp_path / "dataset.csv"
     save_dataset(dataset, path)
+    path.with_suffix(".rows").unlink()  # the subject is the C reader
 
     def refuse(*args):
         raise AssertionError("the line loop read a file save_dataset wrote")
@@ -606,6 +625,7 @@ def test_any_refusal_from_numpy_leaves_the_file_to_the_line_loop(tmp_path, monke
     path = tmp_path / "dataset.csv"
     dataset = split(generate(small_spec()), 0.5, seed=5)
     save_dataset(dataset, path)
+    path.with_suffix(".rows").unlink()  # the subject is the C reader's fall back
     calls = []
 
     def loadtxt(*args, dtype, **kwargs):
@@ -620,3 +640,145 @@ def test_any_refusal_from_numpy_leaves_the_file_to_the_line_loop(tmp_path, monke
     assert len(calls) == 1
     for name in ("inputs", "labels", "object_ids", "view_index"):
         assert getattr(loaded, name).tobytes() == getattr(dataset, name).tobytes(), name
+
+
+# ---------------------------------------------------------------------------
+# the rows cache save_dataset leaves beside the CSV
+# ---------------------------------------------------------------------------
+
+
+def _assert_same_arrays(loaded, dataset):
+    for name in ("inputs", "labels", "object_ids", "view_index"):
+        a, b = getattr(loaded, name), getattr(dataset, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+@pytest.mark.parametrize("dataset", SAVED.values(), ids=SAVED.keys())
+def test_a_matching_rows_cache_reaches_neither_reader(tmp_path, monkeypatch, dataset):
+    path = tmp_path / "dataset.csv"
+    save_dataset(dataset, path)
+
+    def refuse(*args):
+        raise AssertionError("a CSV reader ran beside a matching rows cache")
+
+    monkeypatch.setattr(data, "_read_plain", refuse)
+    monkeypatch.setattr(data, "_read_lines", refuse)
+    loaded = load_dataset(path)
+    _assert_same_arrays(loaded, dataset)
+    assert loaded.split == dataset.split and loaded.spec == dataset.spec
+    assert all(getattr(loaded, name).flags.writeable for name in ("inputs", "labels", "object_ids", "view_index"))
+
+
+def _rewrite(path, edit):
+    """Rewrite ``path``'s bytes as ``edit(bytearray)`` leaves them."""
+    blob = bytearray(path.read_bytes())
+    edit(blob)
+    path.write_bytes(bytes(blob))
+
+
+def _edit_csv(edit):
+    def apply(csv, rows, other):
+        lines = csv.read_text().splitlines()
+        edit(lines)
+        csv.write_text("\n".join(lines) + "\n")
+    return apply
+
+
+# name -> edit(CSV path, its rows cache, the rows cache of another dataset)
+# made after save_dataset wrote both files
+STALE = {
+    "deleted": lambda csv, rows, other: rows.unlink(),
+    "CSV edited": _edit_csv(_cell(1, 3, "0.5")),
+    "CSV made malformed": _edit_csv(_truncate_first_row),
+    "truncated": lambda csv, rows, other: _rewrite(rows, lambda b: b.__delitem__(-1)),
+    "shorter than a key": lambda csv, rows, other: _rewrite(rows, lambda b: b.__delitem__(slice(31, None))),
+    "payload byte flipped": lambda csv, rows, other: _rewrite(rows, lambda b: b.__setitem__(-1, b[-1] ^ 1)),
+    "another dataset's": lambda csv, rows, other: rows.write_bytes(other.read_bytes()),
+    "garbage": lambda csv, rows, other: rows.write_bytes(b"not a rows cache\n" * 8),
+}
+
+
+@pytest.mark.parametrize("case", STALE)
+def test_a_rows_cache_that_does_not_match_is_ignored_and_left_alone(tmp_path, case):
+    path, rows = tmp_path / "dataset.csv", tmp_path / "dataset.rows"
+    save_dataset(split(generate(small_spec()), 0.5, seed=5), path)
+    save_dataset(generate(small_spec(seed=7)), tmp_path / "other.csv")
+    STALE[case](path, rows, tmp_path / "other.rows")
+    left = rows.read_bytes() if rows.exists() else None
+    kind, cached = _outcome(lambda: load_dataset(path))
+    assert (rows.read_bytes() if rows.exists() else None) == left  # a load writes no cache
+    rows.unlink(missing_ok=True)
+    assert _outcome(lambda: load_dataset(path))[0] == kind
+    if kind == "error":
+        assert cached == _outcome(lambda: load_dataset(path))[1]
+        assert cached == f"{path}:2: expected 8 fields, got 6"
+    else:
+        _assert_same_arrays(cached, load_dataset(path))
+        assert cached.inputs[0, 0] == (0.5 if case == "CSV edited" else SAVED["split"].inputs[0, 0])
+
+
+def _rows(dataset, dtype):
+    rows = np.empty(dataset.num_views, dtype)
+    rows["ids"] = np.stack([dataset.object_ids, dataset.labels, dataset.view_index], axis=1)
+    rows["x"] = dataset.inputs
+    return rows
+
+
+def _npy(array, allow_pickle=False):
+    buffer = io.BytesIO()
+    np.lib.format.write_array(buffer, array, allow_pickle=allow_pickle)
+    return buffer.getvalue()
+
+
+def _with_nan(dataset):
+    rows = _rows(dataset, data._rows_dtype(dataset.input_dim))
+    rows["x"][3, 1] = np.nan
+    return _npy(rows)
+
+
+# payloads under a key that matches them: each must still be refused
+FORGED = {
+    "not an .npy": lambda ds: b"\x93NUMPY, but not really",
+    "payload cut short": lambda ds: _npy(_rows(ds, data._rows_dtype(5)))[:-8],
+    "a float matrix": lambda ds: _npy(ds.inputs),
+    "object array": lambda ds: _npy(np.array([None, 1], dtype=object), allow_pickle=True),
+    "float32 coordinates": lambda ds: _npy(_rows(ds, np.dtype([("ids", "i8", (3,)), ("x", "f4", (5,))]))),
+    "2-D coordinate field": lambda ds: _npy(np.zeros(3, np.dtype([("ids", "i8", (3,)), ("x", "f8", (5, 1))]))),
+    "no coordinates": lambda ds: _npy(np.zeros(3, data._rows_dtype(0))),
+    "no rows": lambda ds: _npy(np.zeros(0, data._rows_dtype(5))),
+    "2-D rows": lambda ds: _npy(_rows(ds, data._rows_dtype(5)).reshape(2, -1)),
+    "a NaN coordinate": _with_nan,
+}
+
+
+@pytest.mark.parametrize("case", FORGED)
+def test_a_matching_key_over_rows_of_the_wrong_form_is_ignored(tmp_path, case):
+    path = tmp_path / "dataset.csv"
+    dataset = split(generate(small_spec()), 0.5, seed=5)
+    save_dataset(dataset, path)
+    payload = FORGED[case](dataset)
+    path.with_suffix(".rows").write_bytes(data._rows_key((path.read_bytes(), payload)) + payload)
+    _assert_same_arrays(load_dataset(path), dataset)
+
+
+def _nan_at_row_two():
+    ds = generate(small_spec())
+    inputs = ds.inputs.copy()
+    inputs[1, 2] = np.nan
+    return Dataset(inputs, ds.labels, ds.object_ids, ds.view_index)
+
+
+@pytest.mark.parametrize("dataset, message", [
+    (_nan_at_row_two(), ":3: non-finite coordinate"),
+    (Dataset(np.zeros((2, 0)), [1, 1], [1, 2], [1, 1]), ":1: bad coordinate columns in header"),
+], ids=["NaN coordinate", "no coordinate columns"])
+def test_a_saved_dataset_the_readers_refuse_gets_their_message_beside_its_cache(tmp_path, dataset, message):
+    path = tmp_path / "dataset.csv"
+    save_dataset(dataset, path)
+    messages = []
+    for _ in range(2):  # with its rows cache, then without it
+        with pytest.raises(ValueError) as err:
+            load_dataset(path)
+        messages.append(str(err.value))
+        path.with_suffix(".rows").unlink(missing_ok=True)
+    assert messages == [f"{path}{message}"] * 2
