@@ -19,7 +19,7 @@ import numpy as np
 
 from . import encoder as enc
 from .config import ConfigError, RunConfig, config_help_lines, parse_value
-from .data import generate, load_dataset, save_dataset, split, write_csv
+from .data import RowSource, generate, load_dataset, save_dataset, split, write_csv
 from .retrieval import evaluate_run, geometry_report, pool_descriptors, rank
 from .trainer import (
     DivergenceError,
@@ -205,8 +205,13 @@ def cmd_export(args) -> int:
     oids, labels = dataset.object_ids, dataset.labels
     if args.pooled:
         feats, labels, oids = pool_descriptors(feats, oids, labels)
+
+    def between(lo, hi):
+        return ([o, k, *row.tolist()] for o, k, row in zip(oids[lo:hi].tolist(), labels[lo:hi].tolist(),
+                                                             feats[lo:hi]))
+
     write_csv(out, ["object_id", "label", *(f"e{i}" for i in range(feats.shape[1]))],
-              ([o, k, *row.tolist()] for o, k, row in zip(oids.tolist(), labels.tolist(), feats)))
+              RowSource(len(oids), between))
     cfg.save(out.with_suffix(out.suffix + ".cfg"))
     print(f"wrote {len(oids)} embedding rows to {out}")
     return EXIT_OK

@@ -27,7 +27,6 @@ relevant items, and scores it from those alone.
 from __future__ import annotations
 
 import json
-import os
 import threading
 import warnings
 from dataclasses import asdict, dataclass, field, fields
@@ -37,6 +36,7 @@ import numpy as np
 
 from .data import write_csv
 from .losses import CenterlineBank, group_sums
+from .vectors import CPUS
 
 __all__ = [
     "EvalSummary",
@@ -64,8 +64,7 @@ _BLOCK_ROWS = 64
 _SCORE_ROWS = 128
 _SIGN_BIT = np.uint64(1 << 63)
 # threads that share one call's blocks: one per CPU this process may use
-_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
+_WORKERS = CPUS
 # a call with fewer 64-row blocks (at most 1472 query rows) runs on the
 # calling thread alone, whatever its own block size: its numpy calls are too
 # short for a second thread to overlap them (on a 2-vCPU VM a second

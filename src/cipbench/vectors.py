@@ -1,13 +1,20 @@
-"""Settings-field checks.
+"""Settings-field checks and the package's CPU count.
 
 ``check_fields`` checks the settings fields of ``data``, ``losses`` and
 ``trainer``; ``KEY_OF_FIELD`` names a field's config key for them and for
-``config``.
+``config``.  ``CPUS`` is the one count of the CPUs this process may use.
 """
 
 from __future__ import annotations
 
-__all__ = ["check_fields"]
+import os
+
+__all__ = ["CPUS", "check_fields"]
+
+# the CPUs this process may use, read once: rank's and evaluate_run's
+# threads and write_csv's forked workers each take one
+CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+        else os.cpu_count() or 1)
 
 # config key of each settings field whose name differs (``lambda`` is a keyword)
 KEY_OF_FIELD = {"lam": "lambda"}

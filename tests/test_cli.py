@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import cipbench
+from cipbench import data
 from cipbench.cli import main
 from cipbench.config import DEFAULTS, RunConfig
 from cipbench.data import SyntheticSpec, load_dataset
@@ -497,6 +498,30 @@ def test_export_reads_back_bit_exact(tmp_path, trained, pooled):
     assert [int(row[0]) for row in rows] == oids.tolist()
     assert [int(row[1]) for row in rows] == labels.tolist()
     assert np.array([[float(c) for c in row[2:]] for row in rows]).tobytes() == feats.tobytes()
+
+
+@pytest.mark.parametrize("pooled", [False, True])
+def test_export_has_the_serial_bytes_on_forked_workers(tmp_path, trained, monkeypatch, pooled):
+    csv_path, ckpt = trained
+    monkeypatch.setattr(data, "_MIN_FORKED_CELLS", 1)  # the fixture's files are small
+    forks, fork = [], os.fork
+
+    def counted():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    written = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(data, "_WORKERS", workers)
+        out_file = tmp_path / f"emb{workers}.csv"
+        assert main(["export", "--checkpoint", str(ckpt), "--dataset", str(csv_path), "--out", str(out_file),
+                     *(["--pooled"] if pooled else []), *fast_args()]) == 0
+        with pytest.raises(ChildProcessError):  # every worker was reaped
+            os.waitpid(-1, os.WNOHANG)
+        written.append(out_file.read_bytes())
+    assert written[1] == written[0] and written[2] == written[0]
+    assert len(forks) == 1 + 2
 
 
 def test_eval_paired_runs_cip_beats_softmax(tmp_path):

@@ -1,6 +1,10 @@
 import dataclasses
 import io
+import itertools
 import json
+import os
+import signal
+import threading
 import warnings
 
 import numpy as np
@@ -277,6 +281,16 @@ def test_save_is_byte_deterministic(tmp_path):
     save_dataset(ds, p2)
     assert p1.read_bytes() == p2.read_bytes()
     assert p1.with_suffix(".rows").read_bytes() == p2.with_suffix(".rows").read_bytes()
+
+
+@pytest.mark.parametrize("suffix", [".json", ".rows"])
+def test_save_refuses_a_csv_path_that_names_its_own_sidecar_or_cache(tmp_path, suffix):
+    # the later files would overwrite the CSV, which must stay the source of truth
+    path = tmp_path / f"dataset{suffix}"
+    with pytest.raises(ValueError) as err:
+        save_dataset(generate(small_spec()), path)
+    assert str(err.value).startswith(f"{path}: ")
+    assert list(tmp_path.iterdir()) == []  # refused before anything was written
 
 
 def _load_both_ways(path, monkeypatch):
@@ -782,3 +796,178 @@ def test_a_saved_dataset_the_readers_refuse_gets_their_message_beside_its_cache(
         messages.append(str(err.value))
         path.with_suffix(".rows").unlink(missing_ok=True)
     assert messages == [f"{path}{message}"] * 2
+
+
+# ---------------------------------------------------------------------------
+# write_csv's forked workers: the bytes of the serial path, and no child left
+# ---------------------------------------------------------------------------
+
+# columns of _wide_dataset's CSV: 3 ids and 22 coordinates
+_WIDE_COLUMNS = 25
+
+
+def _wide_dataset(rows):
+    """A dataset of ``rows`` rows with floats of every decimal exponent form
+    (``1e-05``, ``1e+16``, plain digits), so the text of each chunk differs."""
+    rng = np.random.default_rng(rows)
+    ids = np.arange(1, rows + 1)
+    inputs = rng.standard_normal((rows, _WIDE_COLUMNS - 3)) * 10.0 ** rng.integers(-20, 20, (rows, 22))
+    return Dataset(inputs, 1 + ids % 3, ids, np.ones(rows, np.int64))
+
+
+def _threshold_rows():
+    rows, rest = divmod(data._MIN_FORKED_CELLS, _WIDE_COLUMNS)
+    assert rest == 0
+    return rows
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _counted_forks(monkeypatch):
+    """The list each ``os.fork`` call in this process appends to."""
+    forks, fork = [], os.fork
+
+    def counted():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def _saved_bytes(monkeypatch, path, dataset, workers):
+    """The CSV ``save_dataset`` writes with ``workers`` processes, once every
+    child has been reaped."""
+    monkeypatch.setattr(data, "_WORKERS", workers)
+    save_dataset(dataset, path)
+    _no_child_left()
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("offset, forks", [(-1, 0), (0, 1), (1, 1)], ids=["below", "at", "above"])
+def test_a_dataset_csv_has_the_serial_bytes_around_the_fork_threshold(tmp_path, monkeypatch, offset, forks):
+    dataset = _wide_dataset(_threshold_rows() + offset)
+    serial = _saved_bytes(monkeypatch, tmp_path / "serial.csv", dataset, 1)
+    forked = _counted_forks(monkeypatch)
+    assert _saved_bytes(monkeypatch, tmp_path / "forked.csv", dataset, 2) == serial
+    assert len(forked) == forks
+    rows_cache = (tmp_path / "serial.rows").read_bytes()
+    assert (tmp_path / "forked.rows").read_bytes() == rows_cache  # its key hashes the CSV's bytes
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_rows_that_split_unevenly_keep_the_serial_bytes(tmp_path, monkeypatch, workers):
+    dataset = _wide_dataset(_threshold_rows() + 3)  # chunks of 1001 and 1002, or 667, 668 and 668
+    serial = _saved_bytes(monkeypatch, tmp_path / "serial.csv", dataset, 1)
+    forked = _counted_forks(monkeypatch)
+    assert _saved_bytes(monkeypatch, tmp_path / "forked.csv", dataset, workers) == serial
+    assert len(forked) == workers - 1
+
+
+def test_a_one_row_file_is_written_by_the_caller_alone(tmp_path, monkeypatch):
+    monkeypatch.setattr(data, "_MIN_FORKED_CELLS", 1)
+    dataset = Dataset(np.array([[1e-05, -1e16, 0.1]]), [1], [7], [1])
+    serial = _saved_bytes(monkeypatch, tmp_path / "serial.csv", dataset, 1)
+    forked = _counted_forks(monkeypatch)
+    assert _saved_bytes(monkeypatch, tmp_path / "forked.csv", dataset, 2) == serial
+    assert serial.endswith(b"\n7,1,1,1e-05,-1e+16,0.1\n") and not forked
+
+
+def _failing_send(first_id, fail):
+    """A worker body that runs ``fail()`` for a chunk whose first object id
+    is at least ``first_id``, after writing 1 MiB of text, more than its
+    chunk holds, and sends every other chunk as ``write_csv`` does."""
+    send = data._send_chunk
+
+    def sometimes(rows, fd):
+        first = next(rows)
+        if first[0] >= first_id:
+            with open(fd, "wb", closefd=False) as out:
+                out.write(b"1,1,1,0.5\n" * ((1 << 20) // 10) + b"part")
+            fail()
+        send(itertools.chain([first], rows), fd)
+
+    return sometimes
+
+
+def _raise():
+    raise RuntimeError("worker failed")
+
+
+def _killed():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+@pytest.mark.parametrize("first_id", [1, 1337], ids=["every_worker", "the_last_worker"])
+@pytest.mark.parametrize("fail", [_raise, _killed], ids=["raises", "killed"])
+def test_a_failed_workers_chunk_is_formatted_again_by_the_caller(tmp_path, monkeypatch, first_id, fail):
+    dataset = _wide_dataset(_threshold_rows() + 3)  # the third chunk starts at object id 1337
+    serial = _saved_bytes(monkeypatch, tmp_path / "serial.csv", dataset, 1)
+    monkeypatch.setattr(data, "_send_chunk", _failing_send(first_id, fail))
+    forked = _counted_forks(monkeypatch)
+    assert _saved_bytes(monkeypatch, tmp_path / "forked.csv", dataset, 3) == serial
+    assert len(forked) == 2
+
+
+class _Unprintable:
+    def __str__(self):
+        raise LookupError("a cell with no text")
+
+
+@pytest.mark.parametrize("bad_row", [5, -5], ids=["callers_chunk", "workers_chunk"])
+def test_a_cell_that_fails_raises_the_serial_error_and_leaves_no_child(tmp_path, monkeypatch, bad_row):
+    count = data._MIN_FORKED_CELLS  # two columns: twice the threshold
+    bad_row %= count
+
+    def between(lo, hi):
+        return ([i, _Unprintable() if i == bad_row else i / 7] for i in range(lo, hi))
+
+    errors = []
+    for workers in (1, 2, 3):  # with 3, each worker's text fills its pipe and blocks until reaped
+        monkeypatch.setattr(data, "_WORKERS", workers)
+        with pytest.raises(LookupError) as err:
+            data.write_csv(tmp_path / "cells.csv", ["i", "x"], data.RowSource(count, between))
+        _no_child_left()
+        errors.append(err.value.args)
+    assert errors == [("a cell with no text",)] * 3
+
+
+def test_no_fork_while_another_thread_is_alive(tmp_path, monkeypatch):
+    dataset = _wide_dataset(_threshold_rows() + 3)
+    serial = _saved_bytes(monkeypatch, tmp_path / "serial.csv", dataset, 1)
+
+    def refuse():
+        raise AssertionError("forked beside a live thread")
+
+    monkeypatch.setattr(os, "fork", refuse)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        assert _saved_bytes(monkeypatch, tmp_path / "forked.csv", dataset, 2) == serial
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+def _no_fork(monkeypatch):
+    monkeypatch.delattr(os, "fork")
+
+
+def _fork_refused(monkeypatch):
+    def refuse():
+        raise BlockingIOError("no process to spare")
+
+    monkeypatch.setattr(os, "fork", refuse)
+
+
+@pytest.mark.parametrize("take_fork", [_no_fork, _fork_refused], ids=["no_os_fork", "fork_fails"])
+def test_without_a_fork_the_caller_writes_the_serial_bytes(tmp_path, monkeypatch, take_fork):
+    dataset = _wide_dataset(_threshold_rows() + 3)
+    serial = _saved_bytes(monkeypatch, tmp_path / "serial.csv", dataset, 1)
+    take_fork(monkeypatch)
+    assert _saved_bytes(monkeypatch, tmp_path / "forked.csv", dataset, 3) == serial

@@ -506,6 +506,30 @@ def test_an_exception_in_a_block_reaches_the_caller_after_every_join(monkeypatch
             assert info.value.args == (size,)
 
 
+def test_no_thread_outlives_a_call_past_the_thread_threshold(monkeypatch):
+    # data.write_csv forks only while no other thread is alive, so every
+    # thread these calls start must be joined when they return or raise
+    rows = _BLOCK_ROWS * (retrieval._MIN_SHARED_BLOCKS - 1) + 1
+    descs, labels = _random_descriptors(rows, 18)
+    monkeypatch.setattr(retrieval, "_WORKERS", 2)
+    monkeypatch.setattr(retrieval.threading, "Thread", _CountedThread)
+    _CountedThread.started = 0
+    before = threading.active_count()
+    run = rank(descs, labels)
+    assert threading.active_count() == before
+    evaluate_run(run)
+    assert threading.active_count() == before
+
+    def body(lo, hi):
+        if lo:
+            raise _BlockFault(lo)
+
+    with pytest.raises(_BlockFault):
+        retrieval._share_blocks(rows, body)
+    assert threading.active_count() == before
+    assert _CountedThread.started == 3  # one thread in each call
+
+
 # ---------------------------------------------------------------------------
 # metric examples
 # ---------------------------------------------------------------------------
