@@ -469,9 +469,13 @@ def load_dataset(csv_path) -> Dataset:
     Any other file, and any such body that reader refuses or reads as
     non-finite, goes through ``_read_lines``, which decides every error.  All
     three give the same arrays, so what is accepted does not depend on the
-    path taken.  Nothing here writes a cache.
+    path taken.  Nothing here writes a cache.  A ``csv_path`` that is its own
+    sidecar path (a ``.json`` suffix) is refused before anything is read.
     """
     csv_path = Path(csv_path)
+    sidecar_file = _sidecar_path(csv_path)
+    if csv_path == sidecar_file:
+        raise ValueError(f"{csv_path}: a dataset CSV cannot end in .json, which names its sidecar")
     raw = csv_path.read_bytes()
     parsed = _read_cached(csv_path, raw)
     if parsed is None:
@@ -483,7 +487,6 @@ def load_dataset(csv_path) -> Dataset:
         dataset = Dataset(inputs, *columns)
     except ValueError as e:
         raise ValueError(f"{csv_path}: {e}") from None
-    sidecar_file = _sidecar_path(csv_path)
     if sidecar_file.exists():
         try:
             dataset.split, dataset.spec = _read_sidecar(sidecar_file, dim)

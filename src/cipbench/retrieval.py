@@ -18,8 +18,10 @@ blocks on one thread per CPU the process may use.  Each block writes only
 its own rows, so the outputs have the same bits on any thread count, and
 neither function holds more than O(threads x block x queries) values
 beside the (queries x gallery) rankings and relevance.
-``rank`` sorts each block once, in place, as packed (distance, index) keys,
-and re-sorts only the runs of keys that share a distance prefix.
+``rank`` sorts each block once, in place, as float64 keys that pack a
+distance with its index, and re-sorts only the runs of keys that share a
+distance prefix; a query's own key is +inf, and exact ties, negative ones
+too, end in ascending index order.
 ``evaluate_run`` reads each block once, for the flat indices of its
 relevant items, and scores it from those alone.
 """
@@ -62,7 +64,6 @@ __all__ = [
 _BLOCK_ROWS = 64
 # query rows that ``evaluate_run`` scores at a time
 _SCORE_ROWS = 128
-_SIGN_BIT = np.uint64(1 << 63)
 # threads that share one call's blocks: one per CPU this process may use
 _WORKERS = CPUS
 # a call with fewer 64-row blocks (at most 1472 query rows) runs on the
@@ -188,24 +189,27 @@ def rank(descriptors: np.ndarray, labels: np.ndarray) -> RetrievalRun:
     recorded in ``excluded``.
 
     Queries go in blocks of ``_BLOCK_ROWS`` rows, and each block is sorted
-    once, in place, as packed ``uint64`` keys.  A key holds a distance's
-    bits made order-preserving (a negative distance has every bit flipped,
-    any other only its sign bit), with the low ``(Q - 1).bit_length()`` bits
-    replaced by the gallery column.  The sorted keys' low bits are the
-    block's order, with exact ties in ascending column order.  Neighbours
-    that share a key's distance prefix but not the distance can be out of
-    order, so only the positions in runs of shared prefixes are re-sorted,
-    by (run number, distance), with a stable sort.  A query's own column, at
-    distance inf, sorts last and is dropped only when the outputs are
-    written.  Blocks run on ``_share_blocks``' threads, each with its own
-    key buffers, so beside the two (Q, Q - 1) outputs the working set is
-    O(threads x block x Q).
+    once, in place, as float64 keys.  A key is a distance's bits with the
+    low ``(Q - 1).bit_length()`` bits replaced by the gallery column, and a
+    query's own key is +inf, so it sorts last and is dropped only when the
+    outputs are written.  The sorted keys' low bits are the block's order.
+    Keys with different distance prefixes sort as their distances do, and
+    so do a non-negative prefix's keys, in ascending column order on exact
+    ties (a zero distance gives a subnormal key, which numpy compares
+    exactly); a negative prefix's keys come out in descending column order.
+    So only the positions in runs of keys that share a prefix are re-sorted,
+    by (run number, distance, index): equal distances end in ascending index
+    order whichever way they came.  Blocks run on ``_share_blocks``'
+    threads, each with its own key buffers, so beside the two (Q, Q - 1)
+    outputs the working set is O(threads x block x Q).
 
     The keys order the distances as ``<`` does because
     ``np.subtract(1.0, x)`` never yields -0.0 (which would sort apart from
-    0.0), the descriptors are finite (so no distance is NaN), and the inf
-    diagonal's prefix, all exponent bits set, differs from every finite
-    distance's.
+    0.0), the descriptors are finite (so no key is NaN), and a row's keys
+    are distinct (so the order does not depend on the sort algorithm or on
+    numpy's CPU dispatch).  The +inf self key is set after packing: an inf
+    with column bits would be a NaN, whose bits numpy's SIMD sort does not
+    keep.
     """
     descriptors = np.asarray(descriptors, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -235,18 +239,16 @@ def rank(descriptors: np.ndarray, labels: np.ndarray) -> RetrievalRun:
         rows = hi - lo
         dist = unit[lo:hi] @ unit.T
         np.subtract(1.0, dist, out=dist)
-        np.fill_diagonal(dist[:, lo:], np.inf)  # each query sorts itself last, then drops it
-        # order-preserving bits: flip every bit of a negative distance and
-        # only the sign bit of the rest
+        # a distance's bits with its column in the low bits, sorted as a float
         key = keys[:rows]
-        np.right_shift(dist.view(np.int64), 63, out=key.view(np.int64))
-        np.bitwise_or(key, _SIGN_BIT, out=key)
-        np.bitwise_xor(key, dist.view(np.uint64), out=key)
-        np.bitwise_and(key, ~mask, out=key)
+        np.bitwise_and(dist.view(np.uint64), ~mask, out=key)
         np.bitwise_or(key, columns, out=key)
-        key.sort(axis=1)
-        # neighbours that share the distance prefix are in index order, which
-        # is their distance order only if their distances are equal
+        # each query's own key, +inf, sorts last and is dropped
+        np.fill_diagonal(key.view(np.float64)[:, lo:], np.inf)
+        key.view(np.float64).sort(axis=1)
+        # neighbours that share the distance prefix are in index order
+        # (descending when negative), which is their distance order only if
+        # their distances are equal
         step = steps[:rows]
         np.bitwise_xor(key[:, 1:], key[:, :-1], out=step)
         np.bitwise_and(key, mask, out=key)
@@ -261,8 +263,8 @@ def rank(descriptors: np.ndarray, labels: np.ndarray) -> RetrievalRun:
             run = np.cumsum(~follows.ravel()[at])
             flat = full.ravel()
             index = flat[at]
-            # a stable sort: equal distances keep their ascending index order
-            by = np.lexsort((dist.ravel()[at - at % q + index], run))
+            # equal distances end in ascending index order, whichever way they came
+            by = np.lexsort((index, dist.ravel()[at - at % q + index], run))
             flat[at] = index[by]
         # the labels reuse the distances' buffer once the runs are repaired
         ranked_labels = dist.view(kept_labels.dtype)

@@ -237,6 +237,16 @@ def test_train_non_utf8_csv_names_the_file(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_train_on_a_csv_named_like_its_sidecar_exits_2(tmp_path, capsys):
+    csv_path = tmp_path / "d.json"
+    shutil.copyfile(run_generate(tmp_path), csv_path)
+    out = tmp_path / "run"
+    assert main(["train", "--dataset", str(csv_path), "--out", str(out), *fast_args()]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {csv_path}: a dataset CSV cannot end in .json, which names its sidecar\n")
+    assert not out.exists()
+
+
 def test_train_cluster_only_divergence_exits_2(tmp_path, capsys):
     # cluster-only on the standard benchmark trips the divergence detector
     out_d = tmp_path / "bench"

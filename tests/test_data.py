@@ -3,6 +3,7 @@ import io
 import itertools
 import json
 import os
+import shutil
 import signal
 import threading
 import warnings
@@ -291,6 +292,22 @@ def test_save_refuses_a_csv_path_that_names_its_own_sidecar_or_cache(tmp_path, s
         save_dataset(generate(small_spec()), path)
     assert str(err.value).startswith(f"{path}: ")
     assert list(tmp_path.iterdir()) == []  # refused before anything was written
+
+
+def test_load_refuses_a_csv_path_that_names_its_own_sidecar(tmp_path):
+    # a .json CSV is its own sidecar path, so its text would be read as the
+    # sidecar; a CSV named *.rows is its own cache path, which only misses
+    ds = generate(small_spec())
+    save_dataset(ds, tmp_path / "dataset.csv")
+    path = tmp_path / "d.json"
+    shutil.copyfile(tmp_path / "dataset.csv", path)
+    with pytest.raises(ValueError) as err:
+        load_dataset(path)
+    assert str(err.value) == f"{path}: a dataset CSV cannot end in .json, which names its sidecar"
+    path.unlink()  # it would be the sidecar of d.rows
+    rows_named = tmp_path / "d.rows"
+    shutil.copyfile(tmp_path / "dataset.csv", rows_named)
+    assert load_dataset(rows_named).inputs.tobytes() == ds.inputs.tobytes()
 
 
 def _load_both_ways(path, monkeypatch):
