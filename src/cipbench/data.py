@@ -6,9 +6,10 @@ view noise.  The on-disk format is a single CSV (one row per view) plus a
 JSON sidecar holding the generating spec and the object-level train/test
 split, so files stay diffable and plottable with external tools.  A binary
 copy of the CSV's rows, keyed to its bytes, lets a later load skip the
-text parse; the CSV stays the source of truth.  ``write_csv``, the one CSV
-writer, formats a large file on one forked worker per CPU, with the bytes
-one process would write.
+text parse; the CSV stays the source of truth.  A CSV without a matching
+copy is parsed line by line, by the one reader that decides every error
+and names its line.  ``write_csv``, the one CSV writer, formats a large
+file on one forked worker per CPU, with the bytes one process would write.
 """
 
 from __future__ import annotations
@@ -19,9 +20,7 @@ import io
 import itertools
 import json
 import os
-import re
 import threading
-import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, get_type_hints
@@ -151,12 +150,17 @@ class Dataset:
 
     def check_trainable(self, name: str) -> None:
         """Raise a ``ValueError`` that starts with ``name`` unless some row
-        lies outside ``test_mask`` (training uses those rows) and there are
-        at least 2 classes (the centerline bank needs them)."""
+        lies outside ``test_mask`` (training uses those rows), there are at
+        least 2 classes (the centerline bank needs them) and every input is
+        finite (a NaN or Inf input is a data error, not a divergence); the
+        message of the last names the first bad row, counted from 0."""
         if self.test_mask().all():
             raise ValueError(f"{name}: no training rows")
         if self.num_classes < 2:
             raise ValueError(f"{name}: a centerline bank needs at least 2 classes, got {self.num_classes}")
+        finite = np.isfinite(self.inputs)
+        if not finite.all():
+            raise ValueError(f"{name}: input row {int(np.argmin(finite.all(axis=1)))} is not finite")
 
     def check_scorable(self, name: str) -> None:
         """Raise a ``ValueError`` that starts with ``name`` unless some class
@@ -463,14 +467,12 @@ def load_dataset(csv_path) -> Dataset:
     """Parse a view CSV (+ sidecar if present); errors carry line numbers.
 
     When the rows cache ``save_dataset`` wrote beside the CSV matches the
-    CSV's bytes, ``_read_cached`` takes the rows from it.  Otherwise a body of
-    plain digits, signs, ``.``, ``e``/``E``, commas and ``\\n`` (every file
-    ``save_dataset`` writes) is parsed by numpy's C reader, ``_read_plain``.
-    Any other file, and any such body that reader refuses or reads as
-    non-finite, goes through ``_read_lines``, which decides every error.  All
-    three give the same arrays, so what is accepted does not depend on the
-    path taken.  Nothing here writes a cache.  A ``csv_path`` that is its own
-    sidecar path (a ``.json`` suffix) is refused before anything is read.
+    CSV's bytes, ``_read_cached`` takes the rows from it.  Every other file,
+    and any cache whose rows hold a non-finite coordinate, goes through
+    ``_read_lines``, which decides every error.  Both give the same arrays,
+    so what is accepted does not depend on the path taken.  Nothing here
+    writes a cache.  A ``csv_path`` that is its own sidecar path (a ``.json``
+    suffix) is refused before anything is read.
     """
     csv_path = Path(csv_path)
     sidecar_file = _sidecar_path(csv_path)
@@ -478,8 +480,6 @@ def load_dataset(csv_path) -> Dataset:
         raise ValueError(f"{csv_path}: a dataset CSV cannot end in .json, which names its sidecar")
     raw = csv_path.read_bytes()
     parsed = _read_cached(csv_path, raw)
-    if parsed is None:
-        parsed = _read_plain(raw)
     if parsed is None:
         parsed = _read_lines(csv_path, raw)
     dim, inputs, *columns = parsed
@@ -494,12 +494,6 @@ def load_dataset(csv_path) -> Dataset:
         except (ValueError, RecursionError) as e:  # RecursionError: JSON nested too deeply
             raise ValueError(f"{sidecar_file}: {e}") from None
     return dataset
-
-
-# the bytes of a body in the form ``save_dataset`` writes; numpy's C reader
-# and Python's int()/float() agree on every field made of them
-_PLAIN_BYTES = b"0123456789.,-+eE\n"
-_ROW_BYTE = re.compile(rb"[^\n]")
 
 
 def _read_cached(csv_path: Path, raw: bytes):
@@ -528,47 +522,18 @@ def _read_cached(csv_path: Path, raw: bytes):
     start, count = fh.tell(), shape[0] if len(shape) == 1 else 0
     if not count or dim < 1 or dtype != _rows_dtype(dim) or len(blob) - start != count * dtype.itemsize:
         return None
-    # the rows stay in blob's bytes: _columns copies them out
-    return _columns(np.frombuffer(blob, dtype, count, start))
-
-
-def _read_plain(raw: bytes):
-    """``(dim, inputs, labels, object_ids, view_index)`` from numpy's C reader,
-    or None when the header is not exactly ``save_dataset``'s, the body holds
-    a byte outside ``_PLAIN_BYTES`` or no row, or the reader raises, warns or
-    reads a non-finite coordinate.  The body streams from ``raw``, so no
-    decoded copy of the file is held."""
-    end = raw.find(b"\n")
-    header = raw[:end]
-    dim = header.count(b",") - 2
-    expected = b",".join([b"object_id", b"label", b"view_index", *(b"x%d" % i for i in range(dim))])
-    if end < 0 or dim < 1 or header != expected:
-        return None
-    # with a plain body, deleting the plain bytes leaves the header's letters
-    # alone; a body of nothing but "\n" holds no row
-    if (raw.translate(None, _PLAIN_BYTES) != header.translate(None, _PLAIN_BYTES)
-            or not _ROW_BYTE.search(raw, end)):
-        return None
-    try:
-        # any refusal, a warning included (some numpy versions warn, then
-        # truncate, an id like "1.0"), leaves the verdict to the line loop
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            rows = np.loadtxt(io.TextIOWrapper(io.BytesIO(raw), encoding="ascii"), dtype=_rows_dtype(dim),
-                              delimiter=",", comments=None, skiprows=1, ndmin=1)
-    except Exception:
-        return None
-    return _columns(rows)
-
-
-def _columns(rows: np.ndarray):
-    """``(dim, inputs, labels, object_ids, view_index)`` from an array of
-    ``_rows_dtype`` rows, or None when a coordinate is not finite."""
+    rows = np.frombuffer(blob, dtype, count, start)  # still blob's bytes: copied out below
     inputs = rows["x"].copy()
     if not np.isfinite(inputs).all():
         return None
     ids = rows["ids"].T.copy()  # one contiguous row per id column
-    return inputs.shape[1], inputs, ids[1], ids[0], ids[2]
+    return dim, inputs, ids[1], ids[0], ids[2]
+
+
+def _line_of_row(lines: list[str], row: int) -> int:
+    """The line number of data row ``row`` (0-based) of a CSV split into
+    ``lines``: the header is line 1, and a blank line holds no row."""
+    return [n for n, line in enumerate(lines[1:], start=2) if line.strip()][row]
 
 
 def _read_lines(csv_path: Path, raw: bytes):
@@ -611,14 +576,13 @@ def _read_lines(csv_path: Path, raw: bytes):
     try:
         columns = [np.array(c, dtype=np.int64) for c in (labels, oids, vids)]
     except OverflowError:
-        rows = [n for n, line in enumerate(lines[1:], start=2) if line.strip()]
         wide = [not all(-2**63 <= v < 2**63 for v in ids) for ids in zip(oids, labels, vids)]
-        raise ValueError(f"{csv_path}:{rows[wide.index(True)]}: integer out of the int64 range") from None
+        lineno = _line_of_row(lines, wide.index(True))
+        raise ValueError(f"{csv_path}:{lineno}: integer out of the int64 range") from None
     inputs = np.array(inputs)
     finite = np.isfinite(inputs).all(axis=1)
     if not finite.all():
-        rows = [n for n, line in enumerate(lines[1:], start=2) if line.strip()]
-        raise ValueError(f"{csv_path}:{rows[int(np.argmin(finite))]}: non-finite coordinate")
+        raise ValueError(f"{csv_path}:{_line_of_row(lines, int(np.argmin(finite)))}: non-finite coordinate")
 
     return dim, inputs, *columns
 

@@ -6,7 +6,6 @@ import os
 import shutil
 import signal
 import threading
-import warnings
 
 import numpy as np
 import pytest
@@ -310,13 +309,13 @@ def test_load_refuses_a_csv_path_that_names_its_own_sidecar(tmp_path):
     assert load_dataset(rows_named).inputs.tobytes() == ds.inputs.tobytes()
 
 
-def _load_both_ways(path, monkeypatch):
-    """``load_dataset(path)`` for a malformed file: it raises, and raises the
-    same message again with the line loop alone, numpy's C reader switched
-    off."""
+def _load_both_ways(path):
+    """``load_dataset(path)`` for a malformed file: it raises beside the
+    stale rows cache its CSV was saved with, if any, and raises the same
+    message again once that cache is deleted."""
     with pytest.raises(ValueError) as first:
         load_dataset(path)
-    monkeypatch.setattr(data, "_read_plain", lambda *a: None)
+    path.with_suffix(".rows").unlink(missing_ok=True)
     try:
         load_dataset(path)
     except ValueError as e:
@@ -324,7 +323,7 @@ def _load_both_ways(path, monkeypatch):
         raise
 
 
-def test_truncated_row_reports_line_number(tmp_path, monkeypatch):
+def test_truncated_row_reports_line_number(tmp_path):
     ds = generate(small_spec())
     path = tmp_path / "dataset.csv"
     save_dataset(ds, path)
@@ -332,10 +331,10 @@ def test_truncated_row_reports_line_number(tmp_path, monkeypatch):
     lines[3] = lines[3].rsplit(",", 2)[0]  # drop two fields from row 3
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=r":4: expected"):
-        _load_both_ways(path, monkeypatch)
+        _load_both_ways(path)
 
 
-def test_malformed_value_reports_line_number(tmp_path, monkeypatch):
+def test_malformed_value_reports_line_number(tmp_path):
     ds = generate(small_spec())
     path = tmp_path / "dataset.csv"
     save_dataset(ds, path)
@@ -345,30 +344,30 @@ def test_malformed_value_reports_line_number(tmp_path, monkeypatch):
     text[2] = ",".join(parts)
     path.write_text("\n".join(text) + "\n")
     with pytest.raises(ValueError, match=r":3: malformed"):
-        _load_both_ways(path, monkeypatch)
+        _load_both_ways(path)
 
 
-def test_header_only_file_rejected(tmp_path, monkeypatch):
+def test_header_only_file_rejected(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("object_id,label,view_index,x0,x1\n")
     with pytest.raises(ValueError, match="header-only"):
-        _load_both_ways(path, monkeypatch)
+        _load_both_ways(path)
 
 
 @pytest.mark.parametrize("body", ["\n\n", "\n \n"], ids=["blank lines", "a space"])
-def test_a_header_over_blank_lines_alone_is_header_only(tmp_path, monkeypatch, body):
+def test_a_header_over_blank_lines_alone_is_header_only(tmp_path, body):
     path = tmp_path / "empty.csv"
     path.write_text("object_id,label,view_index,x0\n" + body)
     with pytest.raises(ValueError) as err:
-        _load_both_ways(path, monkeypatch)
+        _load_both_ways(path)
     assert str(err.value) == f"{path}: header-only file, dataset is empty"
 
 
-def test_bad_header_rejected(tmp_path, monkeypatch):
+def test_bad_header_rejected(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,c,x0\n1,1,1,0.0\n")
     with pytest.raises(ValueError, match=":1: bad header"):
-        _load_both_ways(path, monkeypatch)
+        _load_both_ways(path)
 
 
 def test_sidecar_dim_mismatch_rejected(tmp_path):
@@ -426,7 +425,7 @@ def test_inconsistent_labels_name_the_smallest_object():
         )
 
 
-def test_csv_row_errors_name_the_file(tmp_path, monkeypatch):
+def test_csv_row_errors_name_the_file(tmp_path):
     path = tmp_path / "dataset.csv"
     save_dataset(generate(small_spec()), path)
     lines = path.read_text().splitlines()
@@ -435,7 +434,7 @@ def test_csv_row_errors_name_the_file(tmp_path, monkeypatch):
         lines[i] = ",".join([oid, "3" if label == "1" else label, rest])
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError) as err:
-        _load_both_ways(path, monkeypatch)
+        _load_both_ways(path)
     assert str(err.value) == f"{path}: labels must be contiguous in [1, K], got [2, 3]"
 
 
@@ -447,7 +446,7 @@ def test_split_map_must_cover_every_object():
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-def test_non_finite_value_reports_line_number(tmp_path, monkeypatch, value):
+def test_non_finite_value_reports_line_number(tmp_path, value):
     ds = generate(small_spec())
     path = tmp_path / "dataset.csv"
     save_dataset(ds, path)
@@ -457,12 +456,12 @@ def test_non_finite_value_reports_line_number(tmp_path, monkeypatch, value):
     text[4] = ",".join(parts)
     path.write_text("\n".join(text) + "\n")
     with pytest.raises(ValueError, match=r":5: non-finite"):
-        _load_both_ways(path, monkeypatch)
+        _load_both_ways(path)
 
 
 # ---------------------------------------------------------------------------
-# the two CSV readers: numpy's C reader for plain bodies, the line loop for
-# every other file and every error
+# the line loop: the reader of every CSV without a matching rows cache, and
+# of every error
 # ---------------------------------------------------------------------------
 
 
@@ -491,8 +490,8 @@ def _comma_after_every_row(lines):
     lines[1:] = [line + "," for line in lines[1:]]
 
 
-# malformed files not covered by the tests above, mostly made of the plain
-# bytes, so numpy's C reader sees them before the line loop does
+# malformed files not covered by the tests above, each an edit of a saved
+# CSV, so its rows cache no longer matches
 MALFORMED = {
     "plain malformed value": (_cell(2, 3, "1e"),
                               ":3: malformed value (could not convert string to float: '1e')"),
@@ -510,7 +509,7 @@ MALFORMED = {
 
 
 @pytest.mark.parametrize("case", MALFORMED)
-def test_malformed_csv_gets_the_same_message_on_both_paths(tmp_path, monkeypatch, case):
+def test_malformed_csv_gets_the_same_message_on_both_paths(tmp_path, case):
     edit, message = MALFORMED[case]
     path = tmp_path / "dataset.csv"
     save_dataset(split(generate(small_spec()), 0.5, seed=5), path)
@@ -518,13 +517,13 @@ def test_malformed_csv_gets_the_same_message_on_both_paths(tmp_path, monkeypatch
     edit(lines)
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError) as err:
-        _load_both_ways(path, monkeypatch)
+        _load_both_ways(path)
     assert str(err.value) == f"{path}{message}"
 
 
-# fields made only of the plain bytes, where numpy's C reader and Python's
-# int()/float() could disagree: signs, leading zeros, bare dots and
-# exponents, floats as ids, subnormals, the int64 edges, long digit runs
+# fields where Python's int()/float() verdict is easy to get wrong: signs,
+# leading zeros, bare dots and exponents, floats as ids, subnormals, the
+# int64 edges, long digit runs
 EDGE_FIELDS = [
     "+1", "007", "-0", "1.0", "1e3", "1.", "1E5", ".5", "5.", "+.5", "-.5e-3", "1e", "e5", "E5", "1e+",
     ".e1", "1.5e+", "1e5e5", "1..2", "-", "+", "", ".", "-.", "+-1", "--1", "1-", "0e0", "+0.0", "-0.0",
@@ -537,21 +536,23 @@ EDGE_FIELDS = [
 
 @pytest.mark.parametrize("field", EDGE_FIELDS)
 def test_both_readers_accept_and_read_each_plain_field_alike(tmp_path, field):
-    # the C reader accepts a field exactly where the loop does, with the same bits
+    # the line loop refuses a field with a message naming its line, or reads
+    # it to values that, saved again, both readers give back with the same bits
     header = "object_id,label,view_index,x0,x1\n"
     for row in (f"{field},1,1,0.5,0.5", f"1,1,1,0.5,{field}"):
-        path = tmp_path / "dataset.csv"
+        path, saved = tmp_path / "edited.csv", tmp_path / "dataset.csv"
         path.write_text(header + "1,1,1,0.25,2.0\n" + row + "\n")
-        raw = path.read_bytes()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            plain = data._read_plain(raw)
-        kind, loop = _outcome(lambda: data._read_lines(path, raw))
-        assert (plain is not None) == (kind == "ok"), row
-        if plain is not None:
-            assert plain[0] == loop[0] == 2
-            for a, b in zip(plain[1:], loop[1:]):
-                assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), row
+        kind, loaded = _outcome(lambda: load_dataset(path))
+        if kind == "error":
+            assert loaded.startswith(f"{path}:3: "), row
+            continue
+        save_dataset(loaded, saved)
+        raw = saved.read_bytes()
+        cached, loop = data._read_cached(saved, raw), data._read_lines(saved, raw)
+        assert cached[0] == loop[0] == 2
+        expected = (loaded.inputs, loaded.labels, loaded.object_ids, loaded.view_index)
+        for a, b, c in zip(cached[1:], loop[1:], expected):
+            assert a.dtype == b.dtype == c.dtype and a.tobytes() == b.tobytes() == c.tobytes(), row
 
 
 def test_random_doubles_read_back_alike_on_both_paths(tmp_path):
@@ -567,12 +568,13 @@ def test_random_doubles_read_back_alike_on_both_paths(tmp_path):
     path = tmp_path / "dataset.csv"
     save_dataset(Dataset(inputs, 1 + ids % 4, ids, np.ones(400, np.int64)), path)
     raw = path.read_bytes()
-    plain = data._read_plain(raw)
-    assert plain is not None
+    cached = data._read_cached(path, raw)
+    assert cached is not None
     loop = data._read_lines(path, raw)
-    assert plain[1].tobytes() == loop[1].tobytes() == inputs.tobytes()
-    for a, b in zip(plain[2:], loop[2:]):
-        assert a.tobytes() == b.tobytes()
+    assert cached[0] == loop[0] == 25
+    assert cached[1].tobytes() == loop[1].tobytes() == inputs.tobytes()
+    for a, b in zip(cached[2:], loop[2:]):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 _PIN_HEADER = "object_id,label,view_index,x0,x1\n"
@@ -602,6 +604,11 @@ PINNED = {
     "trailing comma": (_pin_row(2, _PIN_ROWS[2] + ",").encode(), ":4: expected 5 fields, got 6"),
     "extra field": (_pin_row(2, _PIN_ROWS[2] + ",7").encode(), ":4: expected 5 fields, got 6"),
     "1e999": (_pin_row(2, "2,2,1,1e999,4.0").encode(), ":4: non-finite coordinate"),
+    # a blank line holds no row, but counts as a line in the message
+    "blank lines, then 1e999": (_pin_file(["", _PIN_ROWS[0], "", _PIN_ROWS[1], "2,2,1,1e999,4.0"]).encode(),
+                                ":6: non-finite coordinate"),
+    "blank lines, then 2^63": (_pin_file(["", _PIN_ROWS[0], "", _PIN_ROWS[1], f"2,2,{2**63},0.5,4.0"]).encode(),
+                               ":6: integer out of the int64 range"),
 }
 
 
@@ -631,46 +638,23 @@ SAVED = {
 
 
 @pytest.mark.parametrize("dataset", SAVED.values(), ids=SAVED.keys())
-def test_a_saved_dataset_never_reaches_the_line_loop(tmp_path, monkeypatch, dataset):
-    # without this, a silent fall back to the slow path would show only in timings
+def test_a_saved_dataset_without_its_cache_reads_back_through_the_line_loop(tmp_path, monkeypatch,
+                                                                              dataset):
     path = tmp_path / "dataset.csv"
     save_dataset(dataset, path)
-    path.with_suffix(".rows").unlink()  # the subject is the C reader
+    path.with_suffix(".rows").unlink()
+    calls, read_lines = [], data._read_lines
 
-    def refuse(*args):
-        raise AssertionError("the line loop read a file save_dataset wrote")
+    def counted(*args):
+        calls.append(1)
+        return read_lines(*args)
 
-    monkeypatch.setattr(data, "_read_lines", refuse)
-    loaded = load_dataset(path)
-    for name in ("inputs", "labels", "object_ids", "view_index"):
-        assert getattr(loaded, name).tobytes() == getattr(dataset, name).tobytes(), name
-    assert loaded.split == dataset.split and loaded.spec == dataset.spec
-
-
-@pytest.mark.parametrize("refusal", [
-    TypeError("the number of columns in `usecols` must match the effective number of fields"),
-    DeprecationWarning("loadtxt(): Parsing an integer via a float is deprecated"),
-], ids=["error", "warning"])
-def test_any_refusal_from_numpy_leaves_the_file_to_the_line_loop(tmp_path, monkeypatch, refusal):
-    # numpy versions differ in what they raise, and some warn and read on
-    path = tmp_path / "dataset.csv"
-    dataset = split(generate(small_spec()), 0.5, seed=5)
-    save_dataset(dataset, path)
-    path.with_suffix(".rows").unlink()  # the subject is the C reader's fall back
-    calls = []
-
-    def loadtxt(*args, dtype, **kwargs):
-        calls.append(dtype)
-        if isinstance(refusal, Warning):
-            warnings.warn(refusal)
-            return np.zeros(1, dtype)  # a wrong read, had the warning been let pass
-        raise refusal
-
-    monkeypatch.setattr(np, "loadtxt", loadtxt)
+    monkeypatch.setattr(data, "_read_lines", counted)
     loaded = load_dataset(path)
     assert len(calls) == 1
     for name in ("inputs", "labels", "object_ids", "view_index"):
         assert getattr(loaded, name).tobytes() == getattr(dataset, name).tobytes(), name
+    assert loaded.split == dataset.split and loaded.spec == dataset.spec
 
 
 # ---------------------------------------------------------------------------
@@ -692,7 +676,6 @@ def test_a_matching_rows_cache_reaches_neither_reader(tmp_path, monkeypatch, dat
     def refuse(*args):
         raise AssertionError("a CSV reader ran beside a matching rows cache")
 
-    monkeypatch.setattr(data, "_read_plain", refuse)
     monkeypatch.setattr(data, "_read_lines", refuse)
     loaded = load_dataset(path)
     _assert_same_arrays(loaded, dataset)

@@ -315,6 +315,18 @@ def test_train_eval_every_on_an_unscorable_dataset_fails_before_training(monkeyp
         train(ds, quick_config(eval_every=1))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_train_refuses_a_non_finite_input_as_a_data_error_not_a_divergence(monkeypatch, value):
+    ds = bench_dataset()
+    inputs = ds.inputs.copy()
+    inputs[[5, 9], 3] = value
+    ds = Dataset(inputs, ds.labels, ds.object_ids, ds.view_index)
+    monkeypatch.setattr("cipbench.trainer.iterate_batches", lambda *a: pytest.fail("trained"))
+    with pytest.raises(ValueError) as err:
+        train(ds, quick_config())
+    assert str(err.value) == "dataset: input row 5 is not finite"
+
+
 def test_train_uses_train_split_only():
     ds = split(bench_dataset(), 0.5, 0)
     res = train(ds, quick_config())

@@ -23,7 +23,10 @@ Exits 1 when any file differs.
 The commands are ``generate``, ``train``, ``eval``, ``export`` and
 ``export --pooled`` on one 96-objects-per-class dataset trained for two
 epochs, and ``sweep --lambdas 0.1,1,10 --ds 2,1 --set loss=cip`` on the
-defaults.  The demos are the ones in each tree's ``demos/`` directory.
+defaults.  ``eval-plain`` is ``eval`` on a copy of the generated CSV and
+sidecar in ``plain/``, made without the rows cache, so that one load goes
+through the CSV parser.  The demos are the ones in each tree's ``demos/``
+directory.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ import argparse
 import math
 import os
 import re
+import shutil
 import struct
 import subprocess
 import sys
@@ -39,11 +43,12 @@ import tempfile
 from pathlib import Path
 
 PIPELINE = ["--set", "seed=1", "--set", "objects_per_class=96", "--set", "epochs=2"]
-DATA, CKPT = "data/dataset.csv", "train/checkpoint.json"
+DATA, PLAIN, CKPT = "data/dataset.csv", "plain/dataset.csv", "train/checkpoint.json"
 COMMANDS = {
     "generate": ["generate", "--out", "data", *PIPELINE],
     "train": ["train", "--dataset", DATA, "--out", "train", *PIPELINE],
     "eval": ["eval", "--checkpoint", CKPT, "--dataset", DATA, "--out", "eval", *PIPELINE],
+    "eval-plain": ["eval", "--checkpoint", CKPT, "--dataset", PLAIN, "--out", "eval-plain", *PIPELINE],
     "export": ["export", "--checkpoint", CKPT, "--dataset", DATA,
                "--out", "export/embeddings.csv", *PIPELINE],
     "export-pooled": ["export", "--checkpoint", CKPT, "--dataset", DATA,
@@ -67,6 +72,11 @@ def run_tree(src: Path, work: Path) -> None:
     for out, argv in jobs:
         proc = subprocess.run(argv, cwd=work, env=env, capture_output=True, text=True)
         (work / out).write_text(f"{proc.stdout}--- stderr\n{proc.stderr}--- exit {proc.returncode}\n")
+        if out == "generate.out":  # the CSV and sidecar, without the rows cache
+            (work / "plain").mkdir()
+            for name in ("dataset.csv", "dataset.json"):
+                if (work / "data" / name).exists():
+                    shutil.copyfile(work / "data" / name, work / "plain" / name)
 
 
 def _number(token: str):
