@@ -101,7 +101,7 @@ def _outdir(args, cfg: RunConfig) -> Path:
 def _require_file(path_text: str, what: str) -> Path:
     path = Path(path_text)
     if not path.is_file():
-        raise ConfigError(f"{what} not found: {path}")
+        raise ConfigError(f"{what} {'is not a file' if path.exists() else 'not found'}: {path}")
     return path
 
 

@@ -9,25 +9,25 @@ copy of the CSV's rows, keyed to its bytes, lets a later load skip the
 text parse; the CSV stays the source of truth.  A CSV without a matching
 copy is parsed line by line, by the one reader that decides every error
 and names its line.  ``write_csv``, the one CSV writer, formats a large
-file on one forked worker per CPU, with the bytes one process would write.
+file on one forked worker per CPU, with the bytes one process would write;
+the forks and pipes are ``vectors.forked``'s, and only the CSV parts (the
+cut into row spans, the text each worker sends, the redo of a failed span)
+are here.
 """
 
 from __future__ import annotations
 
-import gc
 import hashlib
 import io
 import itertools
 import json
-import os
-import threading
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, get_type_hints
 
 import numpy as np
 
-from .vectors import CPUS, check_fields
+from .vectors import check_fields, fork_workers, forked
 
 __all__ = ["Dataset", "RowSource", "SyntheticSpec", "generate", "load_dataset", "save_dataset", "split",
            "write_csv"]
@@ -118,9 +118,13 @@ class Dataset:
         bad = {str(tag) for tag in self.split.values()} - {"train", "test"}
         if bad:
             raise ValueError(f"unknown split tags: {sorted(bad)}")
-        missing = set(self.object_ids.tolist()) - self.split.keys()
+        ids = set(self.object_ids.tolist())
+        missing = ids - self.split.keys()
         if missing:
             raise ValueError(f"split map has no tag for object ids {sorted(missing)}")
+        extra = next((o for o in self.split if o not in ids), None)
+        if extra is not None:
+            raise ValueError(f"split map tags object id {extra}, which has no row")
 
     @property
     def num_views(self) -> int:
@@ -307,8 +311,6 @@ class RowSource(NamedTuple):
 # made write_csv ~25 % slower at 17k-26k cells, gained nothing at 35k-43k
 # and cut it by ~40 % from 52k on)
 _MIN_FORKED_CELLS = 50_000
-# processes that share one large write: one per CPU this process may use
-_WORKERS = CPUS
 
 
 def _line(row) -> str:
@@ -323,12 +325,9 @@ def _open_text(file):
 
 def _spans(count: int, columns: int) -> list[tuple[int, int]]:
     """Contiguous ``(lo, hi)`` row spans, the caller's first and one per
-    worker after it: one span per CPU for a file of at least
-    ``_MIN_FORKED_CELLS`` cells when ``os.fork`` exists and no other Python
-    thread is alive (a fork copies only the calling thread), else one."""
-    shared = (count * columns >= _MIN_FORKED_CELLS and _WORKERS > 1 and hasattr(os, "fork")
-              and threading.active_count() == 1)
-    n = min(_WORKERS, count) if shared else 1
+    worker after it: one span per process ``vectors.fork_workers`` allows
+    for a file of at least ``_MIN_FORKED_CELLS`` cells, else one."""
+    n = min(fork_workers(), count) if count * columns >= _MIN_FORKED_CELLS else 1
     cuts = [count * i // n for i in range(n + 1)]
     return list(zip(cuts, cuts[1:]))
 
@@ -340,49 +339,6 @@ def _send_chunk(rows, fd: int) -> None:
         out.write("".join(map(_line, rows)))
 
 
-class _Worker:
-    """A forked process that writes the text of the rows of ``source`` in
-    ``span`` to a pipe; ``fd`` is the pipe's read end, and ``status`` is None
-    until reaped.  The rows are taken from ``source`` in the worker, so the
-    caller holds none of them."""
-
-    def __init__(self, source: RowSource, span: tuple[int, int], inherited):
-        read, write = os.pipe()
-        try:
-            self.pid = os.fork()
-        except BaseException:
-            os.close(read)
-            os.close(write)
-            raise
-        if self.pid == 0:  # the worker: it leaves only through os._exit
-            code = 1
-            try:
-                gc.disable()  # no collection, so no finalizer of the caller's objects runs here
-                for fd in (read, *inherited):
-                    os.close(fd)
-                _send_chunk(source.between(*span), write)
-                code = 0
-            finally:
-                os._exit(code)
-        os.close(write)
-        self.fd, self.status = read, None
-
-    def copy_to(self, out) -> bool:
-        """Copy the pipe into the binary stream ``out`` 1 MiB at a time until
-        the worker closes it; True when the worker then exits 0."""
-        while block := os.read(self.fd, 1 << 20):
-            out.write(block)
-        return self.reap() == 0
-
-    def reap(self) -> int:
-        """Close the pipe (a worker still writing then fails) and wait for the
-        worker; its wait status."""
-        if self.status is None:
-            os.close(self.fd)
-            self.status = os.waitpid(self.pid, 0)[1]
-        return self.status
-
-
 def write_csv(path, header, rows) -> None:
     """The package's one CSV writer: each cell is ``str()`` of a Python value
     (for a float, the shortest text that reads back with the same bits, as in
@@ -391,9 +347,10 @@ def write_csv(path, header, rows) -> None:
     ``rows`` is an iterable of rows (pass ``ndarray.tolist()`` rows), written
     by the caller alone, or a ``RowSource``.  A source's rows are cut into
     ``_spans``: for a large file, one contiguous chunk per CPU.  One worker
-    per chunk after the first is forked before the file is opened; it
-    formats its chunk whole and writes the encoded text to a pipe.  The
-    caller streams the first chunk row by row, then copies each worker's
+    per chunk after the first is forked (``vectors.forked``) before the file
+    is opened; it takes its chunk's rows from the source, formats them whole
+    and writes the encoded text to a pipe, so the caller holds none of them.
+    The caller streams the first chunk row by row, then copies each worker's
     pipe into the file in chunk order.  A chunk whose worker does not exit 0
     is cut off and formatted again by the caller, so the file gets exactly
     the serial path's bytes, or the caller raises exactly its exception.
@@ -401,13 +358,7 @@ def write_csv(path, header, rows) -> None:
     """
     source = rows if isinstance(rows, RowSource) else None
     spans = _spans(source.count, len(header)) if source else []
-    workers = []
-    try:
-        try:
-            for span in spans[1:]:
-                workers.append(_Worker(source, span, [w.fd for w in workers]))
-        except OSError:  # no process to spare: the caller formats the chunks left
-            pass
+    with forked(spans, lambda span, fd: _send_chunk(source.between(*span), fd)) as workers:
         with _open_text(path) as fh:
             fh.write(",".join(header) + "\n")
             for row in source.between(*spans[0]) if source else rows:
@@ -420,9 +371,6 @@ def write_csv(path, header, rows) -> None:
                     fh.buffer.truncate()
                     for row in source.between(lo, hi):
                         fh.write(_line(row))
-    finally:
-        for worker in workers:
-            worker.reap()
 
 
 def save_dataset(dataset: Dataset, csv_path) -> None:

@@ -14,10 +14,12 @@ citations):
 ``pool_descriptors`` sums every object's views with one ``np.bincount``
 (``losses.group_sums``); ``rank`` sorts 64 and ``evaluate_run`` scores 128
 query rows at a time.  A call with more than 1472 query rows runs its
-blocks on one thread per CPU the process may use.  Each block writes only
-its own rows, so the outputs have the same bits on any thread count, and
-neither function holds more than O(threads x block x queries) values
-beside the (queries x gallery) rankings and relevance.
+blocks on one thread per CPU the process may use, through
+``vectors.share_blocks``, which joins them before it returns (the package's
+one fan-out module forks only while no other thread is alive).  Each
+block writes only its own rows, so the outputs have the same bits on any
+thread count, and neither function holds more than O(threads x block x
+queries) values beside the (queries x gallery) rankings and relevance.
 ``rank`` sorts each block once, in place, as float64 keys that pack a
 distance with its index, and re-sorts only the runs of keys that share a
 distance prefix; a query's own key is +inf, and exact ties, negative ones
@@ -29,7 +31,6 @@ relevant items, and scores it from those alone.
 from __future__ import annotations
 
 import json
-import threading
 import warnings
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -38,7 +39,7 @@ import numpy as np
 
 from .data import write_csv
 from .losses import CenterlineBank, group_sums
-from .vectors import CPUS
+from .vectors import share_blocks
 
 __all__ = [
     "EvalSummary",
@@ -64,8 +65,6 @@ __all__ = [
 _BLOCK_ROWS = 64
 # query rows that ``evaluate_run`` scores at a time
 _SCORE_ROWS = 128
-# threads that share one call's blocks: one per CPU this process may use
-_WORKERS = CPUS
 # a call with fewer 64-row blocks (at most 1472 query rows) runs on the
 # calling thread alone, whatever its own block size: its numpy calls are too
 # short for a second thread to overlap them (on a 2-vCPU VM a second
@@ -74,51 +73,11 @@ _WORKERS = CPUS
 _MIN_SHARED_BLOCKS = 24
 
 
-def _share_blocks(rows: int, body, buffers=tuple, block_rows: int = _BLOCK_ROWS) -> None:
-    """Call ``body(lo, hi, *buffers())`` on every ``block_rows``-row block
-    of ``rows`` query rows.
-
-    When ``rows`` make at least ``_MIN_SHARED_BLOCKS`` blocks of
-    ``_BLOCK_ROWS`` rows, whatever ``block_rows`` is, the calling thread
-    and up to ``_WORKERS - 1`` threads started here take the blocks in
-    ascending order, one at a time; with fewer, the calling thread takes
-    them all.
-    Each thread calls ``buffers`` once, and every worker is joined before
-    this returns.  The first exception any block raises stops the hand-out
-    and is re-raised here.  ``body`` writes only its own block's rows, so
-    the outputs do not depend on which thread ran a block.
-    """
-    shared = -(-rows // _BLOCK_ROWS) >= _MIN_SHARED_BLOCKS
-    threads = min(_WORKERS, -(-rows // block_rows)) if shared else 1
-    starts = iter(range(0, rows, block_rows))
-    lock = threading.Lock()
-    errors = []
-
-    def share():
-        try:
-            scratch = buffers()
-            while True:
-                with lock:
-                    lo = None if errors else next(starts, None)
-                if lo is None:
-                    return
-                body(lo, min(lo + block_rows, rows), *scratch)
-        except BaseException as e:  # re-raised by the calling thread
-            with lock:
-                errors.append(e)
-
-    workers = []
-    try:
-        for _ in range(threads - 1):
-            worker = threading.Thread(target=share)
-            worker.start()
-            workers.append(worker)
-        share()
-    finally:
-        for worker in workers:
-            worker.join()
-    if errors:
-        raise errors[0]
+def _shared(rows: int) -> bool:
+    """Whether a call over ``rows`` query rows shares its blocks between
+    threads (``vectors.share_blocks``): from ``_MIN_SHARED_BLOCKS`` blocks
+    of ``_BLOCK_ROWS`` rows on."""
+    return -(-rows // _BLOCK_ROWS) >= _MIN_SHARED_BLOCKS
 
 
 @dataclass
@@ -199,7 +158,7 @@ def rank(descriptors: np.ndarray, labels: np.ndarray) -> RetrievalRun:
     exactly); a negative prefix's keys come out in descending column order.
     So only the positions in runs of keys that share a prefix are re-sorted,
     by (run number, distance, index): equal distances end in ascending index
-    order whichever way they came.  Blocks run on ``_share_blocks``'
+    order whichever way they came.  Blocks run on ``vectors.share_blocks``'
     threads, each with its own key buffers, so beside the two (Q, Q - 1)
     outputs the working set is O(threads x block x Q).
 
@@ -281,7 +240,7 @@ def rank(descriptors: np.ndarray, labels: np.ndarray) -> RetrievalRun:
         rows = min(_BLOCK_ROWS, q)
         return np.empty((rows, q), dtype=np.uint64), np.empty((rows, q - 1), dtype=np.uint64)
 
-    _share_blocks(q, rank_block, key_buffers)
+    share_blocks(q, _BLOCK_ROWS, _shared(q), rank_block, key_buffers)
     return RetrievalRun(
         query_indices=keep.copy(),
         query_labels=kept_labels,
@@ -481,10 +440,10 @@ def evaluate_run(
     nonzero entries as relevant.
 
     ``_row_metrics`` scores ``_SCORE_ROWS`` rows at a time, on
-    ``_share_blocks``' threads, reading a bool matrix in place.  The NDCG
-    gain tables are built once per call.  Beside the relevance matrix (and
-    its bool copy when it is not bool), a thread holds about a dozen arrays
-    of one value per relevant item of its block.
+    ``vectors.share_blocks``' threads, reading a bool matrix in place.  The
+    NDCG gain tables are built once per call.  Beside the relevance matrix
+    (and its bool copy when it is not bool), a thread holds about a dozen
+    arrays of one value per relevant item of its block.
     """
     relevance = np.asarray(run.relevance)
     if relevance.ndim != 2 or len(relevance) == 0:
@@ -507,7 +466,7 @@ def evaluate_run(
     def score_block(lo, hi):
         blocks[lo // _SCORE_ROWS] = _row_metrics(relevance[lo:hi], f1_cutoff, *gains)
 
-    _share_blocks(len(relevance), score_block, block_rows=_SCORE_ROWS)
+    share_blocks(len(relevance), _SCORE_ROWS, _shared(len(relevance)), score_block)
     scores = {name: np.concatenate([b[name] for b in blocks]) for name in blocks[0]}
     kept = scores.pop("relevant") > 0  # a query with no relevant item is skipped
     if not kept.any():

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import cipbench
-from cipbench import data
+from cipbench import data, vectors
 from cipbench.cli import main
 from cipbench.config import DEFAULTS, RunConfig
 from cipbench.data import SyntheticSpec, load_dataset
@@ -237,6 +237,18 @@ def test_train_non_utf8_csv_names_the_file(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_train_on_a_sidecar_that_tags_an_object_with_no_row_exits_2(tmp_path, capsys):
+    csv_path = run_generate(tmp_path)
+    sidecar = csv_path.with_suffix(".json")
+    doc = json.loads(sidecar.read_text())
+    doc["split"]["999"] = "test"
+    sidecar.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["train", "--dataset", str(csv_path), "--out", str(tmp_path / "run"),
+                 *fast_args("epochs=1")]) == 2
+    assert capsys.readouterr().err == f"error: {sidecar}: split map tags object id 999, which has no row\n"
+
+
 def test_train_on_a_csv_named_like_its_sidecar_exits_2(tmp_path, capsys):
     csv_path = tmp_path / "d.json"
     shutil.copyfile(run_generate(tmp_path), csv_path)
@@ -430,6 +442,20 @@ def test_eval_missing_checkpoint_exits_1(tmp_path, trained):
     assert code == 1
 
 
+@pytest.mark.parametrize("command, flag", [("train", "--dataset"), ("eval", "--checkpoint"),
+                                           ("export", "--dataset")])
+def test_a_directory_given_for_an_input_file_exits_1(tmp_path, trained, capsys, command, flag):
+    csv_path, ckpt = trained
+    inputs = {"--dataset": csv_path, "--checkpoint": ckpt, flag: tmp_path}
+    argv = [command, "--dataset", str(inputs["--dataset"]), "--out", str(tmp_path / "out")]
+    if command != "train":
+        argv += ["--checkpoint", str(inputs["--checkpoint"])]
+    capsys.readouterr()
+    assert main([*argv, *fast_args()]) == 1
+    what = flag.removeprefix("--")
+    assert capsys.readouterr().err == f"config error: {what} is not a file: {tmp_path}\n"
+
+
 @pytest.mark.parametrize("command", ["eval", "export"])
 def test_input_dim_disagreement_names_both_files(tmp_path, trained, capsys, command):
     _, ckpt = trained
@@ -523,7 +549,7 @@ def test_export_has_the_serial_bytes_on_forked_workers(tmp_path, trained, monkey
     monkeypatch.setattr(os, "fork", counted)
     written = []
     for workers in (1, 2, 3):
-        monkeypatch.setattr(data, "_WORKERS", workers)
+        monkeypatch.setattr(vectors, "_WORKERS", workers)
         out_file = tmp_path / f"emb{workers}.csv"
         assert main(["export", "--checkpoint", str(ckpt), "--dataset", str(csv_path), "--out", str(out_file),
                      *(["--pooled"] if pooled else []), *fast_args()]) == 0

@@ -10,7 +10,7 @@ import threading
 import numpy as np
 import pytest
 
-from cipbench import data
+from cipbench import data, vectors
 from cipbench.data import (
     Dataset,
     SyntheticSpec,
@@ -445,6 +445,23 @@ def test_split_map_must_cover_every_object():
         Dataset(ds.inputs, ds.labels, ds.object_ids, ds.view_index, split=partial)
 
 
+def test_a_split_tag_for_an_object_with_no_row_is_refused(tmp_path):
+    ds = split(generate(small_spec()), 0.5, seed=5)
+    with pytest.raises(ValueError) as err:
+        Dataset(ds.inputs, ds.labels, ds.object_ids, ds.view_index,
+                split={**ds.split, 999: "test", 7: "train", 998: "test"})
+    assert str(err.value) == "split map tags object id 999, which has no row"  # the first, in map order
+    path = tmp_path / "dataset.csv"
+    save_dataset(ds, path)
+    sidecar = path.with_suffix(".json")
+    doc = json.loads(sidecar.read_text())
+    doc["split"]["999"] = "test"
+    sidecar.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as err:
+        load_dataset(path)
+    assert str(err.value) == f"{sidecar}: split map tags object id 999, which has no row"
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_non_finite_value_reports_line_number(tmp_path, value):
     ds = generate(small_spec())
@@ -841,7 +858,7 @@ def _counted_forks(monkeypatch):
 def _saved_bytes(monkeypatch, path, dataset, workers):
     """The CSV ``save_dataset`` writes with ``workers`` processes, once every
     child has been reaped."""
-    monkeypatch.setattr(data, "_WORKERS", workers)
+    monkeypatch.setattr(vectors, "_WORKERS", workers)
     save_dataset(dataset, path)
     _no_child_left()
     return path.read_bytes()
@@ -927,7 +944,7 @@ def test_a_cell_that_fails_raises_the_serial_error_and_leaves_no_child(tmp_path,
 
     errors = []
     for workers in (1, 2, 3):  # with 3, each worker's text fills its pipe and blocks until reaped
-        monkeypatch.setattr(data, "_WORKERS", workers)
+        monkeypatch.setattr(vectors, "_WORKERS", workers)
         with pytest.raises(LookupError) as err:
             data.write_csv(tmp_path / "cells.csv", ["i", "x"], data.RowSource(count, between))
         _no_child_left()

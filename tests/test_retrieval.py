@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from cipbench import retrieval
+from cipbench import retrieval, vectors
 from cipbench.losses import CenterlineBank
 from cipbench.retrieval import (
     _BLOCK_ROWS,
@@ -405,10 +405,10 @@ class _CountedThread(threading.Thread):
 def test_rank_and_evaluate_run_have_the_same_bytes_on_1_2_and_3_threads(monkeypatch, case):
     descs, labels = case()
     monkeypatch.setattr(retrieval, "_MIN_SHARED_BLOCKS", 1)
-    monkeypatch.setattr(retrieval.threading, "Thread", _CountedThread)
+    monkeypatch.setattr(vectors.threading, "Thread", _CountedThread)
     outputs = []
     for workers in (1, 2, 3):
-        monkeypatch.setattr(retrieval, "_WORKERS", workers)
+        monkeypatch.setattr(vectors, "_WORKERS", workers)
         _CountedThread.started = 0
         before = threading.active_count()
         outputs.append(_outputs(descs, labels))
@@ -425,10 +425,10 @@ def test_rank_and_evaluate_run_have_the_same_bytes_on_1_2_and_3_threads(monkeypa
 def test_more_threads_than_cpus_switching_often_run_every_block_once(monkeypatch):
     # a block handed out twice or never would leave wrong or unwritten rows
     descs, labels = THREAD_CASES["q1000"]()
-    monkeypatch.setattr(retrieval, "_WORKERS", 1)
+    monkeypatch.setattr(vectors, "_WORKERS", 1)
     want = _outputs(descs, labels)
     monkeypatch.setattr(retrieval, "_MIN_SHARED_BLOCKS", 1)
-    monkeypatch.setattr(retrieval, "_WORKERS", 8)
+    monkeypatch.setattr(vectors, "_WORKERS", 8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -440,8 +440,8 @@ def test_more_threads_than_cpus_switching_often_run_every_block_once(monkeypatch
 
 def test_a_call_with_few_blocks_starts_no_thread(monkeypatch):
     descs, labels = _random_descriptors(_BLOCK_ROWS * (retrieval._MIN_SHARED_BLOCKS - 1), 14)
-    monkeypatch.setattr(retrieval, "_WORKERS", 2)
-    monkeypatch.setattr(retrieval.threading, "Thread", _CountedThread)
+    monkeypatch.setattr(vectors, "_WORKERS", 2)
+    monkeypatch.setattr(vectors.threading, "Thread", _CountedThread)
     _CountedThread.started = 0
     evaluate_run(rank(descs, labels))
     assert _CountedThread.started == 0
@@ -460,8 +460,8 @@ def test_evaluate_run_shares_its_blocks_from_ranks_row_count(monkeypatch, rows, 
     # evaluate_run scores larger blocks than rank sorts, but starts threads
     # at the same number of query rows
     relevance = np.random.default_rng(17).random((rows, 30)) < 0.3
-    monkeypatch.setattr(retrieval, "_WORKERS", 2)
-    monkeypatch.setattr(retrieval.threading, "Thread", _CountedThread)
+    monkeypatch.setattr(vectors, "_WORKERS", 2)
+    monkeypatch.setattr(vectors.threading, "Thread", _CountedThread)
     _CountedThread.started = 0
     evaluate_run(_relevance_run(relevance))
     assert _CountedThread.started == started
@@ -473,16 +473,16 @@ class _BlockFault(Exception):
 
 def _failing_blocks(monkeypatch, fails):
     """Make every block ``fails(lo, block_rows)`` picks raise _BlockFault(lo)."""
-    share = retrieval._share_blocks
+    share = vectors.share_blocks
 
-    def faulty(rows, body, buffers=tuple, block_rows=_BLOCK_ROWS):
+    def faulty(rows, block_rows, shared, body, buffers=tuple):
         def block(lo, hi, *scratch):
             if fails(lo, block_rows):
                 raise _BlockFault(lo)
             body(lo, hi, *scratch)
-        share(rows, block, buffers, block_rows)
+        share(rows, block_rows, shared, block, buffers)
 
-    monkeypatch.setattr(retrieval, "_share_blocks", faulty)
+    monkeypatch.setattr(retrieval, "share_blocks", faulty)
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -494,7 +494,7 @@ def test_an_exception_in_a_block_reaches_the_caller_after_every_join(monkeypatch
     descs, labels = _random_descriptors(3 * _BLOCK_ROWS + 5, 15)
     run = rank(descs, labels)
     monkeypatch.setattr(retrieval, "_MIN_SHARED_BLOCKS", 1)
-    monkeypatch.setattr(retrieval, "_WORKERS", workers)
+    monkeypatch.setattr(vectors, "_WORKERS", workers)
     _failing_blocks(monkeypatch, fails)
     before = threading.active_count()
     for call, size in ((lambda: rank(descs, labels), _BLOCK_ROWS),
@@ -507,12 +507,13 @@ def test_an_exception_in_a_block_reaches_the_caller_after_every_join(monkeypatch
 
 
 def test_no_thread_outlives_a_call_past_the_thread_threshold(monkeypatch):
-    # data.write_csv forks only while no other thread is alive, so every
-    # thread these calls start must be joined when they return or raise
+    # vectors, the one module that starts threads and processes, forks only
+    # while no other thread is alive, so every thread these calls start
+    # must be joined when they return or raise
     rows = _BLOCK_ROWS * (retrieval._MIN_SHARED_BLOCKS - 1) + 1
     descs, labels = _random_descriptors(rows, 18)
-    monkeypatch.setattr(retrieval, "_WORKERS", 2)
-    monkeypatch.setattr(retrieval.threading, "Thread", _CountedThread)
+    monkeypatch.setattr(vectors, "_WORKERS", 2)
+    monkeypatch.setattr(vectors.threading, "Thread", _CountedThread)
     _CountedThread.started = 0
     before = threading.active_count()
     run = rank(descs, labels)
@@ -525,7 +526,7 @@ def test_no_thread_outlives_a_call_past_the_thread_threshold(monkeypatch):
             raise _BlockFault(lo)
 
     with pytest.raises(_BlockFault):
-        retrieval._share_blocks(rows, body)
+        vectors.share_blocks(rows, _BLOCK_ROWS, retrieval._shared(rows), body)
     assert threading.active_count() == before
     assert _CountedThread.started == 3  # one thread in each call
 
