@@ -540,6 +540,19 @@ def _read_lines(csv_path: Path, raw: bytes):
 _JSON_TYPES = {int: (int,), float: (int, float), str: (str,)}
 
 
+def _object_id(key: str) -> int:
+    """The object id a sidecar split key names, written exactly as
+    ``str(id)``: ``"01"``, ``" 1"``, ``"+1"`` and ``"1_0"`` are refused, so
+    no two keys name one id."""
+    try:
+        oid = int(key)
+    except ValueError:
+        oid = None
+    if oid is None or str(oid) != key:
+        raise ValueError(f"split key {key!r} is not an integer object id in canonical form")
+    return oid
+
+
 def _read_sidecar(path: Path, dim: int):
     """``(split map or None, spec or None)`` from a sidecar file."""
     sidecar = json.loads(path.read_text())
@@ -554,7 +567,7 @@ def _read_sidecar(path: Path, dim: int):
     if sidecar.get("split") is not None:
         if not isinstance(sidecar["split"], dict):
             raise ValueError("split is not a JSON object")
-        split_map = {int(k): v for k, v in sidecar["split"].items()}
+        split_map = {_object_id(key): tag for key, tag in sidecar["split"].items()}
     if sidecar.get("spec") is not None:
         doc = sidecar["spec"]
         hints = get_type_hints(SyntheticSpec)

@@ -78,6 +78,9 @@ class DivergenceError(RuntimeError):
         self.last_good = last_good
         self.history = list(history)
 
+    def __reduce__(self):  # copy and pickle rebuild it through __init__
+        return type(self), (self.args[0], self.signal, self.epoch, self.last_good, self.history)
+
 
 @dataclass
 class TrainConfig:
@@ -89,7 +92,9 @@ class TrainConfig:
     against the pull term).
     Activations and divergence thresholds are fixed; only the collapse cosine
     is a field, which ``cipbench sweep`` sets to 2.0 to turn that check off.
-    The defaults are the standard benchmark's, which the CLI derives from.
+    The defaults are the standard benchmark's, which the CLI derives from,
+    except for ``loss``: the CLI's ``loss`` key defaults to ``cip+softmax``,
+    while ``TrainConfig()`` trains ``LossConfig()``, the ``cip`` loss.
     """
 
     batch_size: int = 50

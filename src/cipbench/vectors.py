@@ -1,16 +1,17 @@
-"""Settings-field checks, the package's CPU count and its one fan-out.
+"""Settings-field checks and the package's one fan-out.
 
 ``check_fields`` checks the settings fields of ``data``, ``losses`` and
 ``trainer``; ``KEY_OF_FIELD`` names a field's config key for them and for
-``config``.  ``CPUS`` is the one count of the CPUs this process may use.
+``config``.
 
 This is the only module that starts a thread or a process.
 ``share_blocks`` runs the row blocks of ``retrieval.rank`` and
-``evaluate_run`` on up to one thread per CPU, and joins every thread before
-it returns.  ``forked`` runs the later shares of ``data.write_csv``'s rows
-on one forked worker each, which streams its bytes back through a pipe.  It
-forks only while no other Python thread is alive, since a fork copies only
-the calling thread: that is why ``share_blocks`` joins before returning.
+``evaluate_run`` on up to ``_WORKERS`` threads, one per CPU this process
+may use, and joins every thread before it returns.  ``forked`` runs the
+later shares of ``data.write_csv``'s rows on one forked worker each, which
+streams its bytes back through a pipe.  It forks only while no other Python
+thread is alive, since a fork copies only the calling thread: that is why
+``share_blocks`` joins before returning.
 """
 
 from __future__ import annotations
@@ -20,13 +21,12 @@ import os
 import threading
 from contextlib import contextmanager
 
-__all__ = ["CPUS", "check_fields", "fork_workers", "forked", "share_blocks"]
+__all__ = ["check_fields", "fork_workers", "forked", "share_blocks"]
 
-# the CPUs this process may use, read once
-CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-        else os.cpu_count() or 1)
-# threads or processes that share one call's work: one per CPU
-_WORKERS = CPUS
+# threads or processes that share one call's work: one per CPU this
+# process may use, read once
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
 
 # config key of each settings field whose name differs (``lambda`` is a keyword)
 KEY_OF_FIELD = {"lam": "lambda"}

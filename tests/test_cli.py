@@ -588,13 +588,20 @@ def test_eval_paired_runs_cip_beats_softmax(tmp_path):
 
 def test_sweep_writes_rows(tmp_path, capsys):
     out = tmp_path / "sweep"
-    code = main(["sweep", "--lambdas", "0.5,1", "--ds", "2", "--out", str(out), *fast_args()])
+    code = main(["sweep", "--lambdas", "0.5,1", "--ds", "2,1", "--out", str(out), *fast_args()])
     assert code == 0
     lines = (out / "sweep.csv").read_text().strip().splitlines()
     assert lines[0] == "lambda,d,converged,final_total,map"
-    assert len(lines) == 3
+    assert len(lines) == 5
     assert all(line.split(",")[2] == "1" for line in lines[1:])  # converged
-    assert "spread" in capsys.readouterr().out
+    # one line per d, in grid order: the MAP range and spread of its sweep.csv rows
+    rows = [line.split(",") for line in lines[1:]]
+    report = []
+    for d in ("2.0", "1.0"):
+        maps = [float(row[4]) for row in rows if row[1] == d]
+        report.append(f"d={d}: MAP range [{min(maps):.4f}, {max(maps):.4f}], "
+                      f"spread {max(maps) - min(maps):.4f}")
+    assert capsys.readouterr().out.splitlines()[:2] == report
 
 
 def test_sweep_wide_lambda_range_converges_on_benchmark(tmp_path):
@@ -670,6 +677,7 @@ def test_diverged_sweep_point_prints_one_line(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == "lambda=10.0 d=1.0: diverged (non_finite)\n"
+    assert proc.stdout.splitlines()[0] == "d=1.0: no converged runs"
 
 
 @pytest.mark.parametrize("flag, items, message", [
@@ -877,6 +885,7 @@ DEEP_JSON = "[" * 200_000 + "]" * 200_000
     ("empty_csv", 2, "empty file"),
     ("bad_coordinate_columns", 2, "bad coordinate columns in header"),
     ("split_tag_val", 2, "unknown split tags: ['val']"),
+    ("split_key_01", 2, "split key '01' is not an integer object id in canonical form"),
     ("sidecar_not_json", 2, "Expecting value"),
     ("fractional_layer_dim", 2, "checkpoint 'layer_dims' entry is not a list of integers"),
     ("sidecar_nested_too_deeply", 2, "maximum recursion depth exceeded"),
@@ -900,6 +909,11 @@ def test_malformed_input_is_one_error_line(tmp_path, trained_once, dataset_copy,
     elif case == "split_tag_val":
         doc = json.loads(sidecar.read_text())
         doc["split"][next(iter(doc["split"]))] = "val"
+        sidecar.write_text(json.dumps(doc))
+        bad = sidecar
+    elif case == "split_key_01":  # after "1", which it would overwrite
+        doc = json.loads(sidecar.read_text())
+        doc["split"]["01"] = doc["split"]["1"]
         sidecar.write_text(json.dumps(doc))
         bad = sidecar
     elif case == "sidecar_not_json":

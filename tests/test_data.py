@@ -462,6 +462,22 @@ def test_a_split_tag_for_an_object_with_no_row_is_refused(tmp_path):
     assert str(err.value) == f"{sidecar}: split map tags object id 999, which has no row"
 
 
+@pytest.mark.parametrize("key", ["01", " 1", "+1", "1_0", "None"])
+def test_a_split_key_not_written_as_its_object_id_is_refused(tmp_path, key):
+    # int() reads the first four keys as object 1 (or 10), so an int() of
+    # every key would fold each silently into that object's tag; "None" is
+    # the text of no id at all
+    path = tmp_path / "dataset.csv"
+    save_dataset(split(generate(small_spec()), 0.5, seed=5), path)
+    sidecar = path.with_suffix(".json")
+    doc = json.loads(sidecar.read_text())
+    doc["split"][key] = "test" if doc["split"]["1"] == "train" else "train"  # after "1"
+    sidecar.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as err:
+        load_dataset(path)
+    assert str(err.value) == f"{sidecar}: split key {key!r} is not an integer object id in canonical form"
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_non_finite_value_reports_line_number(tmp_path, value):
     ds = generate(small_spec())

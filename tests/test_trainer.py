@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -411,6 +413,21 @@ def test_momentum_heavy_run_diverges():
         train(bench10(), cfg)
     assert err.value.signal in ("centerline_blowup", "non_finite")
     assert err.value.last_good is not None
+
+
+def test_a_divergence_error_round_trips_through_pickle_and_copy():
+    # a worker process hands a diverged run back pickled: the rebuilt error
+    # has the same message, verdict, history and last good state
+    cfg = bench10_config("cip+softmax", epochs=10)
+    cfg.momentum = 0.9
+    with pytest.raises(DivergenceError) as err:
+        train(bench10(), cfg)
+    e = err.value
+    for again in (pickle.loads(pickle.dumps(e)), copy.copy(e)):
+        assert type(again) is DivergenceError
+        assert (str(again), again.signal, again.epoch) == (str(e), e.signal, e.epoch)
+        assert again.history == e.history and again.last_good.history == e.last_good.history
+        assert again.last_good.theta.tobytes() == e.last_good.theta.tobytes()
 
 
 @pytest.mark.parametrize("loss_name, train_kw, loss_kw, signal, message", [
