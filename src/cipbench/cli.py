@@ -2,11 +2,12 @@
 
 Exit codes are stable: 0 success, 1 configuration error (bad config key,
 out-of-range value, bad flag combination, missing input file), 2 runtime
-failure (including detected training divergence).  Every command builds and
-checks its configuration before it writes anything, then copies the fully
-resolved configuration into the output location so a run is reproducible
-from that file and its seed alone.  ``eval``, ``sweep`` and the trainer's
-``eval_every`` score the rows of ``Dataset.eval_mask``.
+failure (including detected training divergence and running out of
+memory).  Every command builds and checks its configuration before it
+writes anything, then copies the fully resolved configuration into the
+output location so a run is reproducible from that file and its seed alone.
+``eval``, ``sweep`` and the trainer's ``eval_every`` score the rows of
+``Dataset.eval_mask``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import encoder as enc
 from .config import ConfigError, RunConfig, config_help_lines, parse_value
-from .data import RowSource, generate, load_dataset, save_dataset, split, write_csv
+from .data import Table, generate, load_dataset, save_dataset, split, write_csv
 from .retrieval import evaluate_run, geometry_report, pool_descriptors, rank
 from .trainer import (
     DivergenceError,
@@ -205,13 +206,8 @@ def cmd_export(args) -> int:
     oids, labels = dataset.object_ids, dataset.labels
     if args.pooled:
         feats, labels, oids = pool_descriptors(feats, oids, labels)
-
-    def between(lo, hi):
-        return ([o, k, *row.tolist()] for o, k, row in zip(oids[lo:hi].tolist(), labels[lo:hi].tolist(),
-                                                             feats[lo:hi]))
-
     write_csv(out, ["object_id", "label", *(f"e{i}" for i in range(feats.shape[1]))],
-              RowSource(len(oids), between))
+              Table((oids, labels), feats))
     cfg.save(out.with_suffix(out.suffix + ".cfg"))
     print(f"wrote {len(oids)} embedding rows to {out}")
     return EXIT_OK
@@ -259,7 +255,7 @@ def cmd_sweep(args) -> int:
         rows.append((lam, d, converged, final_total, map_value))
 
     write_csv(out / "sweep.csv", ["lambda", "d", "converged", "final_total", "map"],
-              ([lam, d, int(ok), total, m] for lam, d, ok, total, m in rows))
+              [[lam, d, int(ok), total, m] for lam, d, ok, total, m in rows])
 
     for d in ds:
         maps = [m for lam_, d_, ok, _, m in rows if d_ == d and ok]
@@ -288,8 +284,8 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ValueError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as e:  # numpy's MemoryError names the size it wanted
+        print(f"error: {str(e) or type(e).__name__}", file=sys.stderr)
         return EXIT_RUNTIME
 
 

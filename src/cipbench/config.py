@@ -35,10 +35,12 @@ class ConfigError(ValueError):
 
 
 def _parse_int_tuple(text: str) -> tuple[int, ...]:
+    """Comma-separated ints, none of them empty; ``none`` and the empty
+    string (how ``RunConfig.save`` writes ``()``) are no ints."""
     text = text.strip()
-    if text == "none":
+    if text in ("", "none"):
         return ()
-    return tuple(int(p) for p in text.split(",") if p.strip())
+    return tuple(int(p) for p in text.split(","))
 
 
 def _parse_finite(text: str) -> float:

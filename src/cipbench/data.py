@@ -23,13 +23,13 @@ import itertools
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple, get_type_hints
+from typing import get_type_hints
 
 import numpy as np
 
 from .vectors import check_fields, fork_workers, forked
 
-__all__ = ["Dataset", "RowSource", "SyntheticSpec", "generate", "load_dataset", "save_dataset", "split",
+__all__ = ["Dataset", "SyntheticSpec", "Table", "generate", "load_dataset", "save_dataset", "split",
            "write_csv"]
 
 DATASET_FORMAT_VERSION = 1
@@ -297,13 +297,22 @@ def _rows_key(parts) -> bytes:
     return key.digest()
 
 
-class RowSource(NamedTuple):
-    """``count`` rows that ``write_csv`` may cut into chunks: ``between(lo,
-    hi)`` yields rows ``lo`` to ``hi - 1`` one at a time, as lists of
-    Python values."""
+@dataclass(frozen=True)
+class Table:
+    """Rows for ``write_csv``: row i is ``ids``' int columns at i, then row
+    i of the float matrix ``values``.  A slice yields its rows one at a
+    time, as lists of Python values, so no process holds a span's rows as
+    lists at once."""
 
-    count: int
-    between: Callable[[int, int], Iterable[list]]
+    ids: tuple[np.ndarray, ...]
+    values: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __getitem__(self, span: slice):
+        columns = (c[span].tolist() for c in self.ids)
+        return ([*i, *x.tolist()] for *i, x in zip(*columns, self.values[span]))
 
 
 # a file of fewer cells (rows x columns) is written by the caller alone: a
@@ -326,7 +335,7 @@ def _open_text(file):
 def _spans(count: int, columns: int) -> list[tuple[int, int]]:
     """Contiguous ``(lo, hi)`` row spans, the caller's first and one per
     worker after it: one span per process ``vectors.fork_workers`` allows
-    for a file of at least ``_MIN_FORKED_CELLS`` cells, else one."""
+    for a table of at least ``_MIN_FORKED_CELLS`` cells, else one."""
     n = min(fork_workers(), count) if count * columns >= _MIN_FORKED_CELLS else 1
     cuts = [count * i // n for i in range(n + 1)]
     return list(zip(cuts, cuts[1:]))
@@ -344,32 +353,29 @@ def write_csv(path, header, rows) -> None:
     (for a float, the shortest text that reads back with the same bits, as in
     ``json.dumps``), lines end in ``\\n``, and rows stream one at a time.
 
-    ``rows`` is an iterable of rows (pass ``ndarray.tolist()`` rows), written
-    by the caller alone, or a ``RowSource``.  A source's rows are cut into
-    ``_spans``: for a large file, one contiguous chunk per CPU.  One worker
-    per chunk after the first is forked (``vectors.forked``) before the file
-    is opened; it takes its chunk's rows from the source, formats them whole
-    and writes the encoded text to a pipe, so the caller holds none of them.
-    The caller streams the first chunk row by row, then copies each worker's
-    pipe into the file in chunk order.  A chunk whose worker does not exit 0
-    is cut off and formatted again by the caller, so the file gets exactly
-    the serial path's bytes, or the caller raises exactly its exception.
-    Every worker is reaped before this returns or raises.
+    ``rows`` is a sized, sliceable sequence of rows: a list (of
+    ``ndarray.tolist()`` rows) or a ``Table``.  It is cut into ``_spans``:
+    for a table of at least ``_MIN_FORKED_CELLS`` cells, one contiguous span
+    per CPU.  One worker per span after the first is forked
+    (``vectors.forked``) before the file is opened; it formats its span's
+    rows whole and writes the encoded text to a pipe.  In one loop over the
+    spans the caller streams its own span row by row, and copies each
+    worker's pipe into the file in span order; a span whose worker does not
+    exit 0 is cut off and streamed by the caller as its own is, so the file
+    gets exactly the serial path's bytes, or the caller raises exactly its
+    exception.  Every worker is reaped before this returns or raises.
     """
-    source = rows if isinstance(rows, RowSource) else None
-    spans = _spans(source.count, len(header)) if source else []
-    with forked(spans, lambda span, fd: _send_chunk(source.between(*span), fd)) as workers:
+    spans = _spans(len(rows), len(header))
+    with forked(spans, lambda span, fd: _send_chunk(rows[slice(*span)], fd)) as workers:
         with _open_text(path) as fh:
             fh.write(",".join(header) + "\n")
-            for row in source.between(*spans[0]) if source else rows:
-                fh.write(_line(row))
-            for (lo, hi), worker in itertools.zip_longest(spans[1:], workers):
+            for (lo, hi), worker in itertools.zip_longest(spans, [None, *workers]):
                 fh.flush()
                 start = fh.buffer.tell()
                 if not (worker and worker.copy_to(fh.buffer)):
                     fh.buffer.seek(start)
                     fh.buffer.truncate()
-                    for row in source.between(lo, hi):
+                    for row in rows[lo:hi]:
                         fh.write(_line(row))
 
 
@@ -383,14 +389,8 @@ def save_dataset(dataset: Dataset, csv_path) -> None:
         raise ValueError(f"{csv_path}: a dataset CSV cannot end in .json or .rows, "
                          "which name its sidecar and rows cache")
     d = dataset.input_dim
-    ids, inputs = (dataset.object_ids, dataset.labels, dataset.view_index), dataset.inputs
-
-    def between(lo, hi):
-        columns = (c[lo:hi].tolist() for c in ids)
-        return ([o, k, v, *x.tolist()] for o, k, v, x in zip(*columns, inputs[lo:hi]))
-
     write_csv(csv_path, ["object_id", "label", "view_index", *(f"x{i}" for i in range(d))],
-              RowSource(dataset.num_views, between))
+              Table((dataset.object_ids, dataset.labels, dataset.view_index), dataset.inputs))
     sidecar = {
         "format_version": DATASET_FORMAT_VERSION,
         "input_dim": d,

@@ -159,8 +159,8 @@ def rank(descriptors: np.ndarray, labels: np.ndarray) -> RetrievalRun:
     So only the positions in runs of keys that share a prefix are re-sorted,
     by (run number, distance, index): equal distances end in ascending index
     order whichever way they came.  Blocks run on ``vectors.share_blocks``'
-    threads, each with its own key buffers, so beside the two (Q, Q - 1)
-    outputs the working set is O(threads x block x Q).
+    threads, and each block allocates its own keys, so beside the two
+    (Q, Q - 1) outputs the working set is O(threads x block x Q).
 
     The keys order the distances as ``<`` does because
     ``np.subtract(1.0, x)`` never yields -0.0 (which would sort apart from
@@ -194,13 +194,12 @@ def rank(descriptors: np.ndarray, labels: np.ndarray) -> RetrievalRun:
     mask = np.uint64((1 << (q - 1).bit_length()) - 1)
     columns = np.arange(q, dtype=np.uint64)
 
-    def rank_block(lo, hi, keys, steps):
+    def rank_block(lo, hi):
         rows = hi - lo
         dist = unit[lo:hi] @ unit.T
         np.subtract(1.0, dist, out=dist)
         # a distance's bits with its column in the low bits, sorted as a float
-        key = keys[:rows]
-        np.bitwise_and(dist.view(np.uint64), ~mask, out=key)
+        key = np.bitwise_and(dist.view(np.uint64), ~mask)
         np.bitwise_or(key, columns, out=key)
         # each query's own key, +inf, sorts last and is dropped
         np.fill_diagonal(key.view(np.float64)[:, lo:], np.inf)
@@ -208,8 +207,7 @@ def rank(descriptors: np.ndarray, labels: np.ndarray) -> RetrievalRun:
         # neighbours that share the distance prefix are in index order
         # (descending when negative), which is their distance order only if
         # their distances are equal
-        step = steps[:rows]
-        np.bitwise_xor(key[:, 1:], key[:, :-1], out=step)
+        step = np.bitwise_xor(key[:, 1:], key[:, :-1])
         np.bitwise_and(key, mask, out=key)
         full = key.view(np.int64)  # the block's order: gallery columns, best first
         if step.min() <= mask:  # never at the last, inf, column
@@ -236,11 +234,7 @@ def rank(descriptors: np.ndarray, labels: np.ndarray) -> RetrievalRun:
         else:
             rankings[lo:hi] = full[:, :-1]  # keep is 0..q-1
 
-    def key_buffers():  # each thread's, reused block after block
-        rows = min(_BLOCK_ROWS, q)
-        return np.empty((rows, q), dtype=np.uint64), np.empty((rows, q - 1), dtype=np.uint64)
-
-    share_blocks(q, _BLOCK_ROWS, _shared(q), rank_block, key_buffers)
+    share_blocks(q, _BLOCK_ROWS, _shared(q), rank_block)
     return RetrievalRun(
         query_indices=keep.copy(),
         query_labels=kept_labels,
@@ -422,8 +416,8 @@ class EvalSummary:
         """One row per aggregation mode, for spreadsheet-style consumers."""
         write_csv(path, ["aggregation", "map", "pr_auc", "f1", "ndcg", "total_queries",
                          "skipped_queries"],
-                  ([r.aggregation, r.map, r.pr_auc, r.f1, r.ndcg, self.total_queries,
-                    self.skipped_queries] for r in (self.micro, self.macro)))
+                  [[r.aggregation, r.map, r.pr_auc, r.f1, r.ndcg, self.total_queries,
+                    self.skipped_queries] for r in (self.micro, self.macro)])
 
 
 def evaluate_run(
@@ -526,7 +520,7 @@ class GeometryReport:
         """K x K centerline cosine matrix as CSV for external plotting."""
         k = self.centerline_cosines.shape[0]
         write_csv(path, ["class", *(str(i) for i in range(1, k + 1))],
-                  ([i, *row] for i, row in enumerate(self.centerline_cosines.tolist(), start=1)))
+                  [[i, *row] for i, row in enumerate(self.centerline_cosines.tolist(), start=1)])
 
 
 def _safe_unit(v: np.ndarray) -> np.ndarray:

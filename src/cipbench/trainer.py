@@ -13,15 +13,16 @@ only when it raises.  Training uses the rows outside
 unchecked encoder loops (``encoder.forward_layers`` and
 ``backward_layers``) and loss kernels (``losses.accumulate_terms``),
 writing the gradients straight into views of one flat gradient buffer in
-``theta``'s layout, and reuses one feature-gradient buffer.  The momentum
-buffer stays local to ``train``, since nothing resumes training.
+``theta``'s layout; only the feature gradients, sized to the batch, are a
+new array each step.  The momentum buffer stays local to ``train``, since
+nothing resumes training.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -164,13 +165,26 @@ class TrainResult:
     """Trained state.  ``theta`` holds every trainable value; ``params``,
     ``classifier`` and ``bank`` are views of it (see ``_bind_views``), and
     the shapes of ``params``' views are the encoder's layout
-    (``params.layer_dims``).  ``history`` has one row per epoch run."""
+    (``params.layer_dims``).  ``history`` has one row per epoch run.  A
+    copy or pickle carries ``theta`` alone and binds the views again, so
+    they stay views of the copy's ``theta``."""
 
     theta: np.ndarray
     params: enc.MlpParams
     bank: CenterlineBank
     classifier: LinearClassifier | None
     history: list[dict]
+
+    def __reduce__(self):
+        layout = (self.params.layer_dims, self.bank.num_classes, self.classifier is not None)
+        rest = [getattr(self, f.name) for f in fields(self)[4:]]  # history, then a subclass's fields
+        return _rebound, (type(self), self.theta, layout, rest)
+
+
+def _rebound(cls, theta: np.ndarray, layout, rest):
+    """A ``cls`` over ``theta`` with the views of ``layout`` bound again,
+    then the fields ``rest``."""
+    return cls(theta, *_bind_views(theta, *layout), *rest)
 
 
 def _shapes(dims: tuple[int, ...], num_classes: int, softmax: bool) -> list[tuple[int, ...]]:
@@ -297,7 +311,6 @@ def train(dataset: Dataset, cfg: TrainConfig) -> TrainResult:
     # each step writes its gradient into views of one buffer in theta's layout
     grad = np.zeros_like(theta)
     grad_params, grad_bank, grad_classifier = _bind_views(grad, dims, num_classes, softmax)
-    fgrads_full = np.empty((min(cfg.batch_size, n), cfg.embedding_dim))  # the largest batch
     init = enc.init_params(dims, rng, cfg.init_std)
     for view, value in zip((*params.weights, *params.biases), (*init.weights, *init.biases)):
         view[...] = value
@@ -325,8 +338,7 @@ def train(dataset: Dataset, cfg: TrainConfig) -> TrainResult:
             feats = outputs[-1]
             if not np.logical_and.reduce(np.isfinite(feats), axis=None):
                 raise diverged(f"non-finite embeddings at epoch {epoch}")
-            fgrads = fgrads_full[: batch_idx.size]
-            fgrads.fill(0.0)
+            fgrads = np.zeros((batch_idx.size, cfg.embedding_dim))
             grad_bank.centers.fill(0.0)
             total, per_term = accumulate_terms(feats, labels0[batch_idx], bank.centers, cfg.loss,
                                                classifier, fgrads, grad_bank.centers,
@@ -431,4 +443,4 @@ def _checkpoint_from_dict(doc) -> Checkpoint:
 
 def history_to_csv(history: list[dict], path) -> None:
     """Write epoch history with stable columns (blank map when not evaluated)."""
-    write_csv(path, HISTORY_FIELDS, ([row.get(name, "") for name in HISTORY_FIELDS] for row in history))
+    write_csv(path, HISTORY_FIELDS, [[row.get(name, "") for name in HISTORY_FIELDS] for row in history])

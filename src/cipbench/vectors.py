@@ -8,10 +8,11 @@ This is the only module that starts a thread or a process.
 ``share_blocks`` runs the row blocks of ``retrieval.rank`` and
 ``evaluate_run`` on up to ``_WORKERS`` threads, one per CPU this process
 may use, and joins every thread before it returns.  ``forked`` runs the
-later shares of ``data.write_csv``'s rows on one forked worker each, which
-streams its bytes back through a pipe.  It forks only while no other Python
-thread is alive, since a fork copies only the calling thread: that is why
-``share_blocks`` joins before returning.
+later row spans of ``data.write_csv`` on one forked worker each, which
+streams its bytes back through a pipe.  A block or a span is the whole of
+what its body gets: any array it needs it allocates itself.  It forks only
+while no other Python thread is alive, since a fork copies only the calling
+thread: that is why ``share_blocks`` joins before returning.
 """
 
 from __future__ import annotations
@@ -42,17 +43,17 @@ def check_fields(owner, rules) -> None:
                              f"got {getattr(owner, name)!r}")
 
 
-def share_blocks(rows: int, block_rows: int, shared: bool, body, buffers=tuple) -> None:
-    """Call ``body(lo, hi, *buffers())`` on every ``block_rows``-row block
-    of ``rows`` rows.
+def share_blocks(rows: int, block_rows: int, shared: bool, body) -> None:
+    """Call ``body(lo, hi)`` on every ``block_rows``-row block of ``rows``
+    rows: a block is its span and nothing else.
 
     When ``shared``, the calling thread and up to ``_WORKERS - 1`` threads
     started here take the blocks in ascending order, one at a time, and no
     more threads than blocks; else the calling thread takes them all.
-    Each thread calls ``buffers`` once, and every worker is joined before
-    this returns.  The first exception any block raises stops the hand-out
-    and is re-raised here.  ``body`` writes only its own block's rows, so
-    the outputs do not depend on which thread ran a block.
+    Every worker is joined before this returns.  The first exception any
+    block raises stops the hand-out and is re-raised here.  ``body`` writes
+    only its own block's rows, so the outputs do not depend on which thread
+    ran a block.
     """
     threads = min(_WORKERS, -(-rows // block_rows)) if shared else 1
     starts = iter(range(0, rows, block_rows))
@@ -61,13 +62,12 @@ def share_blocks(rows: int, block_rows: int, shared: bool, body, buffers=tuple) 
 
     def share():
         try:
-            scratch = buffers()
             while True:
                 with lock:
                     lo = None if errors else next(starts, None)
                 if lo is None:
                     return
-                body(lo, min(lo + block_rows, rows), *scratch)
+                body(lo, min(lo + block_rows, rows))
         except BaseException as e:  # re-raised by the calling thread
             with lock:
                 errors.append(e)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import cipbench
-from cipbench import data, vectors
+from cipbench import cli, data, vectors
 from cipbench.cli import main
 from cipbench.config import DEFAULTS, RunConfig
 from cipbench.data import SyntheticSpec, load_dataset
@@ -939,6 +939,23 @@ def test_malformed_input_is_one_error_line(tmp_path, trained_once, dataset_copy,
     assert err.count("\n") == 1 and err.startswith(prefix) and message in err, err
 
 
+@pytest.mark.parametrize("error", [MemoryError("Unable to allocate 28.4 TiB"), MemoryError()],
+                         ids=["numpy", "bare"])
+def test_running_out_of_memory_is_one_error_line(tmp_path, trained_once, monkeypatch, capsys, error):
+    # exit 2 with one "error:" line, not a traceback and exit 1; the error is
+    # raised, not provoked, since an overcommitting host may grant the memory
+    csv_path, _ = trained_once
+
+    def exhausted(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "train", exhausted)
+    code = main(["train", "--dataset", str(csv_path), "--out", str(tmp_path / "out"), *fast_args()])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"error: {str(error) or 'MemoryError'}\n"
+
+
 # ---------------------------------------------------------------------------
 # exit-code contract for out-of-range config values
 # ---------------------------------------------------------------------------
@@ -969,6 +986,8 @@ def test_malformed_input_is_one_error_line(tmp_path, trained_once, dataset_copy,
     ("generate", "view_noise_std=inf"),
     ("train", "lr0=inf"),
     ("train", "weight_decay=inf"),
+    ("train", "hidden_dims=8,,4"),
+    ("train", "hidden_dims=,"),
 ])
 def test_out_of_range_value_is_a_config_error(tmp_path, trained_once, capsys, command, pair):
     # exit 1 with one "config error:" line naming the key, before any file

@@ -909,6 +909,25 @@ def test_a_one_row_file_is_written_by_the_caller_alone(tmp_path, monkeypatch):
     assert serial.endswith(b"\n7,1,1,1e-05,-1e+16,0.1\n") and not forked
 
 
+@pytest.mark.parametrize("workers", [2, 3])
+def test_a_list_of_rows_at_the_threshold_forks_and_keeps_the_serial_bytes(tmp_path, monkeypatch, workers):
+    # a list is cut into spans as a Table is: two columns, exactly the threshold
+    count = data._MIN_FORKED_CELLS // 2
+    rng = np.random.default_rng(count)
+    values = rng.standard_normal(count) * 10.0 ** rng.integers(-20, 20, count)
+    rows = [[i, x] for i, x in enumerate(values.tolist())]
+    monkeypatch.setattr(vectors, "_WORKERS", 1)
+    data.write_csv(tmp_path / "serial.csv", ["i", "x"], rows)
+    serial = (tmp_path / "serial.csv").read_bytes()
+    assert serial == ("i,x\n" + "".join(f"{i},{x!r}\n" for i, x in rows)).encode()
+    forked = _counted_forks(monkeypatch)
+    monkeypatch.setattr(vectors, "_WORKERS", workers)
+    data.write_csv(tmp_path / "forked.csv", ["i", "x"], rows)
+    _no_child_left()
+    assert (tmp_path / "forked.csv").read_bytes() == serial
+    assert len(forked) == workers - 1
+
+
 def _failing_send(first_id, fail):
     """A worker body that runs ``fail()`` for a chunk whose first object id
     is at least ``first_id``, after writing 1 MiB of text, more than its
@@ -954,15 +973,12 @@ class _Unprintable:
 def test_a_cell_that_fails_raises_the_serial_error_and_leaves_no_child(tmp_path, monkeypatch, bad_row):
     count = data._MIN_FORKED_CELLS  # two columns: twice the threshold
     bad_row %= count
-
-    def between(lo, hi):
-        return ([i, _Unprintable() if i == bad_row else i / 7] for i in range(lo, hi))
-
+    rows = [[i, _Unprintable() if i == bad_row else i / 7] for i in range(count)]
     errors = []
     for workers in (1, 2, 3):  # with 3, each worker's text fills its pipe and blocks until reaped
         monkeypatch.setattr(vectors, "_WORKERS", workers)
         with pytest.raises(LookupError) as err:
-            data.write_csv(tmp_path / "cells.csv", ["i", "x"], data.RowSource(count, between))
+            data.write_csv(tmp_path / "cells.csv", ["i", "x"], rows)
         _no_child_left()
         errors.append(err.value.args)
     assert errors == [("a cell with no text",)] * 3

@@ -475,12 +475,12 @@ def _failing_blocks(monkeypatch, fails):
     """Make every block ``fails(lo, block_rows)`` picks raise _BlockFault(lo)."""
     share = vectors.share_blocks
 
-    def faulty(rows, block_rows, shared, body, buffers=tuple):
-        def block(lo, hi, *scratch):
+    def faulty(rows, block_rows, shared, body):
+        def block(lo, hi):
             if fails(lo, block_rows):
                 raise _BlockFault(lo)
-            body(lo, hi, *scratch)
-        share(rows, block_rows, shared, block, buffers)
+            body(lo, hi)
+        share(rows, block_rows, shared, block)
 
     monkeypatch.setattr(retrieval, "share_blocks", faulty)
 

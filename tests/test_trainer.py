@@ -430,6 +430,47 @@ def test_a_divergence_error_round_trips_through_pickle_and_copy():
         assert again.last_good.theta.tobytes() == e.last_good.theta.tobytes()
 
 
+def _tensors(result):
+    """Every trainable array of ``result`` besides ``theta``."""
+    head = (result.classifier.weights, result.classifier.bias) if result.classifier else ()
+    return [*result.params.weights, *result.params.biases, *head, result.bank.centers]
+
+
+def _trained(kind, tmp_path):
+    """``(state, its TrainResult, its history)``: a finished run, a diverged
+    run's error, or a checkpoint file's state with its ``meta``."""
+    if kind == "diverged":
+        cfg = bench10_config("cip+softmax", epochs=10)
+        cfg.momentum = 0.9
+        with pytest.raises(DivergenceError) as err:
+            train(bench10(), cfg)
+        return err.value, err.value.last_good, err.value.history
+    result = train(bench10(), bench10_config("cip+softmax", epochs=2))
+    if kind == "finished":
+        return result, result, result.history
+    save_checkpoint(result, tmp_path / "ckpt.json", meta={"seed": 0})
+    checkpoint = load_checkpoint(tmp_path / "ckpt.json")
+    return checkpoint, checkpoint, checkpoint.history
+
+
+@pytest.mark.parametrize("kind", ["finished", "diverged", "checkpoint"])
+def test_a_train_result_round_trips_with_its_views_on_its_theta(tmp_path, kind):
+    # a worker process hands a run back pickled: the copy's params, classifier
+    # and bank are views of its own theta again, and theta is sent once
+    state, result, history = _trained(kind, tmp_path)
+    blob = pickle.dumps(state)
+    assert len(blob) < 1.2 * result.theta.nbytes + len(pickle.dumps(history))
+    for again in (pickle.loads(blob), copy.deepcopy(state)):
+        copied = again.last_good if kind == "diverged" else again
+        assert type(copied) is type(result)
+        assert copied.theta.tobytes() == result.theta.tobytes() and copied.history == result.history
+        assert not np.shares_memory(copied.theta, result.theta)
+        assert [t.tobytes() for t in _tensors(copied)] == [t.tobytes() for t in _tensors(result)]
+        assert all(np.shares_memory(t, copied.theta) for t in _tensors(copied))
+        if kind == "checkpoint":
+            assert copied.meta == result.meta == {"epochs_run": 2, "seed": 0}
+
+
 @pytest.mark.parametrize("loss_name, train_kw, loss_kw, signal, message", [
     ("cluster", {}, {}, "centerline_collapse", "divergence detected at epoch 6: "),
     ("ortho", {}, {}, "centerline_stall", "divergence detected at epoch 12: "),

@@ -1,3 +1,4 @@
+import importlib
 import io
 import os
 import re
@@ -16,6 +17,17 @@ def test_vectors_is_the_one_module_that_starts_threads_and_processes():
     for pattern in (r"os\.fork\b", r"threading\.Thread\b", r"sched_getaffinity", r"^_WORKERS ="):
         found = sorted(path.name for path in SRC.glob("*.py") if re.search(pattern, path.read_text(), re.M))
         assert found == ["vectors.py"], pattern
+
+
+def test_every_name_in_an_all_resolves():
+    # a name deleted from a module but left in its __all__ breaks
+    # ``from cipbench.<module> import *``; the package itself has no __all__
+    for stem in sorted(path.stem for path in SRC.glob("*.py")):
+        name = "cipbench" if stem == "__init__" else f"cipbench.{stem}"
+        module = importlib.import_module(name)
+        names = getattr(module, "__all__", None)
+        assert names is not None or name == "cipbench", name
+        assert [n for n in names or () if not hasattr(module, n)] == [], name
 
 
 def _payload(share: int) -> bytes:
