@@ -7,7 +7,6 @@ import numpy as np
 
 from cipbench import encoder
 from cipbench.data import SyntheticSpec, generate, split
-from cipbench.losses import LossConfig
 from cipbench.retrieval import (
     average_precision, evaluate_run, f1_at, ndcg, pool_descriptors, pr_auc, rank,
 )
@@ -20,15 +19,10 @@ for rel in ([1, 1, 1, 0, 0], [1, 0, 1, 0, 0], [0, 0, 1, 1, 1]):
 
 # Leave-one-out retrieval over a trained embedding: every object descriptor
 # (mean of its view embeddings) queries all the others; same label counts
-# as relevant.
-dataset = split(generate(SyntheticSpec(
-    num_classes=10, objects_per_class=24, views_per_object=8, input_dim=24,
-    class_separation=2.0, object_noise_std=0.7, view_noise_std=0.35, seed=0,
-)), 0.5, 0)
-result = train(dataset, TrainConfig(
-    batch_size=50, epochs=30, seed=0, loss=LossConfig.from_name("cip+softmax"),
-    hidden_dims=(32,), embedding_dim=16, init_std=0.3,
-))
+# as relevant.  The data and the run are the standard benchmark's defaults,
+# which the CLI's defaults are too.
+dataset = split(generate(SyntheticSpec()), 0.5, 0)
+result = train(dataset, TrainConfig())
 
 mask = dataset.eval_mask()  # the test rows
 inputs, object_ids, view_labels = (dataset.inputs[mask], dataset.object_ids[mask],

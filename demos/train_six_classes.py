@@ -23,12 +23,9 @@ dataset = generate(SyntheticSpec(
 ))
 print(f"dataset: {dataset.num_views} views of {len(np.unique(dataset.object_ids))} objects")
 
-config = TrainConfig(
-    batch_size=20, epochs=30, lr0=0.01, lr_drop_epoch=20, lr_drop_factor=5.0,
-    momentum=0.0, weight_decay=2e-4, seed=0,
-    loss=LossConfig(lam=1.0, d=2.0),
-    hidden_dims=(), embedding_dim=3, init_std=0.2,
-)
+# the default schedule on batches of 20, pull+push alone, a linear 3-D encoder
+config = TrainConfig(batch_size=20, seed=0, loss=LossConfig(), hidden_dims=(),
+                     embedding_dim=3, init_std=0.2)
 result = train(dataset, config)
 
 for row in result.history[::6] + [result.history[-1]]:

@@ -214,12 +214,15 @@ def cmd_export(args) -> int:
 
 
 def _grid_values(text: str, key: str, flag: str) -> list:
-    """A sweep flag's comma list, each item parsed and range-checked as ``--set key=item`` is but named ``flag``."""
+    """A sweep flag's comma list, each item parsed and range-checked as
+    ``--set key=item`` is but named ``flag``; no value may be listed twice."""
     values = [parse_value(key, item.strip(), flag) for item in text.split(",") if item.strip()]
     if not values:
         raise ConfigError(f"{flag}: the {key} list is empty")
     try:
-        for value in values:
+        for i, value in enumerate(values):
+            if value in values[:i]:
+                raise ConfigError(f"{value} is listed twice")
             RunConfig.from_sources().replace(**{key: value}).loss_config()
     except ConfigError as e:
         raise ConfigError(f"{flag}: {e}") from None

@@ -2,7 +2,8 @@
 
 One config file drives a whole pipeline (generate -> train -> eval ->
 export/sweep); all randomness flows from the single ``seed`` key.  Unknown
-keys are rejected so typos cannot silently fall back to defaults.
+keys are rejected so typos cannot silently fall back to defaults, and so is
+a key a file sets twice; a later ``--set`` replaces an earlier one.
 
 The fields of ``SyntheticSpec``, ``LossConfig`` and ``TrainConfig`` are the
 only place a default lives: each field is a config key with the field's
@@ -171,14 +172,18 @@ def _read_pairs(path: Path):
         raise ConfigError(f"cannot read config file: {e}") from None
     except UnicodeDecodeError as e:
         raise ConfigError(f"cannot read config file: {path}: {e}") from None
+    set_on = {}  # line of each key read so far
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
         if "=" not in stripped:
             raise ConfigError(f"{path}:{lineno}: expected key = value, got {line!r}")
-        key, raw = stripped.split("=", 1)
-        yield key.strip(), raw.strip(), lineno
+        key, raw = (part.strip() for part in stripped.split("=", 1))
+        if key in set_on:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} already set on line {set_on[key]}")
+        set_on[key] = lineno
+        yield key, raw, lineno
 
 
 def parse_value(key: str, raw: str, where: str):

@@ -93,9 +93,8 @@ class TrainConfig:
     against the pull term).
     Activations and divergence thresholds are fixed; only the collapse cosine
     is a field, which ``cipbench sweep`` sets to 2.0 to turn that check off.
-    The defaults are the standard benchmark's, which the CLI derives from,
-    except for ``loss``: the CLI's ``loss`` key defaults to ``cip+softmax``,
-    while ``TrainConfig()`` trains ``LossConfig()``, the ``cip`` loss.
+    The defaults are the standard benchmark's, which the CLI derives from:
+    ``TrainConfig()`` is the CLI's default run, ``cip+softmax``.
     """
 
     batch_size: int = 50
@@ -106,7 +105,7 @@ class TrainConfig:
     momentum: float = 0.0
     weight_decay: float = 2e-4
     seed: int = 0
-    loss: LossConfig = field(default_factory=LossConfig)
+    loss: LossConfig = field(default_factory=lambda: LossConfig.from_name("cip+softmax"))
     # encoder
     hidden_dims: tuple[int, ...] = (32,)
     embedding_dim: int = 16

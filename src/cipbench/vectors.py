@@ -18,6 +18,7 @@ thread: that is why ``share_blocks`` joins before returning.
 from __future__ import annotations
 
 import gc
+import math
 import os
 import threading
 from contextlib import contextmanager
@@ -35,9 +36,12 @@ KEY_OF_FIELD = {"lam": "lambda"}
 
 def check_fields(owner, rules) -> None:
     """Raise ``ValueError("<key> must be <rule>, got <value>")`` for the first
-    ``(field, ok, rule)`` of ``rules`` whose ``ok`` is false; the value is
-    that field of ``owner``."""
-    for name, ok, rule in rules:
+    field of the dataclass ``owner`` that holds a non-finite float (the rule
+    ``finite``), else for the first ``(field, ok, rule)`` of ``rules`` whose
+    ``ok`` is false; the value is that field of ``owner``."""
+    finite = [(name, math.isfinite(value), "finite") for name, value in vars(owner).items()
+              if isinstance(value, float)]
+    for name, ok, rule in (*finite, *rules):
         if not ok:
             raise ValueError(f"{KEY_OF_FIELD.get(name, name)} must be {rule}, "
                              f"got {getattr(owner, name)!r}")

@@ -67,29 +67,15 @@ def geometry_dataset(seed: int):
 
 
 def geometry_config(seed: int) -> TrainConfig:
-    return TrainConfig(
-        batch_size=20, epochs=30, lr0=0.01, lr_drop_epoch=20, lr_drop_factor=5.0,
-        momentum=0.0, weight_decay=2e-4, seed=seed,
-        loss=LossConfig(lam=1.0, d=2.0),
-        hidden_dims=(), embedding_dim=3, init_std=0.2,
-    )
+    """The standard schedule with batches of 20 and a linear 3-D encoder."""
+    return TrainConfig(batch_size=20, seed=seed, loss=LossConfig(), hidden_dims=(),
+                       embedding_dim=3, init_std=0.2)
 
 
 def benchmark_dataset(seed: int):
-    """The standard ordering benchmark: 10 classes, 16-D embedding target."""
-    spec = SyntheticSpec(
-        num_classes=10, objects_per_class=24, views_per_object=8, input_dim=24,
-        class_separation=2.0, object_noise_std=0.7, view_noise_std=0.35, seed=seed,
-    )
-    return split(generate(spec), 0.5, seed)
-
-
-def benchmark_config(seed: int, loss: LossConfig) -> TrainConfig:
-    return TrainConfig(
-        batch_size=50, epochs=30, lr0=0.01, lr_drop_epoch=20, lr_drop_factor=5.0,
-        momentum=0.0, weight_decay=2e-4, seed=seed, loss=loss,
-        hidden_dims=(32,), embedding_dim=16, init_std=0.3,
-    )
+    """The standard ordering benchmark, ``SyntheticSpec()``: 10 classes, 16-D
+    embedding target."""
+    return split(generate(SyntheticSpec(seed=seed)), 0.5, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +291,7 @@ def test_criterion_4_loss_ordering():
             ("center+softmax", LossConfig.from_name(
                 "center+softmax", softmax_weight=1.0, center_weight=0.003)),
         ):
-            result = train(ds, benchmark_config(seed, loss))
+            result = train(ds, TrainConfig(seed=seed, loss=loss))
             maps[name] = evaluate_map(result.params, ds)
             if name == "cip+softmax":
                 mask = ds.eval_mask()
@@ -409,12 +395,12 @@ def test_criterion_8_divergence_detection():
     ds = benchmark_dataset(0)
 
     with pytest.raises(DivergenceError) as cluster_err:
-        train(ds, benchmark_config(0, LossConfig.from_name("cluster")))
+        train(ds, TrainConfig(seed=0, loss=LossConfig.from_name("cluster")))
     assert cluster_err.value.epoch < 30
     print(f"  cluster-only: {cluster_err.value.signal} at epoch {cluster_err.value.epoch}")
 
     with pytest.raises(DivergenceError) as ortho_err:
-        train(ds, benchmark_config(0, LossConfig.from_name("ortho")))
+        train(ds, TrainConfig(seed=0, loss=LossConfig.from_name("ortho")))
     assert ortho_err.value.epoch < 30
     print(f"  ortho-only: {ortho_err.value.signal} at epoch {ortho_err.value.epoch}")
 

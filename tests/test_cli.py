@@ -102,12 +102,23 @@ def test_config_file_plus_override(tmp_path):
     assert cfg.batch_size == DEFAULTS["batch_size"][0]
 
 
-def test_defaults_come_from_the_dataclasses():
+def test_the_dataclass_defaults_are_the_cli_default_run():
+    # the standard benchmark's values, written out once outside bench/: the
+    # dataclass defaults hold README's figures, and the CLI's defaults are them
     cfg = RunConfig.from_sources(None, [])
-    loss = LossConfig.from_name("cip+softmax")
-    assert cfg.synthetic_spec() == SyntheticSpec()
-    assert cfg.loss_config() == loss
-    assert cfg.train_config() == TrainConfig(loss=loss)
+    assert cfg.synthetic_spec() == SyntheticSpec() == SyntheticSpec(
+        num_classes=10, objects_per_class=24, views_per_object=8, input_dim=24, class_separation=2.0,
+        object_noise_std=0.7, view_noise_std=0.35, prototype_scheme="orthonormal", seed=0)
+    assert cfg.train_config() == TrainConfig() == TrainConfig(
+        batch_size=50, epochs=30, lr0=0.01, lr_drop_epoch=20, lr_drop_factor=5.0, momentum=0.0,
+        weight_decay=2e-4, seed=0, hidden_dims=(32,), embedding_dim=16, init_std=0.3,
+        centerline_collapse_cosine=0.95, eval_every=0,
+        loss=LossConfig(lam=1.0, d=2.0, softmax_weight=0.1, center_weight=0.0003, ortho_variant="centerline",
+                        use_cluster=True, use_ortho=True, use_softmax=True, use_center=False))
+    assert cfg.loss_config() == TrainConfig().loss
+
+
+def test_defaults_come_from_the_dataclasses():
     field_keys = {"lambda" if f.name == "lam" else f.name
                   for cls in (SyntheticSpec, LossConfig, TrainConfig)
                   for f in dataclasses.fields(cls)}
@@ -687,7 +698,10 @@ def test_diverged_sweep_point_prints_one_line(tmp_path):
     ("--lambdas", "-1", "--lambdas: lambda must be non-negative, got -1.0"),
     ("--ds", "0", "--ds: d must be positive, got 0.0"),
     ("--lambdas", "", "--lambdas: the lambda list is empty"),
-], ids=["lambda_inf", "lambda_1e400", "d_inf", "lambda_negative", "d_zero", "lambda_empty"])
+    ("--lambdas", "1,1", "--lambdas: 1.0 is listed twice"),
+    ("--ds", "2,1,2.0", "--ds: 2.0 is listed twice"),
+], ids=["lambda_inf", "lambda_1e400", "d_inf", "lambda_negative", "d_zero", "lambda_empty",
+        "lambda_twice", "d_twice"])
 def test_sweep_bad_grid_value_is_a_config_error(tmp_path, capsys, flag, items, message):
     # grid values are parsed and range-checked as --set values are
     grid = {"--lambdas": "1", "--ds": "2", flag: items}
@@ -882,6 +896,7 @@ DEEP_JSON = "[" * 200_000 + "]" * 200_000
 @pytest.mark.parametrize("case, code, message", [
     ("set_without_equals", 1, "override 'epochs' must look like key=value"),
     ("config_is_a_directory", 1, "cannot read config file: "),
+    ("config_key_twice", 1, "run.cfg:3: key 'epochs' already set on line 1"),
     ("empty_csv", 2, "empty file"),
     ("bad_coordinate_columns", 2, "bad coordinate columns in header"),
     ("split_tag_val", 2, "unknown split tags: ['val']"),
@@ -902,6 +917,9 @@ def test_malformed_input_is_one_error_line(tmp_path, trained_once, dataset_copy,
         argv += ["--set", "epochs"]
     elif case == "config_is_a_directory":
         argv += ["--config", str(tmp_path)]
+    elif case == "config_key_twice":  # not last-wins, as --set is
+        (tmp_path / "run.cfg").write_text("epochs = 3\nseed = 1\nepochs = 5\n")
+        argv += ["--config", str(tmp_path / "run.cfg")]
     elif case == "empty_csv":
         dataset_copy.write_text("")
     elif case == "bad_coordinate_columns":

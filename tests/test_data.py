@@ -3,6 +3,7 @@ import io
 import itertools
 import json
 import os
+import re
 import shutil
 import signal
 import threading
@@ -394,6 +395,8 @@ def sidecar_text(**spec):
     ("[1]", "sidecar is not a JSON object"),
     (sidecar_text(colour=1), "spec must be an object with exactly the keys"),
     (sidecar_text(class_separation="x"), "spec entry 'class_separation' must be float, got 'x'"),
+    (sidecar_text(class_separation=float("nan"), view_noise_std=float("inf")),
+     "class_separation must be finite, got nan"),
 ])
 def test_malformed_sidecar_names_the_file(tmp_path, text, message):
     path = tmp_path / "dataset.csv"
@@ -403,6 +406,16 @@ def test_malformed_sidecar_names_the_file(tmp_path, text, message):
     with pytest.raises(ValueError) as err:
         load_dataset(path)
     assert str(err.value).startswith(f"{sidecar}: {message}")
+
+
+@pytest.mark.parametrize("inputs, labels, object_ids, view_index, message", [
+    (np.ones(2), [1, 1], [1, 2], [1, 1], "dataset must hold a non-empty (N, D) input matrix"),
+    (np.ones((0, 2)), [], [], [], "dataset must hold a non-empty (N, D) input matrix"),
+    (np.ones((2, 2)), [1, 1], [1, 2], [1], "view_index must align with input rows"),
+], ids=["inputs_not_2d", "no_rows", "view_index_unaligned"])
+def test_a_dataset_of_the_wrong_shape_is_refused(inputs, labels, object_ids, view_index, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Dataset(inputs, labels, object_ids, view_index)
 
 
 def test_labels_must_be_contiguous():

@@ -60,11 +60,8 @@ SIX_CLASSES = SyntheticSpec(
     class_separation=2.0, object_noise_std=0.2, view_noise_std=0.1,
     prototype_scheme="antipodal", seed=SEED,
 )
-SIX_CLASSES_CONFIG = TrainConfig(
-    batch_size=20, epochs=30, lr0=0.01, lr_drop_epoch=20, lr_drop_factor=5.0,
-    momentum=0.0, weight_decay=2e-4, seed=SEED, loss=LossConfig(lam=1.0, d=2.0),
-    hidden_dims=(), embedding_dim=3, init_std=0.2,
-)
+SIX_CLASSES_CONFIG = TrainConfig(batch_size=20, seed=SEED, loss=LossConfig(), hidden_dims=(),
+                                 embedding_dim=3, init_std=0.2)
 
 
 def _training_digest(dataset, cfg: TrainConfig) -> dict[str, str]:

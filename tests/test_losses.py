@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -516,6 +518,27 @@ def test_normalized_weight_gradient_inverse_scaling_identity():
 # ---------------------------------------------------------------------------
 # config and report plumbing
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: LabeledBatch(np.ones(3), [1, 1, 1]), "features must be (M, n), got shape (3,)"),
+    (lambda: LabeledBatch(np.ones((3, 2)), [1, 1]), "labels must be a 1-D array aligned with features rows"),
+    (lambda: LabeledBatch([[np.nan, 0.0]], [1]), "batch features contain non-finite values"),
+    (lambda: LabeledBatch(np.ones((1, 2)), [0]), "labels are 1-based and must be >= 1"),
+    (lambda: CenterlineBank(np.ones(2)), "centers must be (K, n), got shape (2,)"),
+    (lambda: CenterlineBank(np.ones((1, 2))), "a centerline bank needs at least 2 classes"),
+    (lambda: CenterlineBank([[np.inf, 0.0], [0.0, 1.0]]), "centerlines contain non-finite values"),
+    (lambda: LinearClassifier(np.ones((2, 3)), np.ones(3)), "classifier needs (K, n) weights and (K,) bias"),
+    (lambda: LossConfig(use_cluster=False, use_ortho=False), "at least one loss term must be enabled"),
+    (lambda: push_report(batch_of(np.ones((1, 3)), [1]), bank_of(np.eye(2))), "feature dim 3 != centerline dim 2"),
+    (lambda: softmax_report(batch_of([[1.0, 0.0]], [1]), LinearClassifier(np.ones((2, 3)), np.ones(2))),
+     "classifier width does not match feature dim"),
+    (lambda: softmax_report(batch_of([[1.0, 0.0]], [3]), LinearClassifier(np.eye(2), np.ones(2))),
+     "labels must lie in [1, 2]"),
+])
+def test_a_malformed_loss_input_is_refused(make, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()
 
 
 def test_loss_config_rejects_bad_d():

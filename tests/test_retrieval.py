@@ -1,4 +1,5 @@
 import itertools
+import re
 import sys
 import threading
 import warnings
@@ -350,6 +351,19 @@ def test_rank_orders_distances_that_round_below_zero(zeroed):
         np.testing.assert_array_equal(run.rankings[row, :len(others)], others)
         assert (dist[row][np.isin(keep, run.rankings[row, len(others):])] >= 0.0).all()
     _assert_near_ties(dist, np.flatnonzero(~np.isin(keep, copies)))
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: rank(np.ones((3, 2)), np.array([1, 2])), "need (N, n) descriptors with aligned labels"),
+    (lambda: average_precision([]), "relevance must be a non-empty 1-D array"),
+    (lambda: ndcg([[1, 0]]), "relevance must be a non-empty 1-D array"),
+    (lambda: pr_auc([0, 0]), "PR-AUC undefined with no relevant items"),
+    (lambda: evaluate_run(_relevance_run(np.zeros((3, 2), dtype=bool))), "no query had any relevant gallery item"),
+    (lambda: geometry_report(np.ones((3, 2)), [1, 3, 1], CenterlineBank(np.eye(2))), "labels must lie in [1, 2]"),
+])
+def test_a_malformed_retrieval_input_is_refused(make, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()
 
 
 def test_rank_rejects_non_finite_descriptors():

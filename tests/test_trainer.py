@@ -378,16 +378,11 @@ def test_single_class_cluster_softmax_monotone_decrease():
 
 
 def bench10(seed=0):
-    spec = SyntheticSpec(num_classes=10, objects_per_class=24, views_per_object=8,
-                         input_dim=24, class_separation=2.0, object_noise_std=0.7,
-                         view_noise_std=0.35, seed=seed)
-    return split(generate(spec), 0.5, seed)
+    return split(generate(SyntheticSpec(seed=seed)), 0.5, seed)
 
 
 def bench10_config(loss_name, seed=0, epochs=30, **lkw):
-    return TrainConfig(batch_size=50, epochs=epochs, seed=seed, hidden_dims=(32,),
-                       embedding_dim=16, init_std=0.3,
-                       loss=LossConfig.from_name(loss_name, **lkw))
+    return TrainConfig(epochs=epochs, seed=seed, loss=LossConfig.from_name(loss_name, **lkw))
 
 
 def test_cluster_only_trips_collapse_detector():

@@ -1,5 +1,6 @@
 import importlib
 import io
+import math
 import os
 import re
 import signal
@@ -8,6 +9,9 @@ from pathlib import Path
 import pytest
 
 from cipbench import vectors
+from cipbench.data import SyntheticSpec
+from cipbench.losses import LossConfig
+from cipbench.trainer import TrainConfig
 
 SRC = Path(vectors.__file__).parent
 
@@ -28,6 +32,18 @@ def test_every_name_in_an_all_resolves():
         names = getattr(module, "__all__", None)
         assert names is not None or name == "cipbench", name
         assert [n for n in names or () if not hasattr(module, n)] == [], name
+
+
+@pytest.mark.parametrize("cls, name, key", [
+    (SyntheticSpec, "view_noise_std", "view_noise_std"), (LossConfig, "lam", "lambda"),
+    (TrainConfig, "lr0", "lr0"), (TrainConfig, "centerline_collapse_cosine", "centerline_collapse_cosine"),
+], ids=lambda v: getattr(v, "__name__", v))
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=repr)
+def test_a_non_finite_float_field_is_refused_by_its_key(cls, name, key, value):
+    # as the CLI refuses it on parsing: a config error, not a run that
+    # diverges (lr0 = inf) or drops a check (a nan collapse cosine)
+    with pytest.raises(ValueError, match=f"^{key} must be finite, got {value!r}$"):
+        cls(**{name: value})
 
 
 def _payload(share: int) -> bytes:

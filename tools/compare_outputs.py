@@ -25,8 +25,10 @@ The commands are ``generate``, ``train``, ``eval``, ``export`` and
 epochs, and ``sweep --lambdas 0.1,1,10 --ds 2,1 --set loss=cip`` on the
 defaults.  ``eval-plain`` is ``eval`` on a copy of the generated CSV and
 sidecar in ``plain/``, made without the rows cache, so that one load goes
-through the CSV parser.  The demos are the ones in each tree's ``demos/``
-directory.
+through the CSV parser.  ``generate-default`` writes the default dataset
+into ``default/``; ``train-<loss>`` trains it with ``--set loss=<loss>``,
+where ``cluster`` collapses, ``ortho`` stalls and ``cip`` finishes.  The
+demos are the ones in each tree's ``demos/`` directory.
 """
 
 from __future__ import annotations
@@ -54,6 +56,9 @@ COMMANDS = {
     "export-pooled": ["export", "--checkpoint", CKPT, "--dataset", DATA,
                       "--out", "export/pooled.csv", "--pooled", *PIPELINE],
     "sweep": ["sweep", "--lambdas", "0.1,1,10", "--ds", "2,1", "--set", "loss=cip", "--out", "sweep"],
+    "generate-default": ["generate", "--out", "default"],
+    **{f"train-{loss}": ["train", "--dataset", "default/dataset.csv", "--out", f"train-{loss}",
+                         "--set", f"loss={loss}"] for loss in ("cluster", "ortho", "cip")},
 }
 CLI = "import sys; from cipbench.cli import main; sys.exit(main(sys.argv[1:]))"
 

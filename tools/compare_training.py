@@ -76,15 +76,11 @@ def run_grid(src: str) -> dict:
             return _digest(result, load_checkpoint(path))
 
         for seed in SEEDS:
-            spec = SyntheticSpec(num_classes=10, objects_per_class=24, views_per_object=8,
-                                 input_dim=24, class_separation=2.0, object_noise_std=0.7,
-                                 view_noise_std=0.35, seed=seed)
-            dataset = split(generate(spec), 0.5, seed)
+            dataset = split(generate(SyntheticSpec(seed=seed)), 0.5, seed)
             for loss, (name, loss_kw) in LOSSES.items():
                 for opt, opt_kw in OPTIMIZERS.items():
-                    cfg = TrainConfig(batch_size=50, epochs=30, seed=seed, hidden_dims=(32,),
-                                      embedding_dim=16, init_std=0.3,
-                                      loss=LossConfig.from_name(name, **loss_kw), **opt_kw)
+                    # loss stays explicit: an older tree's TrainConfig() trains cip alone
+                    cfg = TrainConfig(seed=seed, loss=LossConfig.from_name(name, **loss_kw), **opt_kw)
                     try:
                         outcome = {"outcome": "trained", "result": digest(train(dataset, cfg))}
                     except DivergenceError as e:
