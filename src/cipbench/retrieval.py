@@ -90,7 +90,7 @@ class RetrievalRun:
 
     query_indices: np.ndarray  # (Q,) descriptor indices that served as queries
     query_labels: np.ndarray  # (Q,)
-    rankings: np.ndarray  # (Q, Q - 1) int: gallery descriptor indices, best first
+    rankings: np.ndarray  # (Q, Q - 1) int32: gallery descriptor indices, best first
     relevance: np.ndarray  # (Q, Q - 1) bool: the ranked item carries the query label
     excluded: list[int] = field(default_factory=list)  # zero-norm descriptors
 
@@ -160,7 +160,11 @@ def rank(descriptors: np.ndarray, labels: np.ndarray) -> RetrievalRun:
     by (run number, distance, index): equal distances end in ascending index
     order whichever way they came.  Blocks run on ``vectors.share_blocks``'
     threads, and each block allocates its own keys, so beside the two
-    (Q, Q - 1) outputs the working set is O(threads x block x Q).
+    (Q, Q - 1) outputs, 5 bytes an entry (int32 ``rankings``, bool
+    ``relevance``), the working set is O(threads x block x Q).  The keys
+    and the order are int64 within a block; only the write to ``rankings``
+    narrows, and every index fits, since a (Q, Q - 1) matrix with
+    Q >= 2**31 could not be allocated.
 
     The keys order the distances as ``<`` does because
     ``np.subtract(1.0, x)`` never yields -0.0 (which would sort apart from
@@ -188,7 +192,7 @@ def rank(descriptors: np.ndarray, labels: np.ndarray) -> RetrievalRun:
     unit = descriptors[keep] / norms[keep, None]
     kept_labels = labels[keep]
     q = keep.size
-    rankings = np.empty((q, q - 1), dtype=keep.dtype)
+    rankings = np.empty((q, q - 1), dtype=np.int32)
     relevance = np.empty((q, q - 1), dtype=bool)
     # the low bits of a packed key hold its column index
     mask = np.uint64((1 << (q - 1).bit_length()) - 1)

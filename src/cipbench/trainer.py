@@ -116,7 +116,7 @@ class TrainConfig:
     eval_every: int = 0
 
     def __post_init__(self):
-        self.hidden_dims = tuple(int(h) for h in self.hidden_dims)
+        self.hidden_dims = tuple(self.hidden_dims)
         check_fields(self, (
             ("batch_size", self.batch_size >= 1, "positive"),
             ("epochs", self.epochs >= 1, "positive"),
@@ -131,6 +131,7 @@ class TrainConfig:
             ("init_std", self.init_std >= 0, "non-negative"),
             ("eval_every", self.eval_every >= 0, "non-negative"),
         ))
+        self.hidden_dims = tuple(map(int, self.hidden_dims))  # numpy ints become Python ints
 
 
 def lr_at(epoch: int, cfg: TrainConfig) -> float:

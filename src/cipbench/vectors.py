@@ -19,9 +19,11 @@ from __future__ import annotations
 
 import gc
 import math
+import numbers
 import os
 import threading
 from contextlib import contextmanager
+from dataclasses import fields
 
 __all__ = ["check_fields", "fork_workers", "forked", "share_blocks"]
 
@@ -34,14 +36,25 @@ _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
 KEY_OF_FIELD = {"lam": "lambda"}
 
 
+def _typed(name, kind, value):
+    """The type rule of one settings field of annotation ``kind``: an ``int``
+    field holds an integer (a Python or numpy int), a ``tuple[int, ...]``
+    field only integers, and any other field that holds a float a finite one."""
+    if kind == "int":
+        return name, isinstance(value, numbers.Integral), "an integer"
+    if kind == "tuple[int, ...]":
+        return name, all(isinstance(item, numbers.Integral) for item in value), "integers"
+    return name, not isinstance(value, float) or math.isfinite(value), "finite"
+
+
 def check_fields(owner, rules) -> None:
     """Raise ``ValueError("<key> must be <rule>, got <value>")`` for the first
-    field of the dataclass ``owner`` that holds a non-finite float (the rule
-    ``finite``), else for the first ``(field, ok, rule)`` of ``rules`` whose
-    ``ok`` is false; the value is that field of ``owner``."""
-    finite = [(name, math.isfinite(value), "finite") for name, value in vars(owner).items()
-              if isinstance(value, float)]
-    for name, ok, rule in (*finite, *rules):
+    field of the dataclass ``owner`` that breaks its type rule (``_typed``),
+    else for the first ``(field, ok, rule)`` of ``rules`` whose ``ok`` is
+    false; the value is that field of ``owner``.  The settings modules
+    postpone annotations, so a field's type is its annotation's text."""
+    typed = [_typed(f.name, f.type, getattr(owner, f.name)) for f in fields(owner)]
+    for name, ok, rule in (*typed, *rules):
         if not ok:
             raise ValueError(f"{KEY_OF_FIELD.get(name, name)} must be {rule}, "
                              f"got {getattr(owner, name)!r}")

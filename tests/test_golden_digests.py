@@ -13,8 +13,9 @@ history; a diverged run hashes its signal, epoch, history and the
 Retrieval: for seeds 0, 1 and 9, a ``cip+softmax`` model trained on the
 standard benchmark embeds a 384-objects-per-class set drawn with the same
 seed, whose pooled descriptors are ranked (Q = 3840; seed 9 holds a tie in
-every row).  Each case hashes the ``rankings`` and ``relevance`` bytes and
-``repr`` of the ``evaluate_run`` and ``geometry_report`` dicts.  Seed 0 is
+every row).  Each case hashes the bytes of ``rankings`` (widened to int64,
+the width they were recorded at) and of ``relevance``, and ``repr`` of the
+``evaluate_run`` and ``geometry_report`` dicts.  Seed 0 is
 also scored with explicit F1 and NDCG cutoffs, and a small set with
 zero-norm and duplicated descriptors covers the excluded-row path.  The
 eval-large cases have 10 equal classes, so every block of query rows has
@@ -93,7 +94,8 @@ def _sha(data: bytes) -> str:
 
 
 def _run_digests(run, **cutoffs) -> dict[str, str]:
-    return {"rankings": _sha(run.rankings.tobytes()), "relevance": _sha(run.relevance.tobytes()),
+    return {"rankings": _sha(run.rankings.astype(np.int64).tobytes()),
+            "relevance": _sha(run.relevance.tobytes()),
             "metrics": _sha(repr(evaluate_run(run, **cutoffs).to_dict()).encode())}
 
 

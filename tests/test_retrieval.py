@@ -232,9 +232,11 @@ def test_rank_orders_a_group_of_three_identical_descriptors_in_every_row(zeroed)
 def test_rank_outputs_own_c_contiguous_arrays(zeroed):
     descs, kinds = _palette_descriptors(zeroed)
     run = _rank_quietly(descs, kinds % 3 + 1)
-    for out, dtype in ((run.rankings, np.intp), (run.relevance, np.bool_)):
+    for out, dtype in ((run.rankings, np.int32), (run.relevance, np.bool_)):
         assert out.dtype == dtype
         assert out.flags.c_contiguous and out.flags.owndata and out.base is None
+    q = run.num_queries
+    assert run.rankings.nbytes == 4 * q * (q - 1)
 
 
 def _assert_ordered_by_block_distances(run, descs, labels):

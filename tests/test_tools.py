@@ -1,17 +1,21 @@
-"""``tools/compare_outputs.py``'s verdict on one file's two versions, and
-``tools/bench_pairs.py``'s summary of synthetic pairs of benchmark runs.
+"""``tools/compare_outputs.py``'s verdict on one file's two versions,
+``tools/bench_pairs.py``'s summary of synthetic pairs of benchmark runs, and
+``tools/paper_scale.py`` on a small query count.
 
 The tools are imported as they are, with ``tools/`` on the import path; no
 test here runs the benchmark.
 """
 
+import re
 import sys
 from pathlib import Path
 
-sys.path.append(str(Path(__file__).resolve().parents[1] / "tools"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.append(str(ROOT / "tools"))
 
 from bench_pairs import summarize  # noqa: E402
 from compare_outputs import verdict  # noqa: E402
+from paper_scale import main as paper_scale  # noqa: E402
 
 
 def test_same_bytes_are_identical():
@@ -70,3 +74,15 @@ def test_bench_pairs_summary_gives_medians_quartiles_and_wins():
     assert summary["ref_map"]["parent"] == {"median": 0.37, "q1": 0.37, "q3": 0.37}
     assert summary["failed_share.parent"] == 0.0
     assert summary["failed_share.change"] == 1 / 500
+
+
+def test_paper_scale_measures_a_tree_in_a_child_process(capsys):
+    src = str(ROOT / "src")
+    assert paper_scale([src, "--queries", "100"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "Q=100, 32-d, 55 classes"
+    assert len(lines) == 2
+    # 100 x 99 int32 indices are 0.04 MiB
+    assert re.fullmatch(re.escape(src) + r": rank (\d+\.\d{3}/){2}\d+\.\d{3} s \(best \d+\.\d{3}\), "
+                        r"evaluate_run \d+\.\d{3} s, rankings 0\.04 MiB, ru_maxrss \d+ MiB, "
+                        r"micro MAP (0|1)\.\d{6}", lines[1]), lines[1]

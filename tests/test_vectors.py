@@ -6,6 +6,7 @@ import re
 import signal
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cipbench import vectors
@@ -44,6 +45,25 @@ def test_a_non_finite_float_field_is_refused_by_its_key(cls, name, key, value):
     # diverges (lr0 = inf) or drops a check (a nan collapse cosine)
     with pytest.raises(ValueError, match=f"^{key} must be finite, got {value!r}$"):
         cls(**{name: value})
+
+
+@pytest.mark.parametrize("cls, name, value, rule", [
+    (TrainConfig, "hidden_dims", (8.7,), "integers"), (TrainConfig, "hidden_dims", (math.inf,), "integers"),
+    (TrainConfig, "batch_size", 2.5, "an integer"), (TrainConfig, "epochs", 2.5, "an integer"),
+    (TrainConfig, "embedding_dim", 4.5, "an integer"), (SyntheticSpec, "objects_per_class", 4.5, "an integer"),
+    (SyntheticSpec, "num_classes", 3.0, "an integer"), (SyntheticSpec, "seed", 1.5, "an integer"),
+], ids=lambda v: getattr(v, "__name__", v if isinstance(v, str) else repr(v)))
+def test_a_value_that_is_not_an_integer_is_refused_by_its_key(cls, name, value, rule):
+    # unchecked, a fractional width would train truncated, and a fractional
+    # count or seed would fail inside train or generate, naming no key
+    with pytest.raises(ValueError, match=f"^{name} must be {rule}, got {re.escape(repr(value))}$"):
+        cls(**{name: value})
+
+
+def test_python_and_numpy_ints_are_integers():
+    cfg = TrainConfig(batch_size=np.int32(5), epochs=np.int64(2), hidden_dims=(np.int64(8), 4))
+    assert cfg.hidden_dims == (8, 4) and all(type(h) is int for h in cfg.hidden_dims)
+    assert SyntheticSpec(num_classes=np.uint8(3), seed=np.int64(1)).num_classes == 3
 
 
 def _payload(share: int) -> bytes:
