@@ -21,13 +21,12 @@ import hashlib
 import io
 import itertools
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import get_type_hints
 
 import numpy as np
 
-from .vectors import check_fields, fork_workers, forked
+from .vectors import check_fields, fits, fork_workers, forked
 
 __all__ = ["Dataset", "SyntheticSpec", "Table", "generate", "load_dataset", "save_dataset", "split",
            "write_csv"]
@@ -61,7 +60,7 @@ class SyntheticSpec:
 
     def __post_init__(self):
         k, d = self.num_classes, self.input_dim
-        check_fields(self, (
+        check_fields(self, lambda: (
             ("num_classes", k >= 1, "positive"),
             ("objects_per_class", self.objects_per_class >= 1, "positive"),
             ("views_per_object", self.views_per_object >= 1, "positive"),
@@ -535,11 +534,6 @@ def _read_lines(csv_path: Path, raw: bytes):
     return dim, inputs, *columns
 
 
-# JSON value types accepted for each SyntheticSpec field annotation, matched
-# exactly: a JSON boolean decodes to a bool, which is not a number here
-_JSON_TYPES = {int: (int,), float: (int, float), str: (str,)}
-
-
 def _object_id(key: str) -> int:
     """The object id a sidecar split key names, written exactly as
     ``str(id)``: ``"01"``, ``" 1"``, ``"+1"`` and ``"1_0"`` are refused, so
@@ -570,11 +564,11 @@ def _read_sidecar(path: Path, dim: int):
         split_map = {_object_id(key): tag for key, tag in sidecar["split"].items()}
     if sidecar.get("spec") is not None:
         doc = sidecar["spec"]
-        hints = get_type_hints(SyntheticSpec)
-        if not isinstance(doc, dict) or doc.keys() != hints.keys():
-            raise ValueError(f"spec must be an object with exactly the keys {list(hints)}")
-        for name, kind in hints.items():
-            if type(doc[name]) not in _JSON_TYPES[kind]:
-                raise ValueError(f"spec entry {name!r} must be {kind.__name__}, got {doc[name]!r}")
+        kinds = {f.name: f.type for f in fields(SyntheticSpec)}
+        if not isinstance(doc, dict) or doc.keys() != kinds.keys():
+            raise ValueError(f"spec must be an object with exactly the keys {list(kinds)}")
+        for name, kind in kinds.items():  # a JSON boolean is no number
+            if not fits(kind, doc[name]):
+                raise ValueError(f"spec entry {name!r} must be {kind}, got {doc[name]!r}")
         spec = SyntheticSpec(**doc)
     return split_map, spec

@@ -161,7 +161,7 @@ class LossConfig:
     use_center: bool = False
 
     def __post_init__(self):
-        check_fields(self, (
+        check_fields(self, lambda: (
             ("lam", self.lam >= 0, "non-negative"),
             ("d", self.d > 0, "positive"),
             ("softmax_weight", self.softmax_weight >= 0, "non-negative"),

@@ -39,7 +39,7 @@ import numpy as np
 
 from .data import write_csv
 from .losses import CenterlineBank, group_sums
-from .vectors import share_blocks
+from .vectors import fits, share_blocks
 
 __all__ = [
     "EvalSummary",
@@ -66,10 +66,13 @@ _BLOCK_ROWS = 64
 # query rows that ``evaluate_run`` scores at a time
 _SCORE_ROWS = 128
 # a call with fewer 64-row blocks (at most 1472 query rows) runs on the
-# calling thread alone, whatever its own block size: its numpy calls are too
-# short for a second thread to overlap them (on a 2-vCPU VM a second
-# thread made rank 1.7x slower at 2 blocks, gained nothing at 10-15 and cut
-# rank by ~45 % from 25 on)
+# calling thread alone, whatever its own block size.  Tuned with OpenBLAS on
+# its default pool of one thread per CPU, where a block's numpy calls are too
+# short for a second thread to overlap them: on a 2-vCPU VM a second thread
+# made rank 1.7x slower at 2 blocks, gained nothing at 10-15 and cut rank by
+# ~45 % from 25 on.  Under OPENBLAS_NUM_THREADS=1 a second thread cut rank
+# by ~40 % at 10-23 blocks in two rounds of five and gained nothing in the
+# other three, and it mostly made evaluate_run slower there.
 _MIN_SHARED_BLOCKS = 24
 
 
@@ -254,7 +257,7 @@ def rank(descriptors: np.ndarray, labels: np.ndarray) -> RetrievalRun:
 
 
 def _check_cutoff(cutoff: int | None) -> None:
-    if cutoff is not None and not 1 <= cutoff < 2**63:
+    if cutoff is not None and not (fits("int", cutoff) and 1 <= cutoff < 2**63):
         raise ValueError(f"cutoff must be in [1, 2**63 - 1], got {cutoff}")
 
 

@@ -117,7 +117,7 @@ class TrainConfig:
 
     def __post_init__(self):
         self.hidden_dims = tuple(self.hidden_dims)
-        check_fields(self, (
+        check_fields(self, lambda: (
             ("batch_size", self.batch_size >= 1, "positive"),
             ("epochs", self.epochs >= 1, "positive"),
             ("lr0", self.lr0 > 0, "positive"),
@@ -126,6 +126,7 @@ class TrainConfig:
             ("momentum", self.momentum >= 0, "non-negative"),
             ("weight_decay", self.weight_decay >= 0, "non-negative"),
             ("seed", self.seed >= 0, "non-negative"),
+            ("loss", isinstance(self.loss, LossConfig), "a LossConfig"),
             ("hidden_dims", all(h >= 1 for h in self.hidden_dims), "positive widths"),
             ("embedding_dim", self.embedding_dim >= 1, "positive"),
             ("init_std", self.init_std >= 0, "non-negative"),

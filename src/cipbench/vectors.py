@@ -1,8 +1,12 @@
 """Settings-field checks and the package's one fan-out.
 
-``check_fields`` checks the settings fields of ``data``, ``losses`` and
-``trainer``; ``KEY_OF_FIELD`` names a field's config key for them and for
-``config``.
+``fits`` is the one type rule of a settings value: what an ``int``,
+``float``, ``str`` or ``tuple[int, ...]`` annotation takes (a bool is no
+number).  ``check_fields`` checks the settings fields of ``data``,
+``losses`` and ``trainer`` by it, then a float field's finiteness, then
+the dataclass's range rules; ``data``'s sidecar reader and
+``retrieval``'s metric cutoffs use it too.  ``KEY_OF_FIELD`` names a
+field's config key for them and for ``config``.
 
 This is the only module that starts a thread or a process.
 ``share_blocks`` runs the row blocks of ``retrieval.rank`` and
@@ -25,7 +29,7 @@ import threading
 from contextlib import contextmanager
 from dataclasses import fields
 
-__all__ = ["check_fields", "fork_workers", "forked", "share_blocks"]
+__all__ = ["check_fields", "fits", "fork_workers", "forked", "share_blocks"]
 
 # threads or processes that share one call's work: one per CPU this
 # process may use, read once
@@ -36,25 +40,41 @@ _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
 KEY_OF_FIELD = {"lam": "lambda"}
 
 
-def _typed(name, kind, value):
-    """The type rule of one settings field of annotation ``kind``: an ``int``
-    field holds an integer (a Python or numpy int), a ``tuple[int, ...]``
-    field only integers, and any other field that holds a float a finite one."""
-    if kind == "int":
-        return name, isinstance(value, numbers.Integral), "an integer"
-    if kind == "tuple[int, ...]":
-        return name, all(isinstance(item, numbers.Integral) for item in value), "integers"
-    return name, not isinstance(value, float) or math.isfinite(value), "finite"
+# the types a settings value of each annotation text takes; a bool is no number
+_TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str}
+# how ``check_fields`` names each type rule
+_TYPE_RULES = {"int": "an integer", "float": "a number", "str": "a string", "tuple[int, ...]": "integers"}
+
+
+def fits(annotation: str, value) -> bool:
+    """Whether ``value`` has the type a settings value of annotation text
+    ``annotation`` takes: ``int`` a Python or numpy integer, ``float`` a real
+    number, neither a bool; ``str`` a ``str``; ``tuple[int, ...]`` a tuple of
+    integers only; any other annotation takes any value."""
+    if annotation == "tuple[int, ...]":
+        return isinstance(value, tuple) and all(fits("int", item) for item in value)
+    kind = _TYPES.get(annotation)
+    return kind is None or isinstance(value, kind) and not isinstance(value, bool)
 
 
 def check_fields(owner, rules) -> None:
     """Raise ``ValueError("<key> must be <rule>, got <value>")`` for the first
-    field of the dataclass ``owner`` that breaks its type rule (``_typed``),
-    else for the first ``(field, ok, rule)`` of ``rules`` whose ``ok`` is
-    false; the value is that field of ``owner``.  The settings modules
-    postpone annotations, so a field's type is its annotation's text."""
-    typed = [_typed(f.name, f.type, getattr(owner, f.name)) for f in fields(owner)]
-    for name, ok, rule in (*typed, *rules):
+    field of the dataclass ``owner`` whose value does not ``fits`` its
+    annotation, else for the first ``float`` field that is not finite, else
+    for the first ``(field, ok, rule)`` of ``rules()`` whose ``ok`` is false;
+    the value is that field of ``owner``.  ``rules`` is a zero-argument
+    callable, called only once every field has its type, so no range rule
+    compares a value of the wrong type.  The settings modules postpone
+    annotations, so a field's type is its annotation's text."""
+    typed = [(f.name, f.type, getattr(owner, f.name)) for f in fields(owner)]
+
+    def checks():  # lazy: each stage runs only once the one before has passed
+        yield from ((name, fits(kind, v), _TYPE_RULES.get(kind)) for name, kind, v in typed)
+        yield from ((name, isinstance(v, numbers.Integral) or math.isfinite(v), "finite")
+                    for name, kind, v in typed if kind == "float")
+        yield from rules()
+
+    for name, ok, rule in checks():
         if not ok:
             raise ValueError(f"{KEY_OF_FIELD.get(name, name)} must be {rule}, "
                              f"got {getattr(owner, name)!r}")

@@ -733,7 +733,9 @@ def test_evaluate_run_rejects_cutoff_below_one():
         evaluate_run(_unbalanced_run(), f1_cutoff=0)
 
 
-@pytest.mark.parametrize("cutoff", [2**63, 10**23])
+# a fractional, bool or string cutoff is no rank either: unchecked, 2.5 scored
+# F1 at a fractional cutoff
+@pytest.mark.parametrize("cutoff", [2**63, 10**23, 2.5, True, "3", 3.5])
 def test_cutoffs_past_int64_are_one_value_error(cutoff):
     run = _unbalanced_run()
     for call in (lambda: f1_at([1, 0, 1], cutoff=cutoff), lambda: ndcg([1, 0, 1], cutoff=cutoff),

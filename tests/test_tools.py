@@ -76,11 +76,12 @@ def test_bench_pairs_summary_gives_medians_quartiles_and_wins():
     assert summary["failed_share.change"] == 1 / 500
 
 
-def test_paper_scale_measures_a_tree_in_a_child_process(capsys):
+def test_paper_scale_measures_a_tree_in_a_child_process(capsys, monkeypatch):
     src = str(ROOT / "src")
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # the header names it
     assert paper_scale([src, "--queries", "100"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "Q=100, 32-d, 55 classes"
+    assert lines[0] == "Q=100, 32-d, 55 classes, OPENBLAS_NUM_THREADS=1"
     assert len(lines) == 2
     # 100 x 99 int32 indices are 0.04 MiB
     assert re.fullmatch(re.escape(src) + r": rank (\d+\.\d{3}/){2}\d+\.\d{3} s \(best \d+\.\d{3}\), "

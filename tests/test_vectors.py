@@ -4,6 +4,8 @@ import math
 import os
 import re
 import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -52,11 +54,18 @@ def test_a_non_finite_float_field_is_refused_by_its_key(cls, name, key, value):
     (TrainConfig, "batch_size", 2.5, "an integer"), (TrainConfig, "epochs", 2.5, "an integer"),
     (TrainConfig, "embedding_dim", 4.5, "an integer"), (SyntheticSpec, "objects_per_class", 4.5, "an integer"),
     (SyntheticSpec, "num_classes", 3.0, "an integer"), (SyntheticSpec, "seed", 1.5, "an integer"),
+    # a string or a bool where a number belongs, and a loss that is no
+    # LossConfig: the type rule speaks before any range rule compares it
+    (TrainConfig, "batch_size", "5", "an integer"), (TrainConfig, "batch_size", True, "an integer"),
+    (TrainConfig, "hidden_dims", ("8",), "integers"), (SyntheticSpec, "num_classes", True, "an integer"),
+    (LossConfig, "lam", "1", "a number"), (LossConfig, "lam", True, "a number"),
+    (SyntheticSpec, "class_separation", "2", "a number"), (TrainConfig, "loss", "cip", "a LossConfig"),
 ], ids=lambda v: getattr(v, "__name__", v if isinstance(v, str) else repr(v)))
 def test_a_value_that_is_not_an_integer_is_refused_by_its_key(cls, name, value, rule):
     # unchecked, a fractional width would train truncated, and a fractional
     # count or seed would fail inside train or generate, naming no key
-    with pytest.raises(ValueError, match=f"^{name} must be {rule}, got {re.escape(repr(value))}$"):
+    key = vectors.KEY_OF_FIELD.get(name, name)
+    with pytest.raises(ValueError, match=f"^{key} must be {rule}, got {re.escape(repr(value))}$"):
         cls(**{name: value})
 
 
@@ -64,6 +73,33 @@ def test_python_and_numpy_ints_are_integers():
     cfg = TrainConfig(batch_size=np.int32(5), epochs=np.int64(2), hidden_dims=(np.int64(8), 4))
     assert cfg.hidden_dims == (8, 4) and all(type(h) is int for h in cfg.hidden_dims)
     assert SyntheticSpec(num_classes=np.uint8(3), seed=np.int64(1)).num_classes == 3
+
+
+# hashes ``rank``'s outputs at Q = 1500, past the thread threshold, and the
+# ``theta`` of a 2-epoch ``train``
+_BLAS_SCRIPT = """
+import hashlib
+import numpy as np
+from cipbench.data import SyntheticSpec, generate, split
+from cipbench.retrieval import rank
+from cipbench.trainer import TrainConfig, train
+rng = np.random.default_rng(3)
+run = rank(rng.normal(size=(1500, 32)), rng.integers(1, 41, size=1500))
+data = split(generate(SyntheticSpec(num_classes=4, objects_per_class=8)), 0.5, 0)
+theta = train(data, TrainConfig(epochs=2)).theta
+for array in (run.rankings, run.relevance, theta):
+    print(hashlib.sha256(array.tobytes()).hexdigest())
+"""
+
+
+def test_the_blas_thread_count_changes_no_bit():
+    # the bits of rank and train must not depend on how many threads
+    # OpenBLAS runs a product on; one child runs on one, the other on a pool
+    one, pool = (subprocess.run(
+        [sys.executable, "-c", _BLAS_SCRIPT], capture_output=True, text=True, check=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(SRC.parent), "OPENBLAS_NUM_THREADS": str(threads)}).stdout
+        for threads in (1, max(2, vectors._WORKERS)))
+    assert len(one.split()) == 3 and one == pool
 
 
 def _payload(share: int) -> bytes:

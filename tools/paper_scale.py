@@ -10,13 +10,16 @@ them once cold and three times warm, then scores the last ranking with
 ``evaluate_run``; only one ranking is alive at a time.  One line per tree
 gives the warm ``rank`` times and their best, the ``evaluate_run`` time,
 the size of ``rankings``, the process's peak resident set
-(``ru_maxrss``) and the micro MAP.
+(``ru_maxrss``) and the micro MAP.  The header line names the BLAS setting
+every tree inherits: ``OPENBLAS_NUM_THREADS=<n>`` when that variable is
+set, else ``default pool`` (OpenBLAS's one thread per CPU).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import resource
 import subprocess
 import sys
@@ -64,7 +67,9 @@ def main(argv=None) -> int:
         return 0
     if not args.src:
         parser.error("give at least one src directory")
-    print(f"Q={args.queries}, {DIM}-d, {CLASSES} classes")
+    threads = os.environ.get("OPENBLAS_NUM_THREADS")
+    blas = f"OPENBLAS_NUM_THREADS={threads}" if threads else "default pool"
+    print(f"Q={args.queries}, {DIM}-d, {CLASSES} classes, {blas}")
     for src in args.src:
         out = subprocess.run([sys.executable, __file__, "--worker", src, "--queries", str(args.queries)],
                              check=True, capture_output=True, text=True).stdout
