@@ -39,7 +39,7 @@ import numpy as np
 
 from .data import write_csv
 from .losses import CenterlineBank, group_sums
-from .vectors import fits, share_blocks
+from .vectors import fits, one_blas_thread, share_blocks
 
 __all__ = [
     "EvalSummary",
@@ -72,7 +72,10 @@ _SCORE_ROWS = 128
 # made rank 1.7x slower at 2 blocks, gained nothing at 10-15 and cut rank by
 # ~45 % from 25 on.  Under OPENBLAS_NUM_THREADS=1 a second thread cut rank
 # by ~40 % at 10-23 blocks in two rounds of five and gained nothing in the
-# other three, and it mostly made evaluate_run slower there.
+# other three, and it mostly made evaluate_run slower there.  With rank's
+# blocks held at one BLAS thread on the default pool too
+# (``vectors.one_blas_thread``), sharing cut rank by 8-37 % in two rounds
+# of five and gained nothing in three.
 _MIN_SHARED_BLOCKS = 24
 
 
@@ -81,6 +84,12 @@ def _shared(rows: int) -> bool:
     threads (``vectors.share_blocks``): from ``_MIN_SHARED_BLOCKS`` blocks
     of ``_BLOCK_ROWS`` rows on."""
     return -(-rows // _BLOCK_ROWS) >= _MIN_SHARED_BLOCKS
+
+
+def _index_dtype(n: int) -> type:
+    """The dtype of ``rank``'s ``rankings`` over ``n`` descriptors: int16
+    while every index it writes, at most ``n - 1``, fits, else int32."""
+    return np.int16 if n <= 2**15 else np.int32
 
 
 @dataclass
@@ -93,7 +102,9 @@ class RetrievalRun:
 
     query_indices: np.ndarray  # (Q,) descriptor indices that served as queries
     query_labels: np.ndarray  # (Q,)
-    rankings: np.ndarray  # (Q, Q - 1) int32: gallery descriptor indices, best first
+    # (Q, Q - 1) gallery descriptor indices, best first: int16 up to 2**15
+    # descriptors, else int32 (``_index_dtype``)
+    rankings: np.ndarray
     relevance: np.ndarray  # (Q, Q - 1) bool: the ranked item carries the query label
     excluded: list[int] = field(default_factory=list)  # zero-norm descriptors
 
@@ -163,11 +174,16 @@ def rank(descriptors: np.ndarray, labels: np.ndarray) -> RetrievalRun:
     by (run number, distance, index): equal distances end in ascending index
     order whichever way they came.  Blocks run on ``vectors.share_blocks``'
     threads, and each block allocates its own keys, so beside the two
-    (Q, Q - 1) outputs, 5 bytes an entry (int32 ``rankings``, bool
-    ``relevance``), the working set is O(threads x block x Q).  The keys
-    and the order are int64 within a block; only the write to ``rankings``
-    narrows, and every index fits, since a (Q, Q - 1) matrix with
-    Q >= 2**31 could not be allocated.
+    (Q, Q - 1) outputs, 3 bytes an entry up to 2**15 descriptors (int16
+    ``rankings``, bool ``relevance``) and 5 past it (int32 ``rankings``),
+    the working set is O(threads x block x Q).  The keys and the order are
+    int64 within a block; only the write to ``rankings`` narrows, to
+    ``_index_dtype`` of the descriptor count, since the indices written are
+    the original ones, below ``len(descriptors)``, and not the kept ones.
+    int32 always holds them: a (Q, Q - 1) matrix with Q >= 2**31 could not
+    be allocated.  The blocks run with numpy's OpenBLAS held at one thread
+    (``vectors.one_blas_thread``), whose idle pool workers would otherwise
+    contend with them.
 
     The keys order the distances as ``<`` does because
     ``np.subtract(1.0, x)`` never yields -0.0 (which would sort apart from
@@ -195,7 +211,7 @@ def rank(descriptors: np.ndarray, labels: np.ndarray) -> RetrievalRun:
     unit = descriptors[keep] / norms[keep, None]
     kept_labels = labels[keep]
     q = keep.size
-    rankings = np.empty((q, q - 1), dtype=np.int32)
+    rankings = np.empty((q, q - 1), dtype=_index_dtype(len(descriptors)))
     relevance = np.empty((q, q - 1), dtype=bool)
     # the low bits of a packed key hold its column index
     mask = np.uint64((1 << (q - 1).bit_length()) - 1)
@@ -241,7 +257,8 @@ def rank(descriptors: np.ndarray, labels: np.ndarray) -> RetrievalRun:
         else:
             rankings[lo:hi] = full[:, :-1]  # keep is 0..q-1
 
-    share_blocks(q, _BLOCK_ROWS, _shared(q), rank_block)
+    with one_blas_thread():
+        share_blocks(q, _BLOCK_ROWS, _shared(q), rank_block)
     return RetrievalRun(
         query_indices=keep.copy(),
         query_labels=kept_labels,

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -116,7 +117,8 @@ class TrainConfig:
     eval_every: int = 0
 
     def __post_init__(self):
-        self.hidden_dims = tuple(self.hidden_dims)
+        if isinstance(self.hidden_dims, Iterable):  # a list or an array; check_fields refuses the rest
+            self.hidden_dims = tuple(self.hidden_dims)
         check_fields(self, lambda: (
             ("batch_size", self.batch_size >= 1, "positive"),
             ("epochs", self.epochs >= 1, "positive"),

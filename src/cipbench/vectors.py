@@ -1,11 +1,11 @@
 """Settings-field checks and the package's one fan-out.
 
 ``fits`` is the one type rule of a settings value: what an ``int``,
-``float``, ``str`` or ``tuple[int, ...]`` annotation takes (a bool is no
-number).  ``check_fields`` checks the settings fields of ``data``,
-``losses`` and ``trainer`` by it, then a float field's finiteness, then
-the dataclass's range rules; ``data``'s sidecar reader and
-``retrieval``'s metric cutoffs use it too.  ``KEY_OF_FIELD`` names a
+``float``, ``bool``, ``str`` or ``tuple[int, ...]`` annotation takes (a
+bool is no number, and no number is a bool).  ``check_fields`` checks the
+settings fields of ``data``, ``losses`` and ``trainer`` by it, then a float
+field's finiteness, then the dataclass's range rules; ``data``'s sidecar
+reader and ``retrieval``'s metric cutoffs use it too.  ``KEY_OF_FIELD`` names a
 field's config key for them and for ``config``.
 
 This is the only module that starts a thread or a process.
@@ -17,10 +17,13 @@ streams its bytes back through a pipe.  A block or a span is the whole of
 what its body gets: any array it needs it allocates itself.  It forks only
 while no other Python thread is alive, since a fork copies only the calling
 thread: that is why ``share_blocks`` joins before returning.
+``one_blas_thread`` holds the OpenBLAS bundled with numpy at one thread
+while ``rank``'s blocks run, so its pool does not contend with them.
 """
 
 from __future__ import annotations
 
+import ctypes
 import gc
 import math
 import numbers
@@ -28,8 +31,11 @@ import os
 import threading
 from contextlib import contextmanager
 from dataclasses import fields
+from pathlib import Path
 
-__all__ = ["check_fields", "fits", "fork_workers", "forked", "share_blocks"]
+import numpy as np
+
+__all__ = ["check_fields", "fits", "fork_workers", "forked", "one_blas_thread", "share_blocks"]
 
 # threads or processes that share one call's work: one per CPU this
 # process may use, read once
@@ -43,35 +49,47 @@ KEY_OF_FIELD = {"lam": "lambda"}
 # the types a settings value of each annotation text takes; a bool is no number
 _TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str}
 # how ``check_fields`` names each type rule
-_TYPE_RULES = {"int": "an integer", "float": "a number", "str": "a string", "tuple[int, ...]": "integers"}
+_TYPE_RULES = {"int": "an integer", "float": "a number", "bool": "a bool", "str": "a string",
+               "tuple[int, ...]": "integers"}
 
 
 def fits(annotation: str, value) -> bool:
     """Whether ``value`` has the type a settings value of annotation text
     ``annotation`` takes: ``int`` a Python or numpy integer, ``float`` a real
-    number, neither a bool; ``str`` a ``str``; ``tuple[int, ...]`` a tuple of
-    integers only; any other annotation takes any value."""
+    number, neither a bool; ``bool`` a Python or numpy bool; ``str`` a
+    ``str``; ``tuple[int, ...]`` a tuple of integers only; any other
+    annotation takes any value."""
     if annotation == "tuple[int, ...]":
         return isinstance(value, tuple) and all(fits("int", item) for item in value)
+    if annotation == "bool":
+        return isinstance(value, (bool, np.bool_))
     kind = _TYPES.get(annotation)
     return kind is None or isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _finite(value) -> bool:
+    """Whether the real number ``value`` converts to a finite float."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int past the float range
+        return False
 
 
 def check_fields(owner, rules) -> None:
     """Raise ``ValueError("<key> must be <rule>, got <value>")`` for the first
     field of the dataclass ``owner`` whose value does not ``fits`` its
-    annotation, else for the first ``float`` field that is not finite, else
-    for the first ``(field, ok, rule)`` of ``rules()`` whose ``ok`` is false;
-    the value is that field of ``owner``.  ``rules`` is a zero-argument
-    callable, called only once every field has its type, so no range rule
-    compares a value of the wrong type.  The settings modules postpone
-    annotations, so a field's type is its annotation's text."""
+    annotation, else for the first ``float`` field that does not convert to
+    a finite float, else for the first ``(field, ok, rule)`` of ``rules()``
+    whose ``ok`` is false; the value is that field of ``owner``.  ``rules``
+    is a zero-argument callable, called only once every field has its type,
+    so no range rule compares a value of the wrong type.  The settings
+    modules postpone annotations, so a field's type is its annotation's
+    text."""
     typed = [(f.name, f.type, getattr(owner, f.name)) for f in fields(owner)]
 
     def checks():  # lazy: each stage runs only once the one before has passed
         yield from ((name, fits(kind, v), _TYPE_RULES.get(kind)) for name, kind, v in typed)
-        yield from ((name, isinstance(v, numbers.Integral) or math.isfinite(v), "finite")
-                    for name, kind, v in typed if kind == "float")
+        yield from ((name, _finite(v), "finite") for name, kind, v in typed if kind == "float")
         yield from rules()
 
     for name, ok, rule in checks():
@@ -121,6 +139,38 @@ def share_blocks(rows: int, block_rows: int, shared: bool, body) -> None:
             worker.join()
     if errors:
         raise errors[0]
+
+
+# the thread-count functions of the OpenBLAS bundled with numpy
+_BLAS_SYMBOLS = ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_")
+# their (get, set) handles, or () when numpy bundles no such library; None
+# until ``one_blas_thread`` first looks them up
+_BLAS = None
+
+
+@contextmanager
+def one_blas_thread():
+    """Hold the OpenBLAS bundled with numpy at one thread for the ``with``
+    body, and give back the caller's count on exit, also when the body
+    raises.  A no-op when numpy bundles no library with ``_BLAS_SYMBOLS``;
+    they are looked up on first use, so importing changes nothing.  The
+    count is the process's: two threads inside at once can leave it at one."""
+    global _BLAS
+    if _BLAS is None:
+        _BLAS = ()
+        for path in (Path(np.__file__).resolve().parent.parent / "numpy.libs").glob("*openblas*"):
+            lib = ctypes.CDLL(str(path))  # numpy loaded it already: the same handle
+            if all(hasattr(lib, symbol) for symbol in _BLAS_SYMBOLS):
+                get, set_ = _BLAS = tuple(getattr(lib, symbol) for symbol in _BLAS_SYMBOLS)
+                get.restype, get.argtypes = ctypes.c_int, []
+                set_.restype, set_.argtypes = None, [ctypes.c_int]
+    get, set_ = _BLAS or (lambda: None, lambda threads: None)
+    threads = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(threads)
 
 
 def fork_workers() -> int:

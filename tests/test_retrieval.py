@@ -232,11 +232,33 @@ def test_rank_orders_a_group_of_three_identical_descriptors_in_every_row(zeroed)
 def test_rank_outputs_own_c_contiguous_arrays(zeroed):
     descs, kinds = _palette_descriptors(zeroed)
     run = _rank_quietly(descs, kinds % 3 + 1)
-    for out, dtype in ((run.rankings, np.int32), (run.relevance, np.bool_)):
+    for out, dtype in ((run.rankings, np.int16), (run.relevance, np.bool_)):
         assert out.dtype == dtype
         assert out.flags.c_contiguous and out.flags.owndata and out.base is None
     q = run.num_queries
-    assert run.rankings.nbytes == 4 * q * (q - 1)
+    assert run.rankings.nbytes == 2 * q * (q - 1)
+
+
+def test_the_index_dtype_holds_every_index_below_the_descriptor_count():
+    # n descriptors have indices up to n - 1, and int16 holds up to 2**15 - 1
+    assert [retrieval._index_dtype(n) for n in (2, 2**15, 2**15 + 1, 2**31)] == [
+        np.int16, np.int16, np.int32, np.int32]
+
+
+@pytest.mark.parametrize("n", [2**15, 2**15 + 1])
+def test_rank_writes_original_indices_past_the_kept_count(n):
+    # six palette rows among n - 6 zero-norm ones: the kept indices fit in
+    # int16 whatever n is, and the original ones, written, reach n - 1
+    descs = np.zeros((n, 4))
+    rows = [0, 1, n // 2, n - 3, n - 2, n - 1]
+    descs[rows] = TIE_PALETTE[[0, 1, 3, 0, 6, 5]]
+    labels = np.arange(n) % 3 + 1
+    run = _rank_quietly(descs, labels)
+    assert run.rankings.dtype == (np.int16 if n <= 2**15 else np.int32)
+    keep, rankings, relevance = rank_loop(descs, labels)
+    assert np.array_equal(keep, rows) and run.rankings.max() == n - 1
+    assert np.array_equal(run.rankings, rankings)
+    assert np.array_equal(run.relevance, relevance)
 
 
 def _assert_ordered_by_block_distances(run, descs, labels):

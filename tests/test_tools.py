@@ -83,7 +83,7 @@ def test_paper_scale_measures_a_tree_in_a_child_process(capsys, monkeypatch):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "Q=100, 32-d, 55 classes, OPENBLAS_NUM_THREADS=1"
     assert len(lines) == 2
-    # 100 x 99 int32 indices are 0.04 MiB
+    # 100 x 99 int16 indices are 0.02 MiB
     assert re.fullmatch(re.escape(src) + r": rank (\d+\.\d{3}/){2}\d+\.\d{3} s \(best \d+\.\d{3}\), "
-                        r"evaluate_run \d+\.\d{3} s, rankings 0\.04 MiB, ru_maxrss \d+ MiB, "
+                        r"evaluate_run \d+\.\d{3} s, rankings 0\.02 MiB, ru_maxrss \d+ MiB, "
                         r"micro MAP (0|1)\.\d{6}", lines[1]), lines[1]

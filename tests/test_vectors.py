@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cipbench import vectors
+from cipbench import retrieval, vectors
 from cipbench.data import SyntheticSpec
 from cipbench.losses import LossConfig
 from cipbench.trainer import TrainConfig
@@ -41,10 +41,12 @@ def test_every_name_in_an_all_resolves():
     (SyntheticSpec, "view_noise_std", "view_noise_std"), (LossConfig, "lam", "lambda"),
     (TrainConfig, "lr0", "lr0"), (TrainConfig, "centerline_collapse_cosine", "centerline_collapse_cosine"),
 ], ids=lambda v: getattr(v, "__name__", v))
-@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=repr)
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 10**400],
+                         ids=["inf", "-inf", "nan", "10**400"])
 def test_a_non_finite_float_field_is_refused_by_its_key(cls, name, key, value):
     # as the CLI refuses it on parsing: a config error, not a run that
-    # diverges (lr0 = inf) or drops a check (a nan collapse cosine)
+    # diverges (lr0 = inf) or drops a check (a nan collapse cosine), and
+    # not an int past the float range that train fails to convert
     with pytest.raises(ValueError, match=f"^{key} must be finite, got {value!r}$"):
         cls(**{name: value})
 
@@ -60,6 +62,9 @@ def test_a_non_finite_float_field_is_refused_by_its_key(cls, name, key, value):
     (TrainConfig, "hidden_dims", ("8",), "integers"), (SyntheticSpec, "num_classes", True, "an integer"),
     (LossConfig, "lam", "1", "a number"), (LossConfig, "lam", True, "a number"),
     (SyntheticSpec, "class_separation", "2", "a number"), (TrainConfig, "loss", "cip", "a LossConfig"),
+    # a width that is no sequence, and a flag that is no bool ("no" is truthy)
+    (TrainConfig, "hidden_dims", 8, "integers"), (LossConfig, "use_cluster", "no", "a bool"),
+    (LossConfig, "use_ortho", 1, "a bool"),
 ], ids=lambda v: getattr(v, "__name__", v if isinstance(v, str) else repr(v)))
 def test_a_value_that_is_not_an_integer_is_refused_by_its_key(cls, name, value, rule):
     # unchecked, a fractional width would train truncated, and a fractional
@@ -73,6 +78,71 @@ def test_python_and_numpy_ints_are_integers():
     cfg = TrainConfig(batch_size=np.int32(5), epochs=np.int64(2), hidden_dims=(np.int64(8), 4))
     assert cfg.hidden_dims == (8, 4) and all(type(h) is int for h in cfg.hidden_dims)
     assert SyntheticSpec(num_classes=np.uint8(3), seed=np.int64(1)).num_classes == 3
+    assert TrainConfig(hidden_dims=[8, 4]).hidden_dims == (8, 4)
+    assert LossConfig(use_cluster=np.bool_(False)).use_ortho
+
+
+class _FakeBlas:
+    """A (get, set) thread-count pair in place of OpenBLAS's; ``set_to``
+    records every count set."""
+
+    def __init__(self, threads):
+        self.threads, self.set_to = threads, []
+
+    def get(self):
+        return self.threads
+
+    def set(self, threads):
+        self.threads = threads
+        self.set_to.append(threads)
+
+
+def test_rank_holds_blas_at_one_thread_and_gives_the_callers_count_back(monkeypatch):
+    blas = _FakeBlas(3)
+    monkeypatch.setattr(vectors, "_BLAS", (blas.get, blas.set))
+    seen = []
+
+    def spy(*args):  # rank's blocks, run with the count they see
+        seen.append(blas.threads)
+        vectors.share_blocks(*args)
+
+    monkeypatch.setattr(retrieval, "share_blocks", spy)
+    rng = np.random.default_rng(0)
+    descriptors, labels = rng.normal(size=(100, 4)), rng.integers(1, 4, 100)
+    retrieval.rank(descriptors, labels)
+    assert seen == [1] and blas.threads == 3
+
+    def fail(*args):
+        raise RuntimeError("a block failed")
+
+    monkeypatch.setattr(retrieval, "share_blocks", fail)
+    with pytest.raises(RuntimeError, match="a block failed"):
+        retrieval.rank(descriptors, labels)
+    assert blas.set_to == [1, 3, 1, 3]
+
+
+def test_one_blas_thread_sets_the_bundled_openblas_and_gives_its_count_back(monkeypatch):
+    monkeypatch.setattr(vectors, "_BLAS", None)  # looked up afresh, on first use
+    with vectors.one_blas_thread():
+        pass
+    if not vectors._BLAS:
+        pytest.skip("numpy bundles no OpenBLAS with the thread-count symbols")
+    get, set_ = vectors._BLAS
+    callers = get()
+    try:
+        set_(2)
+        with vectors.one_blas_thread():
+            inside = get()
+        assert (inside, get()) == (1, 2)
+    finally:
+        set_(callers)
+
+
+def test_one_blas_thread_without_the_symbols_is_a_no_op(monkeypatch):
+    monkeypatch.setattr(vectors, "_BLAS_SYMBOLS", ("no_such_get", "no_such_set"))
+    monkeypatch.setattr(vectors, "_BLAS", None)
+    run = retrieval.rank(np.eye(3), np.array([1, 1, 2]))  # ranks as before
+    assert vectors._BLAS == () and run.rankings.tolist() == [[1, 2], [0, 2], [0, 1]]
 
 
 # hashes ``rank``'s outputs at Q = 1500, past the thread threshold, and the
